@@ -299,6 +299,12 @@ impl<'c> Analyzer<'c> {
         self.fault_deps().bytes()
     }
 
+    /// Heap bytes of the monolithic estimator's cone arena (forces its
+    /// construction) — a memory-footprint counter for `stats` reports.
+    pub fn estimator_storage_bytes(&self) -> usize {
+        self.estimator().storage_bytes()
+    }
+
     /// The AIG→circuit probability-carrier map (crate-internal), shared by
     /// every incremental query consumer.
     pub(crate) fn circ_of_aig(&self) -> &CircOfAig {

@@ -35,12 +35,12 @@
 //!
 //! # Parallelism
 //!
-//! Every embarrassingly-parallel hot loop — the estimator's fanin-depth
-//! ranks, the observability wavefronts, the per-fault detection loop and
-//! the optimizer's trial moves — runs on a worker pool sized by
-//! [`AnalyzerParams::num_threads`] (0 = the `PROTEST_THREADS` environment
-//! variable, else the machine's available parallelism; 1 = the serial
-//! code paths). Parallel execution only reschedules independent per-node
+//! Every embarrassingly-parallel hot loop — the estimator's construction
+//! and fanin-depth ranks, the observability wavefronts, the per-fault
+//! detection loop and the optimizer's trial moves — runs on a worker pool
+//! sized by [`AnalyzerParams::num_threads`] (0 = the `PROTEST_THREADS`
+//! environment variable, else the machine's available parallelism; 1 = the
+//! serial code paths). Parallel execution only reschedules independent per-node
 //! computations and recombines results in node order, so **results are
 //! bit-identical at every thread count** (proven by the differential
 //! proptests in `tests/parallel_differential.rs`).
@@ -56,19 +56,6 @@
 //! then *poisoned* ([`AnalysisSession::is_poisoned`]) and must be
 //! discarded, which [`SessionPool`] does automatically. Disarmed tokens
 //! (the default) cost one branch per check and never change results.
-//!
-//! ## Migration notes (0.2 → 0.3)
-//!
-//! * `SignalProbEstimator::estimate` (deprecated in 0.2) is removed: use
-//!   [`sigprob::SignalProbEstimator::full_estimate`] for a one-shot pass,
-//!   or an [`AnalysisSession`] for repeated re-estimation.
-//! * `Analyzer::run` remains, now as a thin wrapper that opens a session
-//!   and finishes it immediately — same results, same signature.
-//! * The four `optimize*` entry points of [`optimize::HillClimber`] share
-//!   one session-driven climbing loop; their signatures and results are
-//!   unchanged.
-//! * [`AnalyzerParams`] gained `num_threads`; code building it with
-//!   struct-update syntax (`..Default::default()`) is unaffected.
 //!
 //! # Example
 //!

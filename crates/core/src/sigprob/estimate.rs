@@ -21,7 +21,7 @@
 
 use std::sync::OnceLock;
 
-use crate::aig::{Aig, AigLit, AigNodeId};
+use crate::aig::{Aig, AigFanouts, AigLit, AigNodeId};
 use crate::cancel::CancelToken;
 use crate::error::CoreError;
 use crate::exec::Exec;
@@ -32,30 +32,417 @@ use crate::params::AnalyzerParams;
 /// bounding the response latency to a fraction of a pass.
 pub(crate) const CANCEL_CHECK_NODES: usize = 4096;
 
-/// Per-AND structural cache: joining points and the bounded cone used for
-/// conditional re-propagation. Probability-independent, so the optimizer can
+/// One AND node's conditioning structure, borrowed from the [`ConeArena`]:
+/// joining points and the bounded cone used for conditional
+/// re-propagation. Probability-independent, so the optimizer can
 /// re-estimate thousands of times without re-running graph searches.
-#[derive(Debug, Clone, Default)]
-struct AndCache {
-    /// Bounded `V(a, b)`, empty for case-3 ANDs.
-    joining: Vec<AigNodeId>,
+#[derive(Debug, Clone, Copy)]
+struct Cone<'a> {
+    /// Bounded `V(a, b)`, ascending; empty for case-3 ANDs.
+    joining: &'a [AigNodeId],
     /// The joining points plus their descendants within the bounded union
     /// cone of `a` and `b`, ascending (= topo) order. Re-propagation only
     /// walks this set: pinning joining points cannot change any other cone
     /// node, so the rest of the cone keeps its base estimate untouched.
-    inner: Vec<AigNodeId>,
+    inner: &'a [AigNodeId],
     /// For each cone node, the positions of its two fanins within `inner`
     /// (`-1` when a fanin is outside the cone or the node is not an AND).
-    fanin_ci: Vec<[i32; 2]>,
+    fanin_ci: &'a [[i32; 2]],
     /// Whether [`SignalProbEstimator::cone_node_value`] runs nested
     /// conditioning for this cone node (its own joining set is non-empty
     /// and its own cone is small enough).
+    nested_ok: &'a [bool],
+    /// Per joining candidate, one row of `ceil(inner.len() / 64)` words:
+    /// a bitset over `inner` positions of the candidate's descendant
+    /// closure (via direct fanin edges, self included) — exactly the nodes
+    /// a walk pinning that candidate can touch, so re-propagation skips
+    /// the rest of the cone outright.
+    desc: &'a [u64],
+}
+
+impl<'a> Cone<'a> {
+    /// Words per descendant row.
+    fn words(&self) -> usize {
+        self.inner.len().div_ceil(64)
+    }
+
+    /// Descendant bitset of joining candidate `j`.
+    fn desc_row(&self, j: usize) -> &'a [u64] {
+        let w = self.words();
+        &self.desc[j * w..(j + 1) * w]
+    }
+}
+
+/// Every AND node's [`Cone`], in CSR form: each field is one contiguous
+/// array over all nodes, sliced by per-node offsets, instead of five
+/// `Vec`s (and a `Vec` per joining candidate) per node.
+#[derive(Debug, PartialEq, Eq)]
+struct ConeArena {
+    /// `n + 1` offsets into `joining`.
+    joining_off: Vec<u32>,
+    joining: Vec<AigNodeId>,
+    /// `n + 1` offsets into `inner`, `fanin_ci` and `nested_ok`.
+    inner_off: Vec<u32>,
+    inner: Vec<AigNodeId>,
+    fanin_ci: Vec<[i32; 2]>,
     nested_ok: Vec<bool>,
-    /// Per joining candidate: bitset over `inner` positions of the
-    /// candidate's descendant closure (via direct fanin edges, self
-    /// included) — exactly the nodes a walk pinning that candidate can
-    /// touch, so re-propagation skips the rest of the cone outright.
-    desc: Vec<Vec<u64>>,
+    /// `n + 1` offsets into `desc` (rows are `joining × words`).
+    desc_off: Vec<usize>,
+    desc: Vec<u64>,
+}
+
+/// AIGs with fewer AND nodes than this build their cone arena serially:
+/// their build takes milliseconds, so small circuits (partition lanes,
+/// served paper circuits) stay off the pool.
+const MIN_PAR_BUILD_ANDS: usize = 8192;
+
+/// Nodes per interleaved block of the parallel arena build. Consecutive
+/// blocks go to different workers, so deep and shallow regions of the
+/// AIG spread evenly across them.
+const BUILD_BLOCK: usize = 128;
+
+/// Blocks each worker builds per window. A window's chunks are stitched
+/// into the arena before the next window starts, so at most one window's
+/// worth of chunk data exists beside the arena.
+const BUILD_BLOCKS_PER_WORKER: usize = 16;
+
+impl ConeArena {
+    /// An empty arena (or build chunk) covering zero nodes.
+    fn empty() -> Self {
+        ConeArena {
+            joining_off: vec![0],
+            joining: Vec::new(),
+            inner_off: vec![0],
+            inner: Vec::new(),
+            fanin_ci: Vec::new(),
+            nested_ok: Vec::new(),
+            desc_off: vec![0],
+            desc: Vec::new(),
+        }
+    }
+
+    /// Builds the arena for every node of `aig` in two passes. Pass 1
+    /// computes each AND's cone, joining points, `inner`, `fanin_ci` and
+    /// `desc` — node-local work that runs over interleaved blocks on
+    /// `exec` once the AIG has at least `min_par_ands` ANDs. Pass 2 fills
+    /// `nested_ok`, the only field that reads other nodes' entries. The
+    /// arena is identical whichever path builds it.
+    fn build(aig: &Aig, maxlist: usize, exec: &Exec, min_par_ands: usize) -> Self {
+        let fanouts = aig.fanout_map();
+        let n = aig.len();
+        let mut arena = ConeArena::empty();
+        if !exec.parallel() || aig.num_ands() < min_par_ands {
+            let mut b = ConeBuilder::new(aig, &fanouts, maxlist);
+            for k in 0..n {
+                b.push(k, &mut arena);
+            }
+        } else {
+            let threads = exec.threads();
+            let mut builders: Vec<ConeBuilder> = (0..threads)
+                .map(|_| ConeBuilder::new(aig, &fanouts, maxlist))
+                .collect();
+            let window = threads * BUILD_BLOCKS_PER_WORKER * BUILD_BLOCK;
+            let mut chunks: Vec<ConeArena> = (0..threads * BUILD_BLOCKS_PER_WORKER)
+                .map(|_| ConeArena::empty())
+                .collect();
+            exec.run(|| {
+                for lo in (0..n).step_by(window) {
+                    let mut mine: Vec<Vec<(usize, &mut ConeArena)>> =
+                        (0..threads).map(|_| Vec::new()).collect();
+                    for (bi, chunk) in chunks.iter_mut().enumerate() {
+                        mine[bi % threads].push((lo + bi * BUILD_BLOCK, chunk));
+                    }
+                    rayon::scope(|s| {
+                        for (b, blocks) in builders.iter_mut().zip(mine) {
+                            s.spawn(move |_| {
+                                for (start, chunk) in blocks {
+                                    chunk.clear();
+                                    for k in start..(start + BUILD_BLOCK).min(n) {
+                                        b.push(k, chunk);
+                                    }
+                                }
+                            });
+                        }
+                    });
+                    for chunk in &chunks {
+                        arena.append(chunk);
+                    }
+                }
+            });
+        }
+        let (jo, io) = (&arena.joining_off, &arena.inner_off);
+        let nested_ok = arena
+            .inner
+            .iter()
+            .map(|x| {
+                let k = x.index();
+                jo[k] != jo[k + 1] && (io[k + 1] - io[k]) as usize <= MAX_NESTED_CONE
+            })
+            .collect();
+        arena.nested_ok = nested_ok;
+        arena
+    }
+
+    /// Resets a build chunk to cover zero nodes, keeping its capacity.
+    fn clear(&mut self) {
+        self.joining_off.truncate(1);
+        self.joining.clear();
+        self.inner_off.truncate(1);
+        self.inner.clear();
+        self.fanin_ci.clear();
+        self.desc_off.truncate(1);
+        self.desc.clear();
+    }
+
+    /// Appends the nodes of a build chunk, rebasing its offsets.
+    fn append(&mut self, chunk: &ConeArena) {
+        let (jb, ib, db) = (self.joining.len(), self.inner.len(), self.desc.len());
+        let rebase = |o: u32, base: usize| to_u32(o as usize + base);
+        self.joining_off
+            .extend(chunk.joining_off[1..].iter().map(|&o| rebase(o, jb)));
+        self.inner_off
+            .extend(chunk.inner_off[1..].iter().map(|&o| rebase(o, ib)));
+        self.desc_off
+            .extend(chunk.desc_off[1..].iter().map(|&o| o + db));
+        self.joining.extend_from_slice(&chunk.joining);
+        self.inner.extend_from_slice(&chunk.inner);
+        self.fanin_ci.extend_from_slice(&chunk.fanin_ci);
+        self.desc.extend_from_slice(&chunk.desc);
+    }
+
+    /// The conditioning structure of node `k`.
+    fn cone(&self, k: usize) -> Cone<'_> {
+        let (j0, j1) = (
+            self.joining_off[k] as usize,
+            self.joining_off[k + 1] as usize,
+        );
+        let (i0, i1) = (self.inner_off[k] as usize, self.inner_off[k + 1] as usize);
+        Cone {
+            joining: &self.joining[j0..j1],
+            inner: &self.inner[i0..i1],
+            fanin_ci: &self.fanin_ci[i0..i1],
+            nested_ok: &self.nested_ok[i0..i1],
+            desc: &self.desc[self.desc_off[k]..self.desc_off[k + 1]],
+        }
+    }
+
+    /// Whether node `k` has joining points (runs the conditioned kernel).
+    fn is_conditioned(&self, k: usize) -> bool {
+        self.joining_off[k] != self.joining_off[k + 1]
+    }
+
+    /// Heap bytes of the arrays' contents (lengths × element sizes).
+    fn storage_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.joining_off.len() + self.inner_off.len()) * size_of::<u32>()
+            + (self.joining.len() + self.inner.len()) * size_of::<AigNodeId>()
+            + self.fanin_ci.len() * size_of::<[i32; 2]>()
+            + self.nested_ok.len() * size_of::<bool>()
+            + self.desc_off.len() * size_of::<usize>()
+            + self.desc.len() * size_of::<u64>()
+    }
+}
+
+/// A CSR offset as `u32`.
+fn to_u32(offset: usize) -> u32 {
+    u32::try_from(offset).expect("cone arena exceeds u32 offsets")
+}
+
+/// One worker's pass-1 state: epoch-stamped per-node marks and reusable
+/// search buffers, so the per-AND searches allocate nothing once warm.
+struct ConeBuilder<'g> {
+    aig: &'g Aig,
+    fanouts: &'g AigFanouts,
+    maxlist: usize,
+    /// The current AND's epoch; a mark equal to it is set, anything else
+    /// is stale.
+    epoch: u32,
+    in_a: Vec<u32>,
+    in_b: Vec<u32>,
+    in_inner: Vec<u32>,
+    /// Position within the current `inner` (valid where `in_inner` is set).
+    pos: Vec<u32>,
+    cone_a: Vec<AigNodeId>,
+    cone_b: Vec<AigNodeId>,
+    frontier: Vec<AigNodeId>,
+    next: Vec<AigNodeId>,
+    /// Descendant bitsets of the current `inner` positions, row-major.
+    reach: Vec<u64>,
+}
+
+impl<'g> ConeBuilder<'g> {
+    fn new(aig: &'g Aig, fanouts: &'g AigFanouts, maxlist: usize) -> Self {
+        let n = aig.len();
+        ConeBuilder {
+            aig,
+            fanouts,
+            maxlist,
+            epoch: 0,
+            in_a: vec![0; n],
+            in_b: vec![0; n],
+            in_inner: vec![0; n],
+            pos: vec![0; n],
+            cone_a: Vec::new(),
+            cone_b: Vec::new(),
+            frontier: Vec::new(),
+            next: Vec::new(),
+            reach: Vec::new(),
+        }
+    }
+
+    /// Appends node `k`'s pass-1 entries (empty unless `k` is an AND with
+    /// joining points) to `out`, closing its offsets.
+    fn push(&mut self, k: usize, out: &mut ConeArena) {
+        if let Some((la, lb)) = self.aig.and_fanins(AigNodeId::from_index(k)) {
+            self.push_and(la.node(), lb.node(), out);
+        }
+        out.joining_off.push(to_u32(out.joining.len()));
+        out.inner_off.push(to_u32(out.inner.len()));
+        out.desc_off.push(out.desc.len());
+    }
+
+    /// Collects the `maxlist`-bounded backward cone of `root` (inclusive)
+    /// into `cone_a` / `in_a`, or `cone_b` / `in_b` when `side_b`.
+    fn collect_cone(&mut self, root: AigNodeId, side_b: bool) {
+        let epoch = self.epoch;
+        let (mark, cone) = if side_b {
+            (&mut self.in_b, &mut self.cone_b)
+        } else {
+            (&mut self.in_a, &mut self.cone_a)
+        };
+        let (frontier, next) = (&mut self.frontier, &mut self.next);
+        cone.clear();
+        cone.push(root);
+        mark[root.index()] = epoch;
+        frontier.clear();
+        frontier.push(root);
+        for _ in 0..self.maxlist {
+            next.clear();
+            for &id in frontier.iter() {
+                if let Some((a, b)) = self.aig.and_fanins(id) {
+                    for f in [a.node(), b.node()] {
+                        if mark[f.index()] != epoch {
+                            mark[f.index()] = epoch;
+                            cone.push(f);
+                            next.push(f);
+                        }
+                    }
+                }
+            }
+            if next.is_empty() {
+                break;
+            }
+            std::mem::swap(frontier, next);
+        }
+    }
+
+    /// Appends the joining points, `inner`, `fanin_ci` and `desc` rows of
+    /// the AND over fanin nodes `a` and `b` (nothing when it joins none).
+    fn push_and(&mut self, a: AigNodeId, b: AigNodeId, out: &mut ConeArena) {
+        self.epoch += 1;
+        let epoch = self.epoch;
+        self.collect_cone(a, false);
+        self.collect_cone(b, true);
+        let aig = self.aig;
+        // Joining points: in both cones, fanout ≥ 2, with distinct
+        // immediate successors toward a and b.
+        let j0 = out.joining.len();
+        for &x in &self.cone_a {
+            if self.in_b[x.index()] != epoch {
+                continue;
+            }
+            let succs = self.fanouts.of(x.index());
+            // A fanout of 1 can still join if x *is* a or b itself (x
+            // feeds the other side through its single successor while
+            // feeding the AND directly).
+            if succs.len() < 2 && x != a && x != b {
+                continue;
+            }
+            let mut to_a = x == a;
+            let mut to_b = x == b;
+            let mut branches_a = usize::from(x == a);
+            let mut branches_b = usize::from(x == b);
+            for &s in succs {
+                if s == a || self.in_a[s.index()] == epoch {
+                    to_a = true;
+                    branches_a += 1;
+                }
+                if s == b || self.in_b[s.index()] == epoch {
+                    to_b = true;
+                    branches_b += 1;
+                }
+            }
+            // Need two *different* routes: total distinct branch uses ≥ 2.
+            if to_a && to_b && branches_a + branches_b >= 2 {
+                out.joining.push(x);
+            }
+        }
+        if out.joining.len() == j0 {
+            return;
+        }
+        out.joining[j0..].sort_unstable();
+        // Forward closure of the joining points through the union cone:
+        // the subgraph a pinned assignment can actually change. Sorted,
+        // it is `inner` in ascending (= topological) order.
+        let i0 = out.inner.len();
+        for &x in &out.joining[j0..] {
+            self.in_inner[x.index()] = epoch;
+            out.inner.push(x);
+        }
+        let mut head = i0;
+        while head < out.inner.len() {
+            let u = out.inner[head];
+            head += 1;
+            for &s in self.fanouts.of(u.index()) {
+                let in_cone = self.in_a[s.index()] == epoch || self.in_b[s.index()] == epoch;
+                if in_cone && self.in_inner[s.index()] != epoch {
+                    self.in_inner[s.index()] = epoch;
+                    out.inner.push(s);
+                }
+            }
+        }
+        out.inner[i0..].sort_unstable();
+        for (ci, x) in out.inner[i0..].iter().enumerate() {
+            self.pos[x.index()] = ci as u32;
+        }
+        // Each kept node's fanin positions inside the subgraph.
+        for &x in &out.inner[i0..] {
+            let mut ci = [-1i32; 2];
+            if let Some((fa, fb)) = aig.and_fanins(x) {
+                for (side, f) in [fa.node(), fb.node()].into_iter().enumerate() {
+                    if self.in_inner[f.index()] == epoch {
+                        ci[side] = self.pos[f.index()] as i32;
+                    }
+                }
+            }
+            out.fanin_ci.push(ci);
+        }
+        // Descendant bitsets of every cone position, in reverse
+        // topological order: a node's set is itself plus its successors'
+        // sets, and all successors come later. The candidates' rows are
+        // then copied out.
+        let len = out.inner.len() - i0;
+        let words = len.div_ceil(64);
+        let reach = &mut self.reach;
+        reach.clear();
+        reach.resize(len * words, 0);
+        for (ci, fc) in out.fanin_ci[i0..].iter().enumerate().rev() {
+            let (before, row) = reach.split_at_mut(ci * words);
+            let row = &mut row[..words];
+            row[ci >> 6] |= 1 << (ci & 63);
+            for &f in fc.iter().filter(|&&f| f >= 0) {
+                let dst = &mut before[f as usize * words..(f as usize + 1) * words];
+                for (d, &w) in dst.iter_mut().zip(row.iter()) {
+                    *d |= w;
+                }
+            }
+        }
+        for x in &out.joining[j0..] {
+            let p = self.pos[x.index()] as usize;
+            out.desc
+                .extend_from_slice(&reach[p * words..(p + 1) * words]);
+        }
+    }
 }
 
 /// The PROTEST estimator. Construction performs all graph searches; each
@@ -66,7 +453,7 @@ struct AndCache {
 pub struct SignalProbEstimator {
     aig: Aig,
     maxvers: usize,
-    cache: Vec<AndCache>,
+    arena: ConeArena,
     /// Fanin-depth ranks of the AIG, built on first use (only the parallel
     /// passes and the incremental session need them).
     ranks: OnceLock<Ranks>,
@@ -78,8 +465,8 @@ pub struct SignalProbEstimator {
 /// CSR form of the read-dependency fan-out map (see
 /// [`SignalProbEstimator::readers`]): one contiguous edge array instead of
 /// a `Vec` per node.
-#[derive(Debug)]
-pub(crate) struct ReaderMap {
+#[derive(Debug, PartialEq, Eq)]
+pub struct ReaderMap {
     /// `n + 1` offsets into `dat`.
     off: Vec<u32>,
     /// Concatenated reader lists, ascending within each node.
@@ -87,7 +474,7 @@ pub(crate) struct ReaderMap {
 }
 
 impl ReaderMap {
-    /// The AND nodes whose evaluation reads node `i`.
+    /// The AND nodes whose evaluation reads node `i`, ascending.
     pub(crate) fn of(&self, i: usize) -> &[u32] {
         &self.dat[self.off[i] as usize..self.off[i + 1] as usize]
     }
@@ -99,152 +486,53 @@ impl ReaderMap {
 /// are mutually independent: a parallel pass may evaluate a whole rank
 /// concurrently against the settled lower ranks and stay bit-identical to
 /// the serial schedule.
-#[derive(Debug)]
-pub(crate) struct Ranks {
+#[derive(Debug, PartialEq, Eq)]
+pub struct Ranks {
     /// Rank per AIG node (0 for the constant and the primary inputs).
     pub(crate) of: Vec<u32>,
+    /// `ranks + 1` offsets into `dat`.
+    off: Vec<u32>,
     /// AND node indices grouped by rank, ascending within each rank.
-    pub(crate) by_rank: Vec<Vec<u32>>,
+    dat: Vec<u32>,
     /// Conditioned (joining-point) nodes per rank: the µs-scale kernel
     /// invocations that make a rank worth fanning out. Product-rule nodes
     /// are two multiplications — queueing them costs more than they do.
     pub(crate) cond_per_rank: Vec<u32>,
 }
 
+impl Ranks {
+    /// Number of ranks (rank 0 — constant and inputs — included).
+    pub(crate) fn num_ranks(&self) -> usize {
+        self.cond_per_rank.len()
+    }
+
+    /// The AND nodes of rank `r`, ascending.
+    pub(crate) fn rank(&self, r: usize) -> &[u32] {
+        &self.dat[self.off[r] as usize..self.off[r + 1] as usize]
+    }
+}
+
 impl SignalProbEstimator {
     /// Builds the estimator, computing joining points (`MAXLIST`-bounded)
-    /// for every AND node.
+    /// and the conditioning cones of every AND node. Large AIGs build on
+    /// `params.num_threads` workers; the result is identical at any count.
     pub fn new(aig: Aig, params: &AnalyzerParams) -> Self {
-        let fanouts = aig.fanout_map();
-        let n = aig.len();
-        let mut cache = vec![AndCache::default(); n];
-        // Scratch bitsets for cone membership.
-        let mut in_a = vec![u32::MAX; n];
-        let mut in_b = vec![u32::MAX; n];
-        let mut epoch = 0u32;
-        #[allow(clippy::needless_range_loop)]
-        for k in 0..n {
-            let id = AigNodeId::from_index(k);
-            let Some((la, lb)) = aig.and_fanins(id) else {
-                continue;
-            };
-            let (a, b) = (la.node(), lb.node());
-            epoch += 1;
-            let cone_a = bounded_cone(&aig, a, params.maxlist, &mut in_a, epoch);
-            let cone_b = bounded_cone(&aig, b, params.maxlist, &mut in_b, epoch);
-            // Joining points: in both cones, fanout ≥ 2, with distinct
-            // immediate successors toward a and b.
-            let mut joining = Vec::new();
-            for &x in cone_a.iter() {
-                if in_b[x.index()] != epoch {
-                    continue;
-                }
-                let succs = fanouts.of(x.index());
-                if succs.len() < 2 && !(!succs.is_empty() && (x == a || x == b)) {
-                    // A fanout of 1 can still join if x *is* a or b itself
-                    // (x feeds the other side through its single successor
-                    // while feeding the AND directly).
-                    if !(x == a || x == b) {
-                        continue;
-                    }
-                }
-                let mut to_a = x == a;
-                let mut to_b = x == b;
-                let mut branches_a = usize::from(x == a);
-                let mut branches_b = usize::from(x == b);
-                for &s in succs {
-                    let sa = s == a || (s.index() < in_a.len() && in_a[s.index()] == epoch);
-                    let sb = s == b || (s.index() < in_b.len() && in_b[s.index()] == epoch);
-                    if sa {
-                        to_a = true;
-                        branches_a += 1;
-                    }
-                    if sb {
-                        to_b = true;
-                        branches_b += 1;
-                    }
-                }
-                // Need two *different* routes: total distinct branch uses ≥ 2.
-                if to_a && to_b && branches_a + branches_b >= 2 {
-                    joining.push(x);
-                }
-            }
-            if joining.is_empty() {
-                continue;
-            }
-            // Union cone in ascending (= topological) order.
-            let mut cone: Vec<AigNodeId> = cone_a
-                .iter()
-                .copied()
-                .chain(cone_b.iter().copied().filter(|x| in_a[x.index()] != epoch))
-                .collect();
-            cone.sort_unstable();
-            joining.sort_unstable();
-            // Forward pass: keep only joining points and their descendants —
-            // the subgraph a pinned assignment can actually change.
-            let mut desc = vec![false; cone.len()];
-            let is_desc = |cone: &[AigNodeId], desc: &[bool], node: AigNodeId| {
-                cone.binary_search(&node).map(|i| desc[i]).unwrap_or(false)
-            };
-            let mut inner = Vec::new();
-            for ci in 0..cone.len() {
-                let x = cone[ci];
-                let d = joining.binary_search(&x).is_ok()
-                    || aig.and_fanins(x).is_some_and(|(fa, fb)| {
-                        is_desc(&cone, &desc, fa.node()) || is_desc(&cone, &desc, fb.node())
-                    });
-                if d {
-                    desc[ci] = true;
-                    inner.push(x);
-                }
-            }
-            // Cone-local structure: fanin positions, nested-conditioning
-            // flags and per-candidate descendant bitsets. All value-
-            // independent, computed once so the evaluation hot loops touch
-            // no graph searches at all.
-            let words = inner.len().div_ceil(64);
-            let mut fanin_ci = vec![[-1i32; 2]; inner.len()];
-            let mut nested_ok = vec![false; inner.len()];
-            for (ci, &x) in inner.iter().enumerate() {
-                if let Some((fa, fb)) = aig.and_fanins(x) {
-                    for (side, f) in [fa, fb].into_iter().enumerate() {
-                        if let Ok(i) = inner.binary_search(&f.node()) {
-                            fanin_ci[ci][side] = i as i32;
-                        }
-                    }
-                }
-                let xc = &cache[x.index()];
-                nested_ok[ci] = !xc.joining.is_empty() && xc.inner.len() <= MAX_NESTED_CONE;
-            }
-            let mut cand_desc = Vec::with_capacity(joining.len());
-            for &x in &joining {
-                let mut bits = vec![0u64; words];
-                for (ci, &node) in inner.iter().enumerate() {
-                    let d = node == x
-                        || fanin_ci[ci].iter().any(|&fc| {
-                            fc >= 0 && (bits[fc as usize >> 6] >> (fc as usize & 63)) & 1 == 1
-                        });
-                    if d {
-                        bits[ci >> 6] |= 1 << (ci & 63);
-                    }
-                }
-                cand_desc.push(bits);
-            }
-            cache[k] = AndCache {
-                joining,
-                inner,
-                fanin_ci,
-                nested_ok,
-                desc: cand_desc,
-            };
-        }
+        let _t = protest_telemetry::span(protest_telemetry::Site::EstimatorBuild);
+        let exec = Exec::new(params.num_threads);
+        let arena = ConeArena::build(&aig, params.maxlist, &exec, MIN_PAR_BUILD_ANDS);
         SignalProbEstimator {
             aig,
             maxvers: params.maxvers,
-            cache,
+            arena,
             ranks: OnceLock::new(),
             readers: OnceLock::new(),
         }
+    }
+
+    /// Heap bytes of the per-AND conditioning structure (the cone arena):
+    /// a memory-footprint counter for `stats` reports.
+    pub fn storage_bytes(&self) -> usize {
+        self.arena.storage_bytes()
     }
 
     /// The AIG this estimator analyzes.
@@ -345,7 +633,8 @@ impl SignalProbEstimator {
         let mut scratches: Vec<Scratch2> = (0..threads).map(|_| self.new_scratch()).collect();
         let mut vals: Vec<f64> = Vec::new();
         exec.run(|| -> Result<(), CoreError> {
-            for (ri, rank) in ranks.by_rank.iter().enumerate() {
+            for ri in 0..ranks.num_ranks() {
+                let rank = ranks.rank(ri);
                 if rank.is_empty() {
                     continue;
                 }
@@ -385,29 +674,42 @@ impl SignalProbEstimator {
     }
 
     /// The fanin-depth [`Ranks`] of the AIG, built on first use.
-    pub(crate) fn ranks(&self) -> &Ranks {
+    pub fn ranks(&self) -> &Ranks {
         self.ranks.get_or_init(|| {
             let n = self.aig.len();
             let mut of = vec![0u32; n];
-            let mut by_rank: Vec<Vec<u32>> = Vec::new();
-            let mut cond_per_rank: Vec<u32> = Vec::new();
+            // Rank 0 (constant and inputs) holds no ANDs; count the others
+            // per rank, then counting-sort them into CSR order.
+            let mut off: Vec<u32> = vec![0, 0];
+            let mut cond_per_rank: Vec<u32> = vec![0];
             for k in 1..n {
-                let id = AigNodeId::from_index(k);
-                let Some((la, lb)) = self.aig.and_fanins(id) else {
+                let Some((la, lb)) = self.aig.and_fanins(AigNodeId::from_index(k)) else {
                     continue;
                 };
-                let rank = 1 + of[la.node().index()].max(of[lb.node().index()]);
-                of[k] = rank;
-                if by_rank.len() <= rank as usize {
-                    by_rank.resize(rank as usize + 1, Vec::new());
-                    cond_per_rank.resize(rank as usize + 1, 0);
+                let rank = 1 + of[la.node().index()].max(of[lb.node().index()]) as usize;
+                of[k] = rank as u32;
+                if cond_per_rank.len() <= rank {
+                    off.resize(rank + 2, 0);
+                    cond_per_rank.resize(rank + 1, 0);
                 }
-                by_rank[rank as usize].push(k as u32);
-                cond_per_rank[rank as usize] += u32::from(!self.cache[k].joining.is_empty());
+                off[rank + 1] += 1;
+                cond_per_rank[rank] += u32::from(self.arena.is_conditioned(k));
+            }
+            for r in 1..off.len() {
+                off[r] += off[r - 1];
+            }
+            let mut cursor = off.clone();
+            let mut dat = vec![0u32; off[off.len() - 1] as usize];
+            // Ascending node order keeps each rank's members ascending;
+            // exactly the ANDs have a rank above 0.
+            for (k, &r) in of.iter().enumerate().filter(|&(_, &r)| r > 0) {
+                dat[cursor[r as usize] as usize] = k as u32;
+                cursor[r as usize] += 1;
             }
             Ranks {
                 of,
-                by_rank,
+                off,
+                dat,
                 cond_per_rank,
             }
         })
@@ -416,7 +718,7 @@ impl SignalProbEstimator {
     /// Whether a node runs the conditioned (joining-point) kernel — the
     /// expensive case the parallel batching thresholds count.
     pub(crate) fn is_conditioned(&self, k: u32) -> bool {
-        !self.cache[k as usize].joining.is_empty()
+        self.arena.is_conditioned(k as usize)
     }
 
     /// Fresh scratch space sized for this estimator's AIG.
@@ -443,28 +745,28 @@ impl SignalProbEstimator {
             .aig
             .and_fanins(id)
             .expect("non-input, non-constant AIG node is an AND");
-        let cache = &self.cache[id.index()];
-        if cache.joining.is_empty() {
+        if !self.arena.is_conditioned(id.index()) {
             return lit_prob(probs, la) * lit_prob(probs, lb);
         }
-        self.conditioned(probs, id.index(), la, lb, cache, scratch)
+        let cone = self.arena.cone(id.index());
+        self.conditioned(probs, id.index(), la, lb, cone, scratch)
     }
 
     /// The read-dependency fan-out map: `readers[x]` lists every AND node
-    /// whose [`and_node_value`](Self::and_node_value) *reads* the base
-    /// probability of `x` — its direct fanins, its conditioning cone
-    /// (`inner`), the fanins of the cone nodes, and the nested cones that
-    /// [`cone_node_value`](Self::cone_node_value) may consult. Incremental
-    /// re-propagation is sound exactly when a node is re-evaluated whenever
-    /// any member of its read set changes value, so this map (not the plain
-    /// structural fanout map) drives the session's dirty propagation.
+    /// whose per-node evaluation *reads* the base probability of `x` — its
+    /// direct fanins, its conditioning cone (`inner`), the fanins of the
+    /// cone nodes, and the nested cones that nested conditioning may
+    /// consult. Incremental re-propagation is sound exactly when a node is
+    /// re-evaluated whenever any member of its read set changes value, so
+    /// this map (not the plain structural fanout map) drives the session's
+    /// dirty propagation.
     ///
     /// Every read of an AND node lies in its transitive fanin, so
     /// `readers[x]` only contains indices greater than `x` — a worklist
     /// popped in ascending order visits nodes in dependency order. Built
     /// on first use and cached: every session over this estimator shares
     /// one map.
-    pub(crate) fn readers(&self) -> &ReaderMap {
+    pub fn readers(&self) -> &ReaderMap {
         self.readers.get_or_init(|| self.build_reader_map())
     }
 
@@ -483,7 +785,8 @@ impl SignalProbEstimator {
             readset.clear();
             readset.push(la.node().index() as u32);
             readset.push(lb.node().index() as u32);
-            for &x in &self.cache[k].inner {
+            let cone = self.arena.cone(k);
+            for (&x, &nested) in cone.inner.iter().zip(cone.nested_ok) {
                 readset.push(x.index() as u32);
                 if let Some((fa, fb)) = self.aig.and_fanins(x) {
                     readset.push(fa.node().index() as u32);
@@ -491,9 +794,8 @@ impl SignalProbEstimator {
                 }
                 // Nested conditioning reads x's own cone (and its fanins)
                 // whenever `cone_node_value` decides to run it.
-                let xcache = &self.cache[x.index()];
-                if !xcache.joining.is_empty() && xcache.inner.len() <= MAX_NESTED_CONE {
-                    for &y in &xcache.inner {
+                if nested {
+                    for &y in self.arena.cone(x.index()).inner {
                         readset.push(y.index() as u32);
                         if let Some((ga, gb)) = self.aig.and_fanins(y) {
                             readset.push(ga.node().index() as u32);
@@ -543,7 +845,7 @@ impl SignalProbEstimator {
         k: usize,
         la: AigLit,
         lb: AigLit,
-        cache: &AndCache,
+        cone: Cone<'_>,
         scratch: &mut Scratch2,
     ) -> f64 {
         let pa = lit_prob(base, la);
@@ -551,14 +853,14 @@ impl SignalProbEstimator {
         // Score each joining point by |Cov(a,x)·Cov(b,x)| / S(x)². Nested
         // conditioning during scoring sharpens the ranking, but its cost
         // multiplies with the candidate count — restrict it to small sets.
-        let nest_scores = cache.joining.len() <= MAX_NESTED_SCORING;
-        let mut scored: Vec<(f64, u32)> = Vec::with_capacity(cache.joining.len());
-        for (j, &x) in cache.joining.iter().enumerate() {
+        let nest_scores = cone.joining.len() <= MAX_NESTED_SCORING;
+        let mut scored: Vec<(f64, u32)> = Vec::with_capacity(cone.joining.len());
+        for (j, &x) in cone.joining.iter().enumerate() {
             let px = base[x.index()];
             if px <= f64::EPSILON || px >= 1.0 - f64::EPSILON {
                 continue; // deterministic node carries no correlation
             }
-            let (pa1, pb1) = self.repropagate_scoring(base, cache, j, nest_scores, la, lb, scratch);
+            let (pa1, pb1) = self.repropagate_scoring(base, cone, j, nest_scores, la, lb, scratch);
             let cov_a = (pa1 - pa) * px;
             let cov_b = (pb1 - pb) * px;
             let score = (cov_a * cov_b).abs() / (px * (1.0 - px));
@@ -590,14 +892,14 @@ impl SignalProbEstimator {
         // when the selected W differs from this node's last evaluation with
         // this scratch.
         if scratch.cond[k].w != w_idx {
-            let dep = self.build_dep_masks(cache, &w_idx);
-            let affected = affected_sublist(cache, &w_idx);
+            let dep = self.build_dep_masks(cone, &w_idx);
+            let affected = affected_sublist(cone, &w_idx);
             let cc = &mut scratch.cond[k];
             cc.w = w_idx.clone();
             cc.dep = dep;
             cc.affected = affected;
         }
-        scratch.memo_begin(cache.inner.len() << w_idx.len());
+        scratch.memo_begin(cone.inner.len() << w_idx.len());
         let Scratch2 {
             outer,
             inner,
@@ -615,7 +917,7 @@ impl SignalProbEstimator {
         let mut norm = 0.0f64;
         let mut pinned: Vec<(AigNodeId, f64)> = w_idx
             .iter()
-            .map(|&j| (cache.joining[j as usize], 0.0))
+            .map(|&j| (cone.joining[j as usize], 0.0))
             .collect();
         for v in 0..(1usize << w_idx.len()) {
             for (i, _) in w_idx.iter().enumerate() {
@@ -623,7 +925,7 @@ impl SignalProbEstimator {
             }
             let (pa_v, pb_v, weight) = self.repropagate_memo(
                 base,
-                cache,
+                cone,
                 &cc.affected,
                 &pinned,
                 la,
@@ -656,27 +958,26 @@ impl SignalProbEstimator {
     /// cone's fanins), and the fanin path from such a read back to the
     /// node can leave this bounded cone — the mask must be the union
     /// over every read site, not just the fanin chain.
-    fn build_dep_masks(&self, cache: &AndCache, w_idx: &[u32]) -> Vec<u32> {
-        let mut dep: Vec<u32> = vec![0; cache.inner.len()];
-        for ci in 0..cache.inner.len() {
-            let x = cache.inner[ci];
-            let mut m = match w_idx.iter().position(|&j| cache.joining[j as usize] == x) {
+    fn build_dep_masks(&self, cone: Cone<'_>, w_idx: &[u32]) -> Vec<u32> {
+        let mut dep: Vec<u32> = vec![0; cone.inner.len()];
+        for ci in 0..cone.inner.len() {
+            let x = cone.inner[ci];
+            let mut m = match w_idx.iter().position(|&j| cone.joining[j as usize] == x) {
                 Some(i) => 1u32 << i,
                 None => 0,
             };
-            for &fc in &cache.fanin_ci[ci] {
+            for &fc in &cone.fanin_ci[ci] {
                 if fc >= 0 {
                     m |= dep[fc as usize];
                 }
             }
-            if cache.nested_ok[ci] {
+            if cone.nested_ok[ci] {
                 let absorb = |m: &mut u32, node: AigNodeId, dep: &[u32]| {
-                    if let Ok(i) = cache.inner.binary_search(&node) {
+                    if let Ok(i) = cone.inner.binary_search(&node) {
                         *m |= dep[i];
                     }
                 };
-                let xcache = &self.cache[x.index()];
-                for &y in &xcache.inner {
+                for &y in self.arena.cone(x.index()).inner {
                     absorb(&mut m, y, &dep);
                     if let Some((ga, gb)) = self.aig.and_fanins(y) {
                         absorb(&mut m, ga.node(), &dep);
@@ -697,22 +998,22 @@ impl SignalProbEstimator {
     fn repropagate_scoring(
         &self,
         base: &[f64],
-        cache: &AndCache,
+        cone: Cone<'_>,
         j: usize,
         nest: bool,
         la: AigLit,
         lb: AigLit,
         scratch: &mut Scratch2,
     ) -> (f64, f64) {
-        let x = cache.joining[j];
+        let x = cone.joining[j];
         let (outer, inner) = scratch.split();
         outer.begin();
-        for (wi, &word0) in cache.desc[j].iter().enumerate() {
+        for (wi, &word0) in cone.desc_row(j).iter().enumerate() {
             let mut word = word0;
             while word != 0 {
                 let ci = (wi << 6) | word.trailing_zeros() as usize;
                 word &= word - 1;
-                let n = cache.inner[ci];
+                let n = cone.inner[ci];
                 // Conditional estimate of `n` under the pin. Nodes
                 // unaffected by it keep their base estimate: the base
                 // values already include bounded conditioning, so
@@ -725,7 +1026,7 @@ impl SignalProbEstimator {
                 let phat = if !affected {
                     base[n.index()]
                 } else if nest {
-                    self.cone_node_value(base, n, outer, inner)
+                    self.cone_node_value(base, n, cone.nested_ok[ci], outer, inner)
                 } else {
                     let (fa, fb) = self.aig.and_fanins(n).expect("affected implies AND");
                     outer.lit_value(base, fa) * outer.lit_value(base, fb)
@@ -749,7 +1050,7 @@ impl SignalProbEstimator {
     fn repropagate_memo(
         &self,
         base: &[f64],
-        cache: &AndCache,
+        cone: Cone<'_>,
         affected: &[u32],
         pinned: &[(AigNodeId, f64)],
         la: AigLit,
@@ -765,7 +1066,7 @@ impl SignalProbEstimator {
         let mut weight = 1.0f64;
         for &ci in affected {
             let ci = ci as usize;
-            let n = cache.inner[ci];
+            let n = cone.inner[ci];
             let is_affected = match self.aig.and_fanins(n) {
                 Some((fa, fb)) => outer.is_set(fa.node()) || outer.is_set(fb.node()),
                 None => false,
@@ -781,7 +1082,8 @@ impl SignalProbEstimator {
                 match memo.lookup(key) {
                     Some(cached) => cached,
                     None => {
-                        let computed = self.cone_node_value(base, n, outer, inner);
+                        let nested = cone.nested_ok[ci];
+                        let computed = self.cone_node_value(base, n, nested, outer, inner);
                         memo.store(key, computed);
                         computed
                     }
@@ -808,10 +1110,13 @@ impl SignalProbEstimator {
     /// once upstream pins move its fanins). One level of nested
     /// conditioning re-derives the value: enumerate the node's own joining
     /// set in the outer context and combine with chain-rule weights.
+    /// `nested` is the node's `nested_ok` flag in the outer cone; without
+    /// it the plain product rule applies.
     fn cone_node_value(
         &self,
         base: &[f64],
         n: AigNodeId,
+        nested: bool,
         outer: &Scratch,
         inner: &mut Scratch,
     ) -> f64 {
@@ -819,23 +1124,23 @@ impl SignalProbEstimator {
             .aig
             .and_fanins(n)
             .expect("cone interior node is an AND");
-        let ncache = &self.cache[n.index()];
-        if ncache.joining.is_empty() || ncache.inner.len() > MAX_NESTED_CONE {
+        if !nested {
             let va = outer.lit_value(base, fa);
             let vb = outer.lit_value(base, fb);
             return va * vb;
         }
+        let ncone = self.arena.cone(n.index());
         // Bound the nested enumeration tighter than MAXVERS: this runs per
         // affected node per outer assignment.
-        let wn = ncache.joining.len().min(self.maxvers.min(MAX_NESTED_VERS));
-        let w = &ncache.joining[..wn];
+        let wn = ncone.joining.len().min(self.maxvers.min(MAX_NESTED_VERS));
+        let w = &ncone.joining[..wn];
         // The nested cone has at most MAX_NESTED_CONE (= 32) entries, so
         // the descendant bitsets are single words; the walk visits only the
         // pins' descendant closure (everything else falls back to the outer
         // context / base values unchanged).
         let mut sublist: u64 = 0;
-        for d in &ncache.desc[..wn] {
-            sublist |= d[0];
+        for j in 0..wn {
+            sublist |= ncone.desc_row(j)[0];
         }
         let mut total = 0.0f64;
         let mut norm = 0.0f64;
@@ -846,7 +1151,7 @@ impl SignalProbEstimator {
             while bitsleft != 0 {
                 let ci = bitsleft.trailing_zeros() as usize;
                 bitsleft &= bitsleft - 1;
-                let m = ncache.inner[ci];
+                let m = ncone.inner[ci];
                 let affected = match self.aig.and_fanins(m) {
                     Some((ga, gb)) => inner.is_set(ga.node()) || inner.is_set(gb.node()),
                     None => false,
@@ -1043,11 +1348,10 @@ fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
 
 /// The cone indices (ascending) a walk pinning `w_idx` can touch: the
 /// union of the candidates' descendant bitsets.
-fn affected_sublist(cache: &AndCache, w_idx: &[u32]) -> Vec<u32> {
-    let words = cache.desc.first().map_or(0, Vec::len);
-    let mut mask = vec![0u64; words];
+fn affected_sublist(cone: Cone<'_>, w_idx: &[u32]) -> Vec<u32> {
+    let mut mask = vec![0u64; cone.words()];
     for &j in w_idx {
-        for (wi, &d) in cache.desc[j as usize].iter().enumerate() {
+        for (wi, &d) in cone.desc_row(j as usize).iter().enumerate() {
             mask[wi] |= d;
         }
     }
@@ -1086,39 +1390,6 @@ impl Memo {
     }
 }
 
-/// Collects the bounded backward cone of `root` (inclusive); membership is
-/// marked in `mark` with `epoch`.
-fn bounded_cone(
-    aig: &Aig,
-    root: AigNodeId,
-    max_depth: usize,
-    mark: &mut [u32],
-    epoch: u32,
-) -> Vec<AigNodeId> {
-    let mut cone = vec![root];
-    mark[root.index()] = epoch;
-    let mut frontier = vec![root];
-    for _ in 0..max_depth {
-        let mut next = Vec::new();
-        for id in frontier.drain(..) {
-            if let Some((a, b)) = aig.and_fanins(id) {
-                for f in [a.node(), b.node()] {
-                    if mark[f.index()] != epoch {
-                        mark[f.index()] = epoch;
-                        cone.push(f);
-                        next.push(f);
-                    }
-                }
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        frontier = next;
-    }
-    cone
-}
-
 #[cfg(test)]
 mod tests {
     use protest_netlist::CircuitBuilder;
@@ -1141,6 +1412,128 @@ mod tests {
             .iter()
             .map(|&o| lit_prob(&node_probs, est.aig().lit_of(o)))
             .collect()
+    }
+
+    fn paper_aigs() -> Vec<(&'static str, Aig)> {
+        use protest_circuits::{alu_74181, comp24, div_nonrestoring, mult_array};
+        vec![
+            ("alu", Aig::from_circuit(&alu_74181())),
+            ("comp24", Aig::from_circuit(&comp24())),
+            ("div8x8", Aig::from_circuit(&div_nonrestoring(8, 8))),
+            ("mult6", Aig::from_circuit(&mult_array(6))),
+        ]
+    }
+
+    #[test]
+    fn parallel_arena_build_matches_serial() {
+        // A zero AND threshold forces the interleaved-block path even on
+        // small AIGs; block stitching must reproduce the serial arena.
+        let maxlist = AnalyzerParams::default().maxlist;
+        let mut aigs = paper_aigs();
+        for seed in 0..8 {
+            let c = protest_circuits::random_circuit(protest_circuits::RandomCircuitParams {
+                inputs: 6,
+                gates: 60,
+                outputs: 3,
+                seed,
+            });
+            aigs.push(("random", Aig::from_circuit(&c)));
+        }
+        for (name, aig) in &aigs {
+            let serial = ConeArena::build(aig, maxlist, &Exec::new(1), 0);
+            for threads in [2, 3, 4] {
+                let parallel = ConeArena::build(aig, maxlist, &Exec::new(threads), 0);
+                assert!(
+                    serial == parallel,
+                    "{name}: arena differs at {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn desc_rows_are_forward_closures_of_their_candidates() {
+        // Brute force, with no topological-order shortcut: iterate
+        // "a cone node whose fanin is reached is reached" to a fixpoint
+        // from each candidate, over the whole cone.
+        for (name, aig) in paper_aigs() {
+            let est = SignalProbEstimator::new(aig, &AnalyzerParams::default());
+            let mut rows = 0;
+            for k in 0..est.aig.len() {
+                let cone = est.arena.cone(k);
+                for (j, &x) in cone.joining.iter().enumerate() {
+                    let mut reached: Vec<bool> = cone.inner.iter().map(|&y| y == x).collect();
+                    let mut changed = true;
+                    while changed {
+                        changed = false;
+                        for (ci, &y) in cone.inner.iter().enumerate() {
+                            let Some((fa, fb)) = est.aig.and_fanins(y) else {
+                                continue;
+                            };
+                            let hit = [fa.node(), fb.node()]
+                                .iter()
+                                .any(|f| cone.inner.binary_search(f).is_ok_and(|i| reached[i]));
+                            if hit && !reached[ci] {
+                                reached[ci] = true;
+                                changed = true;
+                            }
+                        }
+                    }
+                    let row = cone.desc_row(j);
+                    for (ci, &want) in reached.iter().enumerate() {
+                        let got = (row[ci >> 6] >> (ci & 63)) & 1 == 1;
+                        assert_eq!(got, want, "{name}: node {k}, candidate {j}, position {ci}");
+                    }
+                    rows += 1;
+                }
+            }
+            assert!(rows > 0, "{name}: no conditioned AND exercised the check");
+        }
+    }
+
+    #[test]
+    fn storage_bytes_counts_the_arena_lengths() {
+        let aig = Aig::from_circuit(&protest_circuits::comp24());
+        let n = aig.len();
+        let est = SignalProbEstimator::new(aig, &AnalyzerParams::default());
+        let a = &est.arena;
+        assert_eq!(a.joining_off.len(), n + 1);
+        assert_eq!(a.inner_off.len(), n + 1);
+        assert_eq!(a.desc_off.len(), n + 1);
+        assert_eq!(a.fanin_ci.len(), a.inner.len());
+        assert_eq!(a.nested_ok.len(), a.inner.len());
+        let want = 2 * (n + 1) * 4
+            + (a.joining.len() + a.inner.len()) * 4
+            + a.fanin_ci.len() * 8
+            + a.nested_ok.len()
+            + (n + 1) * std::mem::size_of::<usize>()
+            + a.desc.len() * 8;
+        assert!(!a.desc.is_empty());
+        assert_eq!(est.storage_bytes(), want);
+    }
+
+    #[test]
+    fn ranks_hold_each_and_once_ascending_above_its_fanins() {
+        for (name, aig) in paper_aigs() {
+            let est = SignalProbEstimator::new(aig, &AnalyzerParams::default());
+            let ranks = est.ranks();
+            let mut seen = 0;
+            for r in 0..ranks.num_ranks() {
+                let members = ranks.rank(r);
+                assert!(members.windows(2).all(|w| w[0] < w[1]), "{name}: rank {r}");
+                for &k in members {
+                    let (fa, fb) = est
+                        .aig
+                        .and_fanins(AigNodeId::from_index(k as usize))
+                        .unwrap();
+                    let below = ranks.of[fa.node().index()].max(ranks.of[fb.node().index()]);
+                    assert_eq!(ranks.of[k as usize], below + 1, "{name}: node {k}");
+                    assert_eq!(ranks.of[k as usize] as usize, r);
+                }
+                seen += members.len();
+            }
+            assert_eq!(seen, est.aig.num_ands(), "{name}");
+        }
     }
 
     #[test]

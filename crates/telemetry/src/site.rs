@@ -14,6 +14,9 @@
 pub enum Site {
     /// Building an incremental analysis session (AIG, caches, first sync).
     SessionBuild,
+    /// Building the signal-probability estimator (joining points and
+    /// conditioning cones of every AND).
+    EstimatorBuild,
     /// One full signal-probability estimation sweep over the AIG ranks.
     EstimatorSweep,
     /// One dirty-worklist propagation drain inside a session.
@@ -67,8 +70,9 @@ pub enum Site {
 impl Site {
     /// Every registered site, in declaration order (aligned with the
     /// per-site aggregation arrays).
-    pub const ALL: [Site; 25] = [
+    pub const ALL: [Site; 26] = [
         Site::SessionBuild,
+        Site::EstimatorBuild,
         Site::EstimatorSweep,
         Site::Propagate,
         Site::ObsFull,
@@ -99,6 +103,7 @@ impl Site {
     pub fn name(self) -> &'static str {
         match self {
             Site::SessionBuild => "session.build",
+            Site::EstimatorBuild => "estimator.build",
             Site::EstimatorSweep => "estimator.sweep",
             Site::Propagate => "session.propagate",
             Site::ObsFull => "observe.full",

@@ -419,6 +419,11 @@ fn cmd_stats(circuit: &Circuit, opts: &Options) -> Result<String, String> {
     );
     let _ = writeln!(
         out,
+        "  estimator cones:    {} B (CSR cone arena)",
+        analyzer.estimator_storage_bytes()
+    );
+    let _ = writeln!(
+        out,
         "  fault dependencies: {} B ({} collapsed faults, interval sets)",
         analyzer.fault_deps_bytes(),
         analyzer.faults().len()

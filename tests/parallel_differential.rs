@@ -4,14 +4,16 @@
 //! must be **bit-identical** (`f64::to_bits`) to the serial (`--threads 1`)
 //! run. The parallel passes only reschedule independent per-node
 //! computations; they never change a floating-point operation sequence, so
-//! equality here is exact, not approximate.
+//! equality here is exact, not approximate. The estimator's parallel
+//! construction must likewise yield the same structures as the serial one.
 
 use proptest::prelude::*;
 use protest::prelude::*;
-use protest_circuits::{alu_74181, comp24, div_nonrestoring, mult_array};
+use protest_circuits::{alu_74181, comp24, div_nonrestoring, mesh_by_spec, mult_array};
 use protest_circuits::{random_circuit, RandomCircuitParams};
 use protest_core::optimize::{HillClimber, OptimizeParams};
-use protest_core::{AnalyzerParams, InputProbs};
+use protest_core::sigprob::SignalProbEstimator;
+use protest_core::{Aig, AnalyzerParams, InputProbs};
 
 fn params(threads: usize) -> AnalyzerParams {
     AnalyzerParams {
@@ -72,6 +74,45 @@ fn paper_circuits_full_analysis_is_bit_identical_at_4_threads() {
             &b.detection_probabilities(),
             &format!("{name}: detection probs"),
         );
+    }
+}
+
+/// Builds the estimator of `circuit` at 1 and at 4 threads and checks
+/// that its structures and its full estimate agree exactly.
+fn assert_estimator_builds_agree(name: &str, circuit: &Circuit) {
+    let serial = SignalProbEstimator::new(Aig::from_circuit(circuit), &params(1));
+    let parallel = SignalProbEstimator::new(Aig::from_circuit(circuit), &params(4));
+    assert_eq!(
+        serial.storage_bytes(),
+        parallel.storage_bytes(),
+        "{name}: arena bytes"
+    );
+    assert!(
+        serial.readers() == parallel.readers(),
+        "{name}: reader maps differ"
+    );
+    assert!(serial.ranks() == parallel.ranks(), "{name}: ranks differ");
+    let probs = skewed_probs(circuit.num_inputs());
+    assert_bits_eq(
+        &serial.full_estimate(probs.as_slice()),
+        &parallel.full_estimate(probs.as_slice()),
+        &format!("{name}: full estimate"),
+    );
+}
+
+#[test]
+fn estimator_built_at_4_threads_matches_serial_build() {
+    // The mesh is above the serial-build AND threshold, so its arena is
+    // built in interleaved blocks on the pool; the paper circuits are not.
+    let circuits = [
+        ("alu_74181", alu_74181()),
+        ("comp24", comp24()),
+        ("mult6", mult_array(6)),
+        ("div8x8", div_nonrestoring(8, 8)),
+        ("multmesh:4x8x10", mesh_by_spec("multmesh:4x8x10").unwrap()),
+    ];
+    for (name, circuit) in &circuits {
+        assert_estimator_builds_agree(name, circuit);
     }
 }
 
@@ -192,5 +233,17 @@ proptest! {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }
         }
+    }
+
+    /// Random circuits: the 1- and 4-thread estimator builds agree.
+    #[test]
+    fn random_estimator_builds_agree(seed in 0u64..3000) {
+        let circuit = random_circuit(RandomCircuitParams {
+            inputs: 8,
+            gates: 60,
+            outputs: 4,
+            seed,
+        });
+        assert_estimator_builds_agree(&format!("random seed {seed}"), &circuit);
     }
 }
