@@ -305,6 +305,13 @@ impl<'c> Analyzer<'c> {
         self.estimator().storage_bytes()
     }
 
+    /// The monolithic estimator's sweep-shape counters (forces its
+    /// construction) — conditioned ANDs, mean joining candidates and mean
+    /// cone size, for `stats` reports.
+    pub fn estimator_sweep_shape(&self) -> crate::sigprob::SweepShape {
+        self.estimator().sweep_shape()
+    }
+
     /// The AIG→circuit probability-carrier map (crate-internal), shared by
     /// every incremental query consumer.
     pub(crate) fn circ_of_aig(&self) -> &CircOfAig {

@@ -19,6 +19,7 @@
 //!    conditional probabilities are obtained by re-propagating the bounded
 //!    fanin cone with the joining points pinned.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::aig::{Aig, AigFanouts, AigLit, AigNodeId};
@@ -462,6 +463,21 @@ pub struct SignalProbEstimator {
     readers: OnceLock<ReaderMap>,
 }
 
+/// Sweep-shape counters of an estimator (see
+/// [`SignalProbEstimator::sweep_shape`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SweepShape {
+    /// AND nodes in the AIG.
+    pub ands: usize,
+    /// AND nodes with joining points, evaluated by formula (2).
+    pub conditioned: usize,
+    /// Mean joining candidates per conditioned AND (each one a scoring
+    /// walk).
+    pub mean_joining: f64,
+    /// Mean cone (`inner`) size per conditioned AND.
+    pub mean_inner: f64,
+}
+
 /// CSR form of the read-dependency fan-out map (see
 /// [`SignalProbEstimator::readers`]): one contiguous edge array instead of
 /// a `Vec` per node.
@@ -533,6 +549,29 @@ impl SignalProbEstimator {
     /// a memory-footprint counter for `stats` reports.
     pub fn storage_bytes(&self) -> usize {
         self.arena.storage_bytes()
+    }
+
+    /// The sweep's shape, read off the cone arena at no sweep cost: how
+    /// many ANDs run the conditioned kernel, and the mean joining-candidate
+    /// count and cone (`inner`) size over those ANDs.
+    pub fn sweep_shape(&self) -> SweepShape {
+        let a = &self.arena;
+        let conditioned = (0..self.aig.len())
+            .filter(|&k| a.is_conditioned(k))
+            .count();
+        let per_and = |total: usize| {
+            if conditioned == 0 {
+                0.0
+            } else {
+                total as f64 / conditioned as f64
+            }
+        };
+        SweepShape {
+            ands: self.aig.num_ands(),
+            conditioned,
+            mean_joining: per_and(a.joining.len()),
+            mean_inner: per_and(a.inner.len()),
+        }
     }
 
     /// The AIG this estimator analyzes.
@@ -723,7 +762,7 @@ impl SignalProbEstimator {
 
     /// Fresh scratch space sized for this estimator's AIG.
     pub(crate) fn new_scratch(&self) -> Scratch2 {
-        Scratch2::new(self.aig.len())
+        Scratch2::default()
     }
 
     /// Evaluates one AND node given the current per-node probabilities of
@@ -749,7 +788,7 @@ impl SignalProbEstimator {
             return lit_prob(probs, la) * lit_prob(probs, lb);
         }
         let cone = self.arena.cone(id.index());
-        self.conditioned(probs, id.index(), la, lb, cone, scratch)
+        self.conditioned(probs, la, lb, cone, scratch)
     }
 
     /// The read-dependency fan-out map: `readers[x]` lists every AND node
@@ -831,36 +870,44 @@ impl SignalProbEstimator {
         ReaderMap { off, dat }
     }
 
-    /// Case-4 computation: select `W`, enumerate its assignments.
+    /// Case-4 computation (formula (2)): score the joining candidates,
+    /// select `W`, evaluate its `2^|W|` assignments.
     ///
-    /// `k` is the node's own index; the scratch keeps a per-node cache of
-    /// the `W`-dependent (but value-independent) structures — pin-dependency
-    /// masks and the affected sublist — so a persistent scratch (an
-    /// [`crate::AnalysisSession`]) skips rebuilding them whenever the
-    /// selected conditioning set is unchanged since the node's last
-    /// evaluation.
+    /// Everything runs on per-AND dense arrays in `s`, indexed by position
+    /// within `cone.inner` plus one slot per out-of-cone fanin read (see
+    /// [`Scratch2::load`]), so the kernel's working set is the cone, not
+    /// the AIG:
+    ///
+    /// * **Scoring** ([`score`](Self::score)) pins one candidate at a time
+    ///   and re-evaluates its descendant row over the slots, then restores
+    ///   the row's base values.
+    /// * **Enumeration** ([`enumerate`](Self::enumerate)) evaluates every
+    ///   affected node once per distinct projection of the assignment onto
+    ///   the pins it depends on, in one node-major pass, then sums the
+    ///   chain-rule weights in natural assignment order.
     fn conditioned(
         &self,
         base: &[f64],
-        k: usize,
         la: AigLit,
         lb: AigLit,
         cone: Cone<'_>,
-        scratch: &mut Scratch2,
+        s: &mut Scratch2,
     ) -> f64 {
         let pa = lit_prob(base, la);
         let pb = lit_prob(base, lb);
+        let own = s.load(&self.aig, base, cone, la, lb);
         // Score each joining point by |Cov(a,x)·Cov(b,x)| / S(x)². Nested
         // conditioning during scoring sharpens the ranking, but its cost
         // multiplies with the candidate count — restrict it to small sets.
         let nest_scores = cone.joining.len() <= MAX_NESTED_SCORING;
-        let mut scored: Vec<(f64, u32)> = Vec::with_capacity(cone.joining.len());
+        let mut scored = std::mem::take(&mut s.scored);
+        scored.clear();
         for (j, &x) in cone.joining.iter().enumerate() {
             let px = base[x.index()];
             if px <= f64::EPSILON || px >= 1.0 - f64::EPSILON {
                 continue; // deterministic node carries no correlation
             }
-            let (pa1, pb1) = self.repropagate_scoring(base, cone, j, nest_scores, la, lb, scratch);
+            let (pa1, pb1) = self.score(base, cone, j, nest_scores, own, s);
             let cov_a = (pa1 - pa) * px;
             let cov_b = (pb1 - pb) * px;
             let score = (cov_a * cov_b).abs() / (px * (1.0 - px));
@@ -868,326 +915,383 @@ impl SignalProbEstimator {
                 scored.push((score, j as u32));
             }
         }
-        if scored.is_empty() {
-            return (pa * pb).clamp(0.0, 1.0);
-        }
-        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+        // Highest score first, ties in candidate order.
+        scored.sort_unstable_by(|a, b| {
+            b.0.partial_cmp(&a.0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.1.cmp(&b.1))
+        });
         scored.truncate(self.maxvers);
-        if scored.is_empty() {
-            return (pa * pb).clamp(0.0, 1.0); // maxvers = 0: product rule
+        if let Some(&(top, _)) = scored.first() {
+            // Drop joining points whose score is negligible next to the
+            // top one: every kept point doubles the enumeration below.
+            let cutoff = top * 3e-3;
+            scored.retain(|&(sc, _)| sc >= cutoff);
         }
-        // Drop joining points whose score is negligible next to the top
-        // one: every kept point doubles the enumeration below.
-        let cutoff = scored[0].0 * 3e-3;
-        scored.retain(|&(s, _)| s >= cutoff);
-        let mut w_idx: Vec<u32> = scored.iter().map(|&(_, j)| j).collect();
-        // Topological order: chain-rule weights condition each joining point
-        // on the pins of its ancestors (`joining` is ascending, so sorting
-        // the candidate indices sorts the nodes).
-        w_idx.sort_unstable();
-
-        // W-dependent, value-independent structures: pin-dependency masks
-        // and the affected sublist (union of the pins' descendant bitsets —
-        // the only cone nodes an enumeration walk can touch). Rebuilt only
-        // when the selected W differs from this node's last evaluation with
-        // this scratch.
-        if scratch.cond[k].w != w_idx {
-            let dep = self.build_dep_masks(cone, &w_idx);
-            let affected = affected_sublist(cone, &w_idx);
-            let cc = &mut scratch.cond[k];
-            cc.w = w_idx.clone();
-            cc.dep = dep;
-            cc.affected = affected;
-        }
-        scratch.memo_begin(cone.inner.len() << w_idx.len());
-        let Scratch2 {
-            outer,
-            inner,
-            memo,
-            cond,
-        } = scratch;
-        let cc = &cond[k];
-
-        // Enumerate the 2^|W| assignments (formula (2)). `P(A_v)` is the
-        // *joint* probability of the assignment, accumulated by the chain
-        // rule inside the walk — joining points are often correlated
-        // with each other (one may even imply another), so the product of
-        // marginals would put weight on impossible assignments.
-        let mut total = 0.0f64;
-        let mut norm = 0.0f64;
-        let mut pinned: Vec<(AigNodeId, f64)> = w_idx
-            .iter()
-            .map(|&j| (cone.joining[j as usize], 0.0))
-            .collect();
-        for v in 0..(1usize << w_idx.len()) {
-            for (i, _) in w_idx.iter().enumerate() {
-                pinned[i].1 = f64::from((v >> i) & 1 == 1);
-            }
-            let (pa_v, pb_v, weight) = self.repropagate_memo(
-                base,
-                cone,
-                &cc.affected,
-                &pinned,
-                la,
-                lb,
-                outer,
-                inner,
-                memo,
-                v,
-                &cc.dep,
-                w_idx.len() as u32,
-            );
-            if weight <= 0.0 {
-                continue;
-            }
-            total += weight * pa_v * pb_v;
-            norm += weight;
-        }
-        if norm <= 0.0 {
-            return (pa * pb).clamp(0.0, 1.0);
-        }
-        (total / norm).clamp(0.0, 1.0)
+        // Topological order: chain-rule weights condition each joining
+        // point on the pins of its ancestors (`joining` is ascending, so
+        // sorting the candidate indices sorts the nodes).
+        s.w.clear();
+        s.w.extend(scored.iter().map(|&(_, j)| j));
+        s.w.sort_unstable();
+        s.scored = scored;
+        let value = if s.w.is_empty() {
+            None // no correlated candidate, or maxvers = 0: product rule
+        } else {
+            self.enumerate(base, cone, own, s)
+        };
+        value.unwrap_or_else(|| (pa * pb).clamp(0.0, 1.0))
     }
 
-    /// Pin-dependency masks: for each cone node, which pins can reach
-    /// anything its evaluation *reads*. A node's value depends only on
-    /// the assignment projected onto those pins, so values can be
-    /// memoized across the 2^|W| enumeration walks. Direct fanins
-    /// alone are not enough: a node evaluated with nested conditioning
-    /// reads the outer values of its whole nested cone (and of that
-    /// cone's fanins), and the fanin path from such a read back to the
-    /// node can leave this bounded cone — the mask must be the union
-    /// over every read site, not just the fanin chain.
-    fn build_dep_masks(&self, cone: Cone<'_>, w_idx: &[u32]) -> Vec<u32> {
-        let mut dep: Vec<u32> = vec![0; cone.inner.len()];
-        for ci in 0..cone.inner.len() {
-            let x = cone.inner[ci];
-            let mut m = match w_idx.iter().position(|&j| cone.joining[j as usize] == x) {
-                Some(i) => 1u32 << i,
-                None => 0,
-            };
-            for &fc in &cone.fanin_ci[ci] {
-                if fc >= 0 {
-                    m |= dep[fc as usize];
-                }
-            }
-            if cone.nested_ok[ci] {
-                let absorb = |m: &mut u32, node: AigNodeId, dep: &[u32]| {
-                    if let Ok(i) = cone.inner.binary_search(&node) {
-                        *m |= dep[i];
-                    }
-                };
-                for &y in self.arena.cone(x.index()).inner {
-                    absorb(&mut m, y, &dep);
-                    if let Some((ga, gb)) = self.aig.and_fanins(y) {
-                        absorb(&mut m, ga.node(), &dep);
-                        absorb(&mut m, gb.node(), &dep);
-                    }
-                }
-            }
-            dep[ci] = m;
-        }
-        dep
-    }
-
-    /// Scoring walk: re-propagates the cone with joining candidate `j`
-    /// pinned to 1 and returns the conditional probabilities of `la` and
-    /// `lb`. Only the candidate's descendant sublist is visited — the rest
-    /// of the cone provably keeps its base estimate.
-    #[allow(clippy::too_many_arguments)]
-    fn repropagate_scoring(
+    /// Scoring walk: pins joining candidate `j` to 1 and returns the
+    /// conditional probabilities of the AND's fanin literals `own`.
+    ///
+    /// Only the candidate's descendant row changes: every other slot keeps
+    /// its base value, and every row node but the candidate has a fanin in
+    /// the row. So the walk is one product of two slot reads per row node,
+    /// ascending (nested conditioning instead for `nested_ok` nodes when
+    /// `nest`), and the row's base values are restored afterwards. The
+    /// base values already include bounded conditioning, which is why
+    /// nodes off the row must keep them rather than be recomputed.
+    fn score(
         &self,
         base: &[f64],
         cone: Cone<'_>,
         j: usize,
         nest: bool,
-        la: AigLit,
-        lb: AigLit,
-        scratch: &mut Scratch2,
+        own: [u32; 2],
+        s: &mut Scratch2,
     ) -> (f64, f64) {
-        let x = cone.joining[j];
-        let (outer, inner) = scratch.split();
-        outer.begin();
-        for (wi, &word0) in cone.desc_row(j).iter().enumerate() {
+        let row = cone.desc_row(j);
+        let x = first_bit(row);
+        s.tab[x] = 1.0;
+        for (wi, &word0) in row.iter().enumerate() {
+            let mut word = word0;
+            if wi == x >> 6 {
+                word &= !(1u64 << (x & 63));
+            }
+            while word != 0 {
+                let ci = (wi << 6) | word.trailing_zeros() as usize;
+                word &= word - 1;
+                let [fa, fb] = s.fan[ci];
+                let value = if nest && cone.nested_ok[ci] {
+                    let map = self.nest_map(cone, ci, s);
+                    let tab = &s.tab;
+                    self.nested_value(base, cone.inner[ci], &s.nest[map], [fa, fb], |sl| {
+                        tab[sl as usize]
+                    })
+                } else {
+                    slot_lit(&s.tab, fa) * slot_lit(&s.tab, fb)
+                };
+                s.tab[ci] = value;
+            }
+        }
+        let out = (slot_lit(&s.tab, own[0]), slot_lit(&s.tab, own[1]));
+        for (wi, &word0) in row.iter().enumerate() {
             let mut word = word0;
             while word != 0 {
                 let ci = (wi << 6) | word.trailing_zeros() as usize;
                 word &= word - 1;
-                let n = cone.inner[ci];
-                // Conditional estimate of `n` under the pin. Nodes
-                // unaffected by it keep their base estimate: the base
-                // values already include bounded conditioning, so
-                // recomputing them with the plain product rule would
-                // *degrade* them.
-                let affected = match self.aig.and_fanins(n) {
-                    Some((fa, fb)) => outer.is_set(fa.node()) || outer.is_set(fb.node()),
-                    None => false,
-                };
-                let phat = if !affected {
-                    base[n.index()]
-                } else if nest {
-                    self.cone_node_value(base, n, cone.nested_ok[ci], outer, inner)
-                } else {
-                    let (fa, fb) = self.aig.and_fanins(n).expect("affected implies AND");
-                    outer.lit_value(base, fa) * outer.lit_value(base, fb)
-                };
-                if n == x {
-                    outer.set(n, 1.0);
-                } else if affected {
-                    outer.set(n, phat);
-                }
+                s.tab[ci] = s.cb[ci];
             }
         }
-        (outer.lit_value(base, la), outer.lit_value(base, lb))
+        out
     }
 
-    /// Enumeration walk with nested conditioning always on and a memo
-    /// across walks: a cone node's value depends only on the current
-    /// assignment `v` projected onto the pins that reach it (`dep`), so
-    /// each distinct projection is computed once. Visits only `affected`
-    /// (the union of the pins' descendant sublists, ascending).
-    #[allow(clippy::too_many_arguments)]
-    fn repropagate_memo(
+    /// Enumeration of formula (2) over the selected pins `s.w`.
+    ///
+    /// A cone node's value under assignment `v` depends only on `v & dep`,
+    /// where `dep` is the set of pins its reads can see: its own pin bit
+    /// for a pin, the union of its fanins' (and, with nested
+    /// conditioning, its nested reads') masks otherwise, and nothing off
+    /// the pins' descendant union. One ascending pass over that union
+    /// fills each node's table at every submask of its `dep` — each
+    /// distinct value computed once, reading fanin values from the tables
+    /// already filled. A pin's slot then reads as its bit, while its
+    /// pre-pin estimate goes to a separate table for the weights.
+    ///
+    /// The sum runs over `v` in natural order with the joint chain-rule
+    /// weight `P(A_v)` — pins multiplied in topological order, an
+    /// assignment dropped once its weight reaches 0 — since joining points
+    /// are often correlated (one may even imply another) and a product of
+    /// marginals would weight impossible assignments. Returns `None` when
+    /// every assignment is impossible.
+    fn enumerate(
         &self,
         base: &[f64],
         cone: Cone<'_>,
-        affected: &[u32],
-        pinned: &[(AigNodeId, f64)],
-        la: AigLit,
-        lb: AigLit,
-        outer: &mut Scratch,
-        inner: &mut Scratch,
-        memo: &mut Memo,
-        v: usize,
-        dep: &[u32],
-        bits: u32,
-    ) -> (f64, f64, f64) {
-        outer.begin();
-        let mut weight = 1.0f64;
-        for &ci in affected {
-            let ci = ci as usize;
-            let n = cone.inner[ci];
-            let is_affected = match self.aig.and_fanins(n) {
-                Some((fa, fb)) => outer.is_set(fa.node()) || outer.is_set(fb.node()),
-                None => false,
-            };
-            let pin_idx = pinned.iter().position(|&(x, _)| x == n);
-            let phat = if !is_affected {
-                base[n.index()]
-            } else {
-                // A pinned node's pre-pin estimate cannot depend on its own
-                // pin bit — mask it out so both branches share the entry.
-                let mask = dep[ci] & !pin_idx.map_or(0, |i| 1u32 << i);
-                let key = (ci << bits) | (v & mask as usize);
-                match memo.lookup(key) {
-                    Some(cached) => cached,
-                    None => {
-                        let nested = cone.nested_ok[ci];
-                        let computed = self.cone_node_value(base, n, nested, outer, inner);
-                        memo.store(key, computed);
-                        computed
-                    }
+        own: [u32; 2],
+        s: &mut Scratch2,
+    ) -> Option<f64> {
+        let len = cone.inner.len();
+        let b = s.w.len();
+        s.aff.clear();
+        s.aff.resize(cone.words(), 0);
+        s.pins.clear();
+        for &j in &s.w {
+            let row = cone.desc_row(j as usize);
+            for (a, &r) in s.aff.iter_mut().zip(row) {
+                *a |= r;
+            }
+            s.pins.push(Pin {
+                pos: first_bit(row) as u32,
+                at: 0,
+                dep: 0,
+            });
+        }
+        let slots = s.tab.len();
+        s.off.clear();
+        s.off.extend(0..slots as u32);
+        s.dep.clear();
+        s.dep.resize(slots, 0);
+        // One value table shared by every pin: entry `1 << i` reads 1.0
+        // (pin i set), entry 0 reads 0.0.
+        let bits_at = s.tab.len() as u32;
+        s.tab.resize(slots + (1 << (b - 1)) + 1, 0.0);
+        for i in 0..b {
+            s.tab[slots + (1 << i)] = 1.0;
+        }
+        let mut next_pin = 0;
+        for wi in 0..s.aff.len() {
+            let mut word = s.aff[wi];
+            while word != 0 {
+                let ci = (wi << 6) | word.trailing_zeros() as usize;
+                word &= word - 1;
+                let [fa, fb] = s.fan[ci];
+                let in_aff = |sl: u32| {
+                    let sl = sl as usize;
+                    sl < len && (s.aff[sl >> 6] >> (sl & 63)) & 1 == 1
+                };
+                // Pinned nodes without a fanin in the union keep their
+                // base estimate (their own slot) as the pre-pin value.
+                let (at, dep) = if in_aff(fa >> 1) || in_aff(fb >> 1) {
+                    self.fill_table(base, cone, ci, s)
+                } else {
+                    (ci as u32, 0)
+                };
+                if next_pin < b && s.pins[next_pin].pos as usize == ci {
+                    s.pins[next_pin].at = at;
+                    s.pins[next_pin].dep = dep;
+                    s.off[ci] = bits_at;
+                    s.dep[ci] = 1 << next_pin;
+                    next_pin += 1;
+                } else {
+                    s.off[ci] = at;
+                    s.dep[ci] = dep;
                 }
-            };
-            if let Some(&(_, pv)) = pin_idx.map(|i| &pinned[i]) {
-                weight *= if pv > 0.5 { phat } else { 1.0 - phat };
-                if weight <= 0.0 {
-                    return (0.0, 0.0, 0.0); // impossible assignment
-                }
-                outer.set(n, pv);
-            } else if is_affected {
-                outer.set(n, phat);
             }
         }
-        (outer.lit_value(base, la), outer.lit_value(base, lb), weight)
+        let (tab, off, dep) = (&s.tab, &s.off, &s.dep);
+        let lit_at = |l: u32, v: u32| {
+            let sl = (l >> 1) as usize;
+            let p = tab[(off[sl] + (v & dep[sl])) as usize];
+            if l & 1 != 0 {
+                1.0 - p
+            } else {
+                p
+            }
+        };
+        let mut total = 0.0f64;
+        let mut norm = 0.0f64;
+        'assignments: for v in 0..1u32 << b {
+            let mut weight = 1.0f64;
+            for (i, pin) in s.pins.iter().enumerate() {
+                let phat = tab[(pin.at + (v & pin.dep)) as usize];
+                weight *= if (v >> i) & 1 == 1 { phat } else { 1.0 - phat };
+                if weight <= 0.0 {
+                    continue 'assignments; // impossible assignment
+                }
+            }
+            total += weight * lit_at(own[0], v) * lit_at(own[1], v);
+            norm += weight;
+        }
+        if norm <= 0.0 {
+            return None;
+        }
+        Some((total / norm).clamp(0.0, 1.0))
     }
 
-    /// Value of an affected cone AND node under the current outer context.
+    /// Appends the value table of affected cone node `ci` to `s.tab`: its
+    /// estimate at every submask of its pin-dependency mask, indexed by the
+    /// submask. Returns the table's offset and the mask.
+    fn fill_table(&self, base: &[f64], cone: Cone<'_>, ci: usize, s: &mut Scratch2) -> (u32, u32) {
+        let [fa, fb] = s.fan[ci];
+        let mut dep = s.dep[(fa >> 1) as usize] | s.dep[(fb >> 1) as usize];
+        let nested = cone.nested_ok[ci].then(|| {
+            let map = self.nest_map(cone, ci, s);
+            for reads in &s.nest[map.clone()] {
+                for &r in reads.iter().filter(|&&r| r >= 0) {
+                    dep |= s.dep[r as usize];
+                }
+            }
+            map
+        });
+        let at = s.tab.len();
+        s.tab.resize(at + dep as usize + 1, 0.0);
+        let mut u = 0u32;
+        loop {
+            let (tab, off, deps) = (&s.tab, &s.off, &s.dep);
+            let read = |sl: u32| tab[(off[sl as usize] + (u & deps[sl as usize])) as usize];
+            let value = match &nested {
+                Some(map) => {
+                    self.nested_value(base, cone.inner[ci], &s.nest[map.clone()], [fa, fb], read)
+                }
+                None => {
+                    let lit = |l: u32| {
+                        let p = read(l >> 1);
+                        if l & 1 != 0 {
+                            1.0 - p
+                        } else {
+                            p
+                        }
+                    };
+                    lit(fa) * lit(fb)
+                }
+            };
+            s.tab[at + u as usize] = value;
+            if u == dep {
+                break;
+            }
+            // Next submask of `dep`, ascending.
+            u = u.wrapping_sub(dep) & dep;
+        }
+        (at as u32, dep)
+    }
+
+    /// The outer-read map of nested node `ci` (its nested cone has at most
+    /// [`MAX_NESTED_CONE`] positions), built once per AND into `s.nest`:
+    /// for each nested-cone position, the outer cone slots of the node and
+    /// of its two fanins, `-1` where a node lies outside the outer cone
+    /// and so always reads its base value. Returns the map's range.
+    fn nest_map(&self, cone: Cone<'_>, ci: usize, s: &mut Scratch2) -> Range<usize> {
+        let ncone = self.arena.cone(cone.inner[ci].index());
+        if s.nest_at[ci] != u32::MAX {
+            let at = s.nest_at[ci] as usize;
+            return at..at + ncone.inner.len();
+        }
+        let at = s.nest.len();
+        let pos = |x: AigNodeId| cone.inner.binary_search(&x).map_or(-1, |p| p as i32);
+        for &m in ncone.inner {
+            let fanins = match self.aig.and_fanins(m) {
+                Some((ga, gb)) => [pos(ga.node()), pos(gb.node())],
+                None => [-1, -1],
+            };
+            s.nest.push([pos(m), fanins[0], fanins[1]]);
+        }
+        s.nest_at[ci] = at as u32;
+        at..s.nest.len()
+    }
+
+    /// One level of nested conditioning for cone AND `n` under the outer
+    /// context `read` (a slot's current outer value).
     ///
     /// A node with its own joining points carries reconvergence *inside*
     /// the cone that the plain product rule would destroy (its base value
     /// handled it by conditioning, but the base value is no longer valid
-    /// once upstream pins move its fanins). One level of nested
-    /// conditioning re-derives the value: enumerate the node's own joining
-    /// set in the outer context and combine with chain-rule weights.
-    /// `nested` is the node's `nested_ok` flag in the outer cone; without
-    /// it the plain product rule applies.
-    fn cone_node_value(
+    /// once upstream pins move its fanins). Nested conditioning re-derives
+    /// the value: enumerate the node's first joining points in the outer
+    /// context and combine with chain-rule weights. `map` is the node's
+    /// [`nest_map`](Self::nest_map) and `nf` its fanins as outer slot
+    /// literals. Nested-cone values live in a 32-entry local array.
+    fn nested_value(
         &self,
         base: &[f64],
         n: AigNodeId,
-        nested: bool,
-        outer: &Scratch,
-        inner: &mut Scratch,
+        map: &[[i32; 3]],
+        nf: [u32; 2],
+        read: impl Fn(u32) -> f64,
     ) -> f64 {
-        let (fa, fb) = self
-            .aig
-            .and_fanins(n)
-            .expect("cone interior node is an AND");
-        if !nested {
-            let va = outer.lit_value(base, fa);
-            let vb = outer.lit_value(base, fb);
-            return va * vb;
-        }
+        let outer_lit = |l: u32| {
+            let p = read(l >> 1);
+            if l & 1 != 0 {
+                1.0 - p
+            } else {
+                p
+            }
+        };
+        let outer = |r: i32, x: AigNodeId| {
+            if r >= 0 {
+                read(r as u32)
+            } else {
+                base[x.index()]
+            }
+        };
         let ncone = self.arena.cone(n.index());
         // Bound the nested enumeration tighter than MAXVERS: this runs per
         // affected node per outer assignment.
         let wn = ncone.joining.len().min(self.maxvers.min(MAX_NESTED_VERS));
-        let w = &ncone.joining[..wn];
-        // The nested cone has at most MAX_NESTED_CONE (= 32) entries, so
-        // the descendant bitsets are single words; the walk visits only the
-        // pins' descendant closure (everything else falls back to the outer
-        // context / base values unchanged).
-        let mut sublist: u64 = 0;
-        for j in 0..wn {
-            sublist |= ncone.desc_row(j)[0];
+        // The nested cone has at most MAX_NESTED_CONE (= 32) positions, so
+        // descendant rows are single words. Only the pins' descendant
+        // union changes; everything else reads the outer context.
+        let mut sub: u64 = 0;
+        let mut pin_pos = [usize::MAX; MAX_NESTED_VERS];
+        for (j, p) in pin_pos.iter_mut().enumerate().take(wn) {
+            let row = ncone.desc_row(j)[0];
+            sub |= row;
+            *p = row.trailing_zeros() as usize;
         }
+        let in_sub = |q: i32| q >= 0 && (sub >> q) & 1 == 1;
+        let (fa, fb) = self
+            .aig
+            .and_fanins(n)
+            .expect("cone interior node is an AND");
+        let own_pos = [fa, fb].map(|f| {
+            ncone
+                .inner
+                .binary_search(&f.node())
+                .map_or(-1, |q| q as i32)
+        });
+        let mut loc = [0.0f64; MAX_NESTED_CONE];
         let mut total = 0.0f64;
         let mut norm = 0.0f64;
-        for v in 0..(1usize << wn) {
-            inner.begin();
+        'assignments: for v in 0..(1usize << wn) {
             let mut weight = 1.0f64;
-            let mut bitsleft = sublist;
-            while bitsleft != 0 {
-                let ci = bitsleft.trailing_zeros() as usize;
-                bitsleft &= bitsleft - 1;
-                let m = ncone.inner[ci];
-                let affected = match self.aig.and_fanins(m) {
-                    Some((ga, gb)) => inner.is_set(ga.node()) || inner.is_set(gb.node()),
-                    None => false,
-                };
+            let mut bits = sub;
+            while bits != 0 {
+                let q = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let m = ncone.inner[q];
+                let [qa, qb] = ncone.fanin_ci[q];
+                let affected = in_sub(qa) || in_sub(qb);
                 let phat = if affected {
                     let (ga, gb) = self.aig.and_fanins(m).expect("affected implies AND");
-                    // Fallback chain: nested scratch → outer scratch → base.
-                    let va = inner.lit_value_over(outer, base, ga);
-                    let vb = inner.lit_value_over(outer, base, gb);
-                    va * vb
+                    let va = if in_sub(qa) {
+                        loc[qa as usize]
+                    } else {
+                        outer(map[q][1], ga.node())
+                    };
+                    let vb = if in_sub(qb) {
+                        loc[qb as usize]
+                    } else {
+                        outer(map[q][2], gb.node())
+                    };
+                    lit_of(va, ga) * lit_of(vb, gb)
                 } else {
-                    outer.get(base, m)
+                    outer(map[q][0], m)
                 };
-                if let Some(i) = w.iter().position(|&x| x == m) {
+                if let Some(i) = pin_pos[..wn].iter().position(|&p| p == q) {
                     let bit = (v >> i) & 1 == 1;
                     weight *= if bit { phat } else { 1.0 - phat };
                     if weight <= 0.0 {
-                        break;
+                        continue 'assignments;
                     }
-                    inner.set(m, f64::from(bit));
+                    loc[q] = f64::from(bit);
                 } else if affected {
-                    inner.set(m, phat);
+                    loc[q] = phat;
                 }
             }
-            if weight <= 0.0 {
-                continue;
-            }
-            let va = inner.lit_value_over(outer, base, fa);
-            let vb = inner.lit_value_over(outer, base, fb);
+            let [va, vb] = [(fa, own_pos[0], nf[0]), (fb, own_pos[1], nf[1])].map(|(f, q, l)| {
+                if in_sub(q) {
+                    lit_of(loc[q as usize], f)
+                } else {
+                    outer_lit(l)
+                }
+            });
             total += weight * va * vb;
             norm += weight;
         }
         if norm <= 0.0 {
-            let va = outer.lit_value(base, fa);
-            let vb = outer.lit_value(base, fb);
-            return va * vb;
+            return outer_lit(nf[0]) * outer_lit(nf[1]);
         }
         (total / norm).clamp(0.0, 1.0)
     }
@@ -1225,168 +1329,139 @@ pub(crate) fn lit_prob(probs: &[f64], lit: AigLit) -> f64 {
     }
 }
 
-/// Epoch-stamped scratch values for conditional propagation (O(1) reset).
-#[derive(Debug, Clone)]
-struct Scratch {
-    value: Vec<f64>,
-    stamp: Vec<u32>,
-    epoch: u32,
-}
-
-impl Scratch {
-    fn new(n: usize) -> Self {
-        Scratch {
-            value: vec![0.0; n],
-            stamp: vec![0; n],
-            epoch: 0,
-        }
-    }
-    fn begin(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 1;
-        }
-    }
-    fn set(&mut self, n: AigNodeId, v: f64) {
-        self.value[n.index()] = v;
-        self.stamp[n.index()] = self.epoch;
-    }
-    fn is_set(&self, n: AigNodeId) -> bool {
-        self.stamp[n.index()] == self.epoch
-    }
-    fn get(&self, base: &[f64], n: AigNodeId) -> f64 {
-        if self.stamp[n.index()] == self.epoch {
-            self.value[n.index()]
-        } else {
-            base[n.index()]
-        }
-    }
-    fn lit_value(&self, base: &[f64], lit: AigLit) -> f64 {
-        let p = self.get(base, lit.node());
-        if lit.is_complement() {
-            1.0 - p
-        } else {
-            p
-        }
-    }
-    /// Like [`lit_value`](Scratch::lit_value) with a two-level fallback:
-    /// this scratch first, then `outer`, then `base`.
-    fn lit_value_over(&self, outer: &Scratch, base: &[f64], lit: AigLit) -> f64 {
-        let n = lit.node();
-        let p = if self.is_set(n) {
-            self.value[n.index()]
-        } else {
-            outer.get(base, n)
-        };
-        if lit.is_complement() {
-            1.0 - p
-        } else {
-            p
-        }
+/// A literal's probability given its node's probability `p`.
+fn lit_of(p: f64, lit: AigLit) -> f64 {
+    if lit.is_complement() {
+        1.0 - p
+    } else {
+        p
     }
 }
 
-/// A pair of [`Scratch`] buffers: one for the outer conditional pass and
-/// one for nested (per-cone-node) conditioning, which runs while the outer
-/// pass is mid-walk. Opaque outside this module; obtained via
-/// [`SignalProbEstimator::new_scratch`].
-#[derive(Debug, Clone)]
-pub(crate) struct Scratch2 {
-    outer: Scratch,
-    inner: Scratch,
-    memo: Memo,
-    /// Per-node cache of the last evaluation's `W`-dependent structures
-    /// (selected pin set, pin-dependency masks, affected sublist). All
-    /// value-independent given `W`, so a *persistent* scratch — an
-    /// [`crate::AnalysisSession`] — skips rebuilding them whenever a
-    /// re-evaluated node selects the same conditioning set as last time.
-    /// A fresh scratch (every [`SignalProbEstimator::full_estimate`] call)
-    /// starts cold, exactly like the stateless API always has.
-    cond: Vec<CondState>,
+/// The value of a slot literal (`slot << 1 | complement`) over `tab`.
+fn slot_lit(tab: &[f64], l: u32) -> f64 {
+    let p = tab[(l >> 1) as usize];
+    if l & 1 != 0 {
+        1.0 - p
+    } else {
+        p
+    }
 }
 
-/// See [`Scratch2::cond`].
+/// Position of the lowest set bit of a non-empty bitset — for a
+/// descendant row, the candidate itself (its descendants come later in
+/// topological order).
+fn first_bit(words: &[u64]) -> usize {
+    let wi = words
+        .iter()
+        .position(|&w| w != 0)
+        .expect("descendant rows hold their candidate");
+    (wi << 6) | words[wi].trailing_zeros() as usize
+}
+
+/// One selected pin of the enumeration: its cone position and the table
+/// of its pre-pin estimate (offset into [`Scratch2::tab`], dependency
+/// mask).
+#[derive(Debug, Clone, Copy)]
+struct Pin {
+    pos: u32,
+    at: u32,
+    dep: u32,
+}
+
+/// Evaluation buffers of the conditioned kernel, reused across AND nodes.
+///
+/// Every buffer is indexed by position within the current AND's cone (or
+/// by its slot, table or candidate), never by AIG node, and is refilled
+/// per AND. So its size follows the largest cone and `2^MAXVERS`, not the
+/// AIG or the number of conditioned ANDs, and a clone (session pools,
+/// hill-climb workers) copies only that. Opaque outside this module;
+/// obtained via [`SignalProbEstimator::new_scratch`].
 #[derive(Debug, Clone, Default)]
-struct CondState {
-    /// Joining-candidate indices of the last selected `W` (ascending).
-    w: Vec<u32>,
-    /// Pin-dependency masks over the full cone for that `W`.
+pub(crate) struct Scratch2 {
+    /// Slot values, then the enumeration's tables. Slots `0..len` are the
+    /// cone positions, holding their base values outside a scoring walk;
+    /// `len` is a never-read fanin slot of the cone's inputs; the rest
+    /// hold the base values of out-of-cone fanins.
+    tab: Vec<f64>,
+    /// Base value per cone position, for restoring a scoring walk.
+    cb: Vec<f64>,
+    /// Per cone position, its two fanins as slot literals.
+    fan: Vec<[u32; 2]>,
+    /// Per slot, the offset of its enumeration table in `tab` and its
+    /// pin-dependency mask (identity and 0 until the node is enumerated).
+    off: Vec<u32>,
     dep: Vec<u32>,
-    /// Union of the pins' descendant sublists (cone indices, ascending).
-    affected: Vec<u32>,
+    /// Bitset over cone positions: the pins' descendant union.
+    aff: Vec<u64>,
+    pins: Vec<Pin>,
+    /// `(score, candidate)` pairs, then the selected candidates.
+    scored: Vec<(f64, u32)>,
+    w: Vec<u32>,
+    /// Per cone position, the offset of its nested read map in `nest`
+    /// (`u32::MAX` until built).
+    nest_at: Vec<u32>,
+    nest: Vec<[i32; 3]>,
 }
 
 impl Scratch2 {
-    fn new(n: usize) -> Self {
-        Scratch2 {
-            outer: Scratch::new(n),
-            inner: Scratch::new(n),
-            memo: Memo::default(),
-            cond: (0..n).map(|_| CondState::default()).collect(),
+    /// Loads the cone of the AND being evaluated: base values into the
+    /// cone slots, one slot per out-of-cone fanin read, and every cone
+    /// node's fanins as slot literals. Returns the AND's own fanins
+    /// `la`, `lb` as slot literals.
+    fn load(&mut self, aig: &Aig, base: &[f64], cone: Cone<'_>, la: AigLit, lb: AigLit) -> [u32; 2] {
+        let len = cone.inner.len();
+        let Scratch2 {
+            tab,
+            cb,
+            fan,
+            nest_at,
+            nest,
+            ..
+        } = self;
+        tab.clear();
+        tab.extend(cone.inner.iter().map(|x| base[x.index()]));
+        cb.clear();
+        cb.extend_from_slice(tab);
+        tab.push(0.0);
+        let mut slot = |f: AigLit, ci: i32| -> u32 {
+            let sl = if ci >= 0 {
+                ci as u32
+            } else {
+                tab.push(base[f.node().index()]);
+                (tab.len() - 1) as u32
+            };
+            sl << 1 | u32::from(f.is_complement())
+        };
+        fan.clear();
+        for (&x, &[ia, ib]) in cone.inner.iter().zip(cone.fanin_ci) {
+            fan.push(match aig.and_fanins(x) {
+                Some((fa, fb)) => [slot(fa, ia), slot(fb, ib)],
+                // Inputs in a cone are joining points: pinned, never
+                // re-evaluated. Slot `len` is outside every descendant row.
+                None => [(len as u32) << 1; 2],
+            });
         }
+        let pos = |l: AigLit| cone.inner.binary_search(&l.node()).map_or(-1, |p| p as i32);
+        let own = [slot(la, pos(la)), slot(lb, pos(lb))];
+        nest_at.clear();
+        nest_at.resize(len, u32::MAX);
+        nest.clear();
+        own
     }
-    fn split(&mut self) -> (&mut Scratch, &mut Scratch) {
-        (&mut self.outer, &mut self.inner)
-    }
-    /// Invalidates all memo entries and guarantees capacity for `slots`.
-    fn memo_begin(&mut self, slots: usize) {
-        self.memo.begin(slots);
-    }
-}
 
-/// Calls `f` with each set-bit position of `words`, ascending.
-fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
-    for (wi, &word0) in words.iter().enumerate() {
-        let mut word = word0;
-        while word != 0 {
-            f((wi << 6) | word.trailing_zeros() as usize);
-            word &= word - 1;
-        }
-    }
-}
-
-/// The cone indices (ascending) a walk pinning `w_idx` can touch: the
-/// union of the candidates' descendant bitsets.
-fn affected_sublist(cone: Cone<'_>, w_idx: &[u32]) -> Vec<u32> {
-    let mut mask = vec![0u64; cone.words()];
-    for &j in w_idx {
-        for (wi, &d) in cone.desc_row(j as usize).iter().enumerate() {
-            mask[wi] |= d;
-        }
-    }
-    let mut out = Vec::new();
-    for_each_set_bit(&mask, |ci| out.push(ci as u32));
-    out
-}
-
-/// Epoch-stamped memo table for nested cone values, keyed by
-/// `(cone index) << |W| | projected assignment`.
-#[derive(Debug, Clone, Default)]
-struct Memo {
-    value: Vec<f64>,
-    stamp: Vec<u32>,
-    epoch: u32,
-}
-
-impl Memo {
-    fn begin(&mut self, slots: usize) {
-        if self.stamp.len() < slots {
-            self.stamp.resize(slots, 0);
-            self.value.resize(slots, 0.0);
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 1;
-        }
-    }
-    fn lookup(&self, key: usize) -> Option<f64> {
-        (self.stamp[key] == self.epoch).then(|| self.value[key])
-    }
-    fn store(&mut self, key: usize, v: f64) {
-        self.value[key] = v;
-        self.stamp[key] = self.epoch;
+    /// Heap bytes held by the buffers (capacities × element sizes).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.tab.capacity() * size_of::<f64>()
+            + self.cb.capacity() * size_of::<f64>()
+            + self.fan.capacity() * size_of::<[u32; 2]>()
+            + (self.off.capacity() + self.dep.capacity() + self.w.capacity()) * size_of::<u32>()
+            + self.nest_at.capacity() * size_of::<u32>()
+            + self.aff.capacity() * size_of::<u64>()
+            + self.pins.capacity() * size_of::<Pin>()
+            + self.scored.capacity() * size_of::<(f64, u32)>()
+            + self.nest.capacity() * size_of::<[i32; 3]>()
     }
 }
 
@@ -1510,6 +1585,60 @@ mod tests {
             + a.desc.len() * 8;
         assert!(!a.desc.is_empty());
         assert_eq!(est.storage_bytes(), want);
+    }
+
+    #[test]
+    fn sweep_shape_counts_conditioned_ands_on_comp24() {
+        let est = SignalProbEstimator::new(
+            Aig::from_circuit(&protest_circuits::comp24()),
+            &AnalyzerParams::default(),
+        );
+        let shape = est.sweep_shape();
+        assert_eq!((shape.conditioned, shape.ands), (72, 192));
+        let (mut joining, mut inner) = (0, 0);
+        for k in (0..est.aig.len()).filter(|&k| est.arena.is_conditioned(k)) {
+            joining += est.arena.cone(k).joining.len();
+            inner += est.arena.cone(k).inner.len();
+        }
+        assert_eq!(shape.mean_joining, joining as f64 / 72.0);
+        assert_eq!(shape.mean_inner, inner as f64 / 72.0);
+        assert!(shape.mean_joining >= 1.0 && shape.mean_inner >= shape.mean_joining);
+    }
+
+    #[test]
+    fn scratch_stays_cone_sized_across_a_sweep() {
+        // One scratch serves a whole sweep (and a session's lifetime). Its
+        // bytes must follow the largest cone and 2^MAXVERS, never the
+        // number of conditioned ANDs it has evaluated: nothing is retained
+        // per node.
+        let circuit = protest_circuits::mesh_by_spec("multmesh:4x8x10").unwrap();
+        let params = AnalyzerParams::default();
+        let est = SignalProbEstimator::new(Aig::from_circuit(&circuit), &params);
+        let n = est.aig.len();
+        let largest = (0..n).map(|k| est.arena.cone(k).inner.len()).max().unwrap();
+        let probs = est.full_estimate(&vec![0.5; est.aig.num_inputs()]);
+        let mut scratch = est.new_scratch();
+        let sweep = |scratch: &mut Scratch2| {
+            for k in (1..n).filter(|&k| est.arena.is_conditioned(k)) {
+                let v = est.and_node_value(&probs, AigNodeId::from_index(k), scratch);
+                assert_eq!(v.to_bits(), probs[k].to_bits(), "node {k}");
+            }
+        };
+        sweep(&mut scratch);
+        let bytes = scratch.heap_bytes();
+        let conditioned = est.sweep_shape().conditioned;
+        // Tables: at most one per cone node, each ≤ 2^MAXVERS values; slot
+        // arrays and nested read maps: a few words per cone node. Vec
+        // growth may double each.
+        let bound = 2 * 8 * (largest + 1) * ((1 << params.maxvers) + 4 * MAX_NESTED_CONE);
+        assert!(conditioned > 5_000, "{conditioned} conditioned ANDs");
+        assert!(
+            bytes <= bound,
+            "{bytes} B of scratch after {conditioned} conditioned ANDs (largest cone {largest}, bound {bound} B)"
+        );
+        // Sweeping again grows nothing.
+        sweep(&mut scratch);
+        assert_eq!(scratch.heap_bytes(), bytes);
     }
 
     #[test]

@@ -110,28 +110,13 @@ pub fn required_test_length_weighted(
             confidence: 1.0,
         });
     }
-    let target = confidence.ln();
-    let reaches = |n: u64| ln_set_detection_probability_weighted(ps, counts, n) >= target;
-    let mut hi = 1u64;
-    while !reaches(hi) {
-        if hi >= MAX_PATTERNS {
-            return None;
-        }
-        hi = (hi * 2).min(MAX_PATTERNS);
-    }
-    let mut lo = hi / 2;
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if reaches(mid) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    Some(TestLength {
-        patterns: hi,
-        confidence: ln_set_detection_probability_weighted(ps, counts, hi).exp(),
-    })
+    let terms = miss_terms(
+        ps.iter()
+            .zip(counts)
+            .filter(|&(_, &c)| c > 0)
+            .map(|(&p, &c)| (p, c as f64)),
+    )?;
+    search_length(&terms, confidence)
 }
 
 /// The weighted `d`-fraction variant: drops the hardest `(1 − d)`-fraction
@@ -232,9 +217,45 @@ pub fn required_test_length(ps: &[f64], confidence: f64) -> Option<TestLength> {
             confidence: 1.0,
         });
     }
+    let terms = miss_terms(ps.iter().map(|&p| (p, 1.0)))?;
+    search_length(&terms, confidence)
+}
+
+/// The per-fault `(ln(1 − p), multiplicity)` terms of a test-length
+/// search, computed once per fault instead of once per probed length.
+/// Certainly detected faults (`p ≥ 1`) contribute nothing and are
+/// dropped. `None` when a fault is undetectable (`p ≤ 0`): no length
+/// reaches any confidence then.
+fn miss_terms(faults: impl Iterator<Item = (f64, f64)>) -> Option<Vec<(f64, f64)>> {
+    let mut terms = Vec::new();
+    for (p, count) in faults {
+        if p <= 0.0 {
+            return None;
+        }
+        if p < 1.0 {
+            terms.push(((-p).ln_1p(), count));
+        }
+    }
+    Some(terms)
+}
+
+/// `ln P_F(N)` over [`miss_terms`] for `N ≥ 1`, summed in fault order
+/// exactly as [`ln_set_detection_probability_weighted`] sums it.
+fn ln_detection_at(terms: &[(f64, f64)], n: u64) -> f64 {
+    let mut total = 0.0f64;
+    for &(ln_miss, count) in terms {
+        // t = ln (1-p)^N;  term = ln(1 − e^t) = ln(−expm1(t)).
+        let t = n as f64 * ln_miss;
+        total += count * (-t.exp_m1()).ln();
+    }
+    total
+}
+
+/// The minimal `N ≥ 1` with `ln P_F(N) ≥ ln confidence`: exponential
+/// search for an upper bound, then bisection in `(hi/2, hi]`.
+fn search_length(terms: &[(f64, f64)], confidence: f64) -> Option<TestLength> {
     let target = confidence.ln();
-    let reaches = |n: u64| ln_set_detection_probability(ps, n) >= target;
-    // Exponential search for an upper bound.
+    let reaches = |n: u64| ln_detection_at(terms, n) >= target;
     let mut hi = 1u64;
     while !reaches(hi) {
         if hi >= MAX_PATTERNS {
@@ -242,7 +263,6 @@ pub fn required_test_length(ps: &[f64], confidence: f64) -> Option<TestLength> {
         }
         hi = (hi * 2).min(MAX_PATTERNS);
     }
-    // Binary search for the minimal N in (hi/2, hi].
     let mut lo = hi / 2; // reaches(lo) is false (or lo == 0)
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
@@ -252,10 +272,9 @@ pub fn required_test_length(ps: &[f64], confidence: f64) -> Option<TestLength> {
             lo = mid;
         }
     }
-    // Handle N = 1 lower edge: hi==1 may itself be minimal.
     Some(TestLength {
         patterns: hi,
-        confidence: set_detection_probability(ps, hi),
+        confidence: ln_detection_at(terms, hi).exp(),
     })
 }
 
@@ -394,6 +413,80 @@ mod tests {
         let reference = required_test_length_fraction(&expanded, 0.75, 0.95).unwrap();
         assert_eq!(part.patterns, reference.patterns);
         assert!(part.patterns < full.patterns);
+    }
+
+    /// The search as it read before the per-fault terms were hoisted:
+    /// every probe re-evaluates the public log-space formula.
+    fn reference_length(ln_at: impl Fn(u64) -> f64, confidence: f64) -> Option<TestLength> {
+        let target = confidence.ln();
+        let mut hi = 1u64;
+        while ln_at(hi) < target {
+            if hi >= MAX_PATTERNS {
+                return None;
+            }
+            hi = (hi * 2).min(MAX_PATTERNS);
+        }
+        let mut lo = hi / 2;
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if ln_at(mid) >= target {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        Some(TestLength {
+            patterns: hi,
+            confidence: ln_at(hi).exp(),
+        })
+    }
+
+    #[test]
+    fn hoisted_search_is_bit_identical_to_the_formula() {
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for round in 0..300 {
+            let len = (next() % 40) as usize;
+            let ps: Vec<f64> = (0..len)
+                .map(|_| match next() % 16 {
+                    0 if round % 7 == 0 => 0.0,
+                    1 => 1.0,
+                    2 => 10f64.powi(-((next() % 12) as i32)),
+                    _ => (next() % 1_000_000) as f64 / 1_000_000.0 + 1e-9,
+                })
+                .collect();
+            let counts: Vec<u32> = ps.iter().map(|_| (next() % 4) as u32).collect();
+            for e in [0.5, 0.95, 0.999] {
+                let got = required_test_length(&ps, e);
+                let want = if ps.is_empty() {
+                    required_test_length(&ps, e)
+                } else {
+                    reference_length(|n| ln_set_detection_probability(&ps, n), e)
+                };
+                assert_eq!(got.map(|t| t.patterns), want.map(|t| t.patterns));
+                assert_eq!(
+                    got.map(|t| t.confidence.to_bits()),
+                    want.map(|t| t.confidence.to_bits())
+                );
+                if counts.iter().any(|&c| c > 0) {
+                    let got = required_test_length_weighted(&ps, &counts, e);
+                    let want = reference_length(
+                        |n| ln_set_detection_probability_weighted(&ps, &counts, n),
+                        e,
+                    );
+                    assert_eq!(got.map(|t| t.patterns), want.map(|t| t.patterns));
+                    assert_eq!(
+                        got.map(|t| t.confidence.to_bits()),
+                        want.map(|t| t.confidence.to_bits())
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -435,6 +435,12 @@ fn cmd_stats(circuit: &Circuit, opts: &Options) -> Result<String, String> {
         analyzer.partition_class_count(),
         analyzer.partition_storage_bytes()
     );
+    let shape = analyzer.estimator_sweep_shape();
+    let _ = writeln!(
+        out,
+        "estimator sweep: {} of {} ANDs conditioned, {:.1} joining candidates and {:.1} cone nodes per conditioned AND",
+        shape.conditioned, shape.ands, shape.mean_joining, shape.mean_inner
+    );
     if opts.probe {
         if circuit.num_inputs() == 0 {
             return Err("--probe needs at least one primary input".to_string());
@@ -894,6 +900,12 @@ mod tests {
         let p = f.0.to_str().unwrap();
         let out = run(&args(&["stats", p])).unwrap();
         assert!(out.contains("6 gates"), "{out}");
+        assert!(out.contains("estimator sweep: "), "{out}");
+        let out = run(&args(&["stats", "comp24"])).unwrap();
+        assert!(
+            out.contains("estimator sweep: 72 of 192 ANDs conditioned"),
+            "{out}"
+        );
         let out = run(&args(&["analyze", p, "--testlen", "1.0,0.95"])).unwrap();
         assert!(out.contains("required random test lengths"), "{out}");
     }
