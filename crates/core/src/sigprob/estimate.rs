@@ -18,8 +18,34 @@
 //!    (the error term the paper derives via Bayes' formula), and the
 //!    conditional probabilities are obtained by re-propagating the bounded
 //!    fanin cone with the joining points pinned.
+//!
+//! Construction precomputes every AND's conditioning structure once, into
+//! one CSR `ConeArena`: the joining points, the cone `inner` a pin can
+//! change (ascending, so topological), each cone node's fanin positions,
+//! and one descendant bitset row per joining candidate.
+//!
+//! A case-4 AND is then evaluated cone-locally, on dense per-AND arrays
+//! indexed by `inner` position (`Scratch2`):
+//!
+//! * **Scoring.** The value array holds every cone node's base estimate,
+//!   plus one slot per out-of-cone fanin. Pinning candidate `x` to 1
+//!   re-evaluates exactly `x`'s descendant row, ascending, each node as a
+//!   product of two slot reads, and the walk restores the row afterwards.
+//!   Nodes off the row keep their base values, which already include
+//!   their own bounded conditioning.
+//! * **Enumeration.** A node's value under assignment `v` depends only on
+//!   `v & dep`, the pins its reads can see. One node-major pass over the
+//!   pins' descendant union fills each affected node's table at every
+//!   submask of its `dep`, so each distinct `(node, v & dep)` value is
+//!   computed once rather than once per assignment. Nodes with their own
+//!   small reconvergence (`nested_ok`) get one level of nested
+//!   conditioning, reading their outer context from the same tables.
+//!   The chain-rule weights and `total / norm` are then summed in natural
+//!   `v` order, the order an assignment-by-assignment walk sums them in.
+//!
+//! Nothing is cached per node between evaluations, so the scratch stays
+//! cone-sized however many ANDs a worker or session evaluates.
 
-use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::aig::{Aig, AigFanouts, AigLit, AigNodeId};
@@ -49,7 +75,7 @@ struct Cone<'a> {
     /// For each cone node, the positions of its two fanins within `inner`
     /// (`-1` when a fanin is outside the cone or the node is not an AND).
     fanin_ci: &'a [[i32; 2]],
-    /// Whether [`SignalProbEstimator::cone_node_value`] runs nested
+    /// Whether [`SignalProbEstimator::nested_value`] runs nested
     /// conditioning for this cone node (its own joining set is non-empty
     /// and its own cone is small enough).
     nested_ok: &'a [bool],
@@ -556,9 +582,7 @@ impl SignalProbEstimator {
     /// count and cone (`inner`) size over those ANDs.
     pub fn sweep_shape(&self) -> SweepShape {
         let a = &self.arena;
-        let conditioned = (0..self.aig.len())
-            .filter(|&k| a.is_conditioned(k))
-            .count();
+        let conditioned = (0..self.aig.len()).filter(|&k| a.is_conditioned(k)).count();
         let per_and = |total: usize| {
             if conditioned == 0 {
                 0.0
@@ -832,7 +856,7 @@ impl SignalProbEstimator {
                     readset.push(fb.node().index() as u32);
                 }
                 // Nested conditioning reads x's own cone (and its fanins)
-                // whenever `cone_node_value` decides to run it.
+                // whenever `nested_value` runs for it.
                 if nested {
                     for &y in self.arena.cone(x.index()).inner {
                         readset.push(y.index() as u32);
@@ -915,24 +939,33 @@ impl SignalProbEstimator {
                 scored.push((score, j as u32));
             }
         }
-        // Highest score first, ties in candidate order.
-        scored.sort_unstable_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
-        scored.truncate(self.maxvers);
-        if let Some(&(top, _)) = scored.first() {
-            // Drop joining points whose score is negligible next to the
-            // top one: every kept point doubles the enumeration below.
-            let cutoff = top * 3e-3;
-            scored.retain(|&(sc, _)| sc >= cutoff);
+        // Keep the `maxvers` best: highest score first, ties in candidate
+        // order (scores are never NaN, so this order is total).
+        let keep = self.maxvers.min(scored.len());
+        if keep < scored.len() {
+            let best_first = |a: &(f64, u32), b: &(f64, u32)| {
+                b.0.partial_cmp(&a.0)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.1.cmp(&b.1))
+            };
+            if keep > 0 {
+                scored.select_nth_unstable_by(keep - 1, best_first);
+            }
+            scored.truncate(keep);
         }
+        // Drop joining points whose score is negligible next to the top
+        // one: every kept point doubles the enumeration below.
+        let cutoff = scored.iter().fold(0.0f64, |m, &(sc, _)| m.max(sc)) * 3e-3;
         // Topological order: chain-rule weights condition each joining
         // point on the pins of its ancestors (`joining` is ascending, so
         // sorting the candidate indices sorts the nodes).
         s.w.clear();
-        s.w.extend(scored.iter().map(|&(_, j)| j));
+        s.w.extend(
+            scored
+                .iter()
+                .filter(|&&(sc, _)| sc >= cutoff)
+                .map(|&(_, j)| j),
+        );
         s.w.sort_unstable();
         s.scored = scored;
         let value = if s.w.is_empty() {
@@ -975,11 +1008,10 @@ impl SignalProbEstimator {
                 word &= word - 1;
                 let [fa, fb] = s.fan[ci];
                 let value = if nest && cone.nested_ok[ci] {
-                    let map = self.nest_map(cone, ci, s);
+                    let prog = self.nest_prog(base, cone, ci, s);
+                    let prog = s.progs[prog];
                     let tab = &s.tab;
-                    self.nested_value(base, cone.inner[ci], &s.nest[map], [fa, fb], |sl| {
-                        tab[sl as usize]
-                    })
+                    nested_value(&prog, s.prog_ops(&prog), [fa, fb], |sl| tab[sl as usize])
                 } else {
                     slot_lit(&s.tab, fa) * slot_lit(&s.tab, fb)
                 };
@@ -1040,10 +1072,6 @@ impl SignalProbEstimator {
             });
         }
         let slots = s.tab.len();
-        s.off.clear();
-        s.off.extend(0..slots as u32);
-        s.dep.clear();
-        s.dep.resize(slots, 0);
         // One value table shared by every pin: entry `1 << i` reads 1.0
         // (pin i set), entry 0 reads 0.0.
         let bits_at = s.tab.len() as u32;
@@ -1084,12 +1112,7 @@ impl SignalProbEstimator {
         let (tab, off, dep) = (&s.tab, &s.off, &s.dep);
         let lit_at = |l: u32, v: u32| {
             let sl = (l >> 1) as usize;
-            let p = tab[(off[sl] + (v & dep[sl])) as usize];
-            if l & 1 != 0 {
-                1.0 - p
-            } else {
-                p
-            }
+            slot_value(tab[(off[sl] + (v & dep[sl])) as usize], l)
         };
         let mut total = 0.0f64;
         let mut norm = 0.0f64;
@@ -1118,111 +1141,69 @@ impl SignalProbEstimator {
         let [fa, fb] = s.fan[ci];
         let mut dep = s.dep[(fa >> 1) as usize] | s.dep[(fb >> 1) as usize];
         let nested = cone.nested_ok[ci].then(|| {
-            let map = self.nest_map(cone, ci, s);
-            for reads in &s.nest[map.clone()] {
-                for &r in reads.iter().filter(|&&r| r >= 0) {
-                    dep |= s.dep[r as usize];
-                }
+            let prog = self.nest_prog(base, cone, ci, s);
+            let prog = s.progs[prog];
+            for sl in prog.outer_slots(&s.ops) {
+                dep |= s.dep[sl as usize];
             }
-            map
+            prog
         });
         let at = s.tab.len();
         s.tab.resize(at + dep as usize + 1, 0.0);
-        let mut u = 0u32;
-        loop {
-            let (tab, off, deps) = (&s.tab, &s.off, &s.dep);
-            let read = |sl: u32| tab[(off[sl as usize] + (u & deps[sl as usize])) as usize];
-            let value = match &nested {
-                Some(map) => {
-                    self.nested_value(base, cone.inner[ci], &s.nest[map.clone()], [fa, fb], read)
+        // Submasks of `dep`, ascending.
+        let submasks = std::iter::successors(Some(0u32), |&u| {
+            (u != dep).then(|| u.wrapping_sub(dep) & dep)
+        });
+        match nested {
+            Some(prog) => {
+                for u in submasks {
+                    let (tab, off, deps) = (&s.tab, &s.off, &s.dep);
+                    let read = |sl: u32| tab[(off[sl as usize] + (u & deps[sl as usize])) as usize];
+                    let value = nested_value(&prog, s.prog_ops(&prog), [fa, fb], read);
+                    s.tab[at + u as usize] = value;
                 }
-                None => {
-                    let lit = |l: u32| {
-                        let p = read(l >> 1);
-                        if l & 1 != 0 {
-                            1.0 - p
-                        } else {
-                            p
-                        }
-                    };
-                    lit(fa) * lit(fb)
-                }
-            };
-            s.tab[at + u as usize] = value;
-            if u == dep {
-                break;
             }
-            // Next submask of `dep`, ascending.
-            u = u.wrapping_sub(dep) & dep;
+            None => {
+                let table = |l: u32| (s.off[(l >> 1) as usize] as usize, s.dep[(l >> 1) as usize]);
+                let [(oa, da), (ob, db)] = [table(fa), table(fb)];
+                let tab = &mut s.tab;
+                for u in submasks {
+                    let va = slot_value(tab[oa + (u & da) as usize], fa);
+                    let vb = slot_value(tab[ob + (u & db) as usize], fb);
+                    tab[at + u as usize] = va * vb;
+                }
+            }
         }
         (at as u32, dep)
     }
 
-    /// The outer-read map of nested node `ci` (its nested cone has at most
-    /// [`MAX_NESTED_CONE`] positions), built once per AND into `s.nest`:
-    /// for each nested-cone position, the outer cone slots of the node and
-    /// of its two fanins, `-1` where a node lies outside the outer cone
-    /// and so always reads its base value. Returns the map's range.
-    fn nest_map(&self, cone: Cone<'_>, ci: usize, s: &mut Scratch2) -> Range<usize> {
-        let ncone = self.arena.cone(cone.inner[ci].index());
-        if s.nest_at[ci] != u32::MAX {
-            let at = s.nest_at[ci] as usize;
-            return at..at + ncone.inner.len();
-        }
-        let at = s.nest.len();
-        let pos = |x: AigNodeId| cone.inner.binary_search(&x).map_or(-1, |p| p as i32);
-        for &m in ncone.inner {
-            let fanins = match self.aig.and_fanins(m) {
-                Some((ga, gb)) => [pos(ga.node()), pos(gb.node())],
-                None => [-1, -1],
-            };
-            s.nest.push([pos(m), fanins[0], fanins[1]]);
-        }
-        s.nest_at[ci] = at as u32;
-        at..s.nest.len()
-    }
-
-    /// One level of nested conditioning for cone AND `n` under the outer
-    /// context `read` (a slot's current outer value).
+    /// The nested-conditioning program of cone node `ci` (see
+    /// [`NestProg`]), compiled once per AND into `s` and shared by the
+    /// scoring walks and the enumeration. Returns its index in `s.progs`.
     ///
     /// A node with its own joining points carries reconvergence *inside*
     /// the cone that the plain product rule would destroy (its base value
     /// handled it by conditioning, but the base value is no longer valid
-    /// once upstream pins move its fanins). Nested conditioning re-derives
-    /// the value: enumerate the node's first joining points in the outer
-    /// context and combine with chain-rule weights. `map` is the node's
-    /// [`nest_map`](Self::nest_map) and `nf` its fanins as outer slot
-    /// literals. Nested-cone values live in a 32-entry local array.
-    fn nested_value(
-        &self,
-        base: &[f64],
-        n: AigNodeId,
-        map: &[[i32; 3]],
-        nf: [u32; 2],
-        read: impl Fn(u32) -> f64,
-    ) -> f64 {
-        let outer_lit = |l: u32| {
-            let p = read(l >> 1);
-            if l & 1 != 0 {
-                1.0 - p
-            } else {
-                p
-            }
-        };
-        let outer = |r: i32, x: AigNodeId| {
-            if r >= 0 {
-                read(r as u32)
-            } else {
-                base[x.index()]
-            }
-        };
+    /// once upstream pins move its fanins). One level of nested
+    /// conditioning re-derives the value: enumerate the node's first
+    /// joining points (at most [`MAX_NESTED_VERS`]) in the outer context
+    /// and combine with chain-rule weights. Only the nested pins'
+    /// descendant union changes, and every non-pin node in it has a fanin
+    /// in it, so the program lists exactly those nodes, ascending, each
+    /// with its operands resolved: a nested-cone position, or an outer slot
+    /// (a cone slot, or a constant slot holding the base value of a node
+    /// outside the outer cone).
+    fn nest_prog(&self, base: &[f64], cone: Cone<'_>, ci: usize, s: &mut Scratch2) -> usize {
+        if s.nest_at[ci] != u32::MAX {
+            return s.nest_at[ci] as usize;
+        }
+        let n = cone.inner[ci];
         let ncone = self.arena.cone(n.index());
         // Bound the nested enumeration tighter than MAXVERS: this runs per
         // affected node per outer assignment.
         let wn = ncone.joining.len().min(self.maxvers.min(MAX_NESTED_VERS));
         // The nested cone has at most MAX_NESTED_CONE (= 32) positions, so
-        // descendant rows are single words. Only the pins' descendant
-        // union changes; everything else reads the outer context.
+        // descendant rows are single words.
         let mut sub: u64 = 0;
         let mut pin_pos = [usize::MAX; MAX_NESTED_VERS];
         for (j, p) in pin_pos.iter_mut().enumerate().take(wn) {
@@ -1230,70 +1211,168 @@ impl SignalProbEstimator {
             sub |= row;
             *p = row.trailing_zeros() as usize;
         }
-        let in_sub = |q: i32| q >= 0 && (sub >> q) & 1 == 1;
+        let in_sub = |q: usize| (sub >> q) & 1 == 1;
+        let local = |q: usize, lit: AigLit| (q as u32) << 2 | 2 | u32::from(lit.is_complement());
+        let outer = |s: &mut Scratch2, x: AigNodeId, complement: bool| {
+            let slot = match cone.inner.binary_search(&x) {
+                Ok(p) => p as u32,
+                Err(_) => s.push_const(base[x.index()]),
+            };
+            slot << 2 | u32::from(complement)
+        };
+        let first = s.ops.len() as u32;
+        let mut bits = sub;
+        while bits != 0 {
+            let q = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let m = ncone.inner[q];
+            let [qa, qb] =
+                ncone.fanin_ci[q].map(|f| usize::try_from(f).ok().filter(|&f| in_sub(f)));
+            let pin = pin_pos[..wn]
+                .iter()
+                .position(|&p| p == q)
+                .map_or(NOT_PIN, |i| i as u8);
+            let op = if qa.is_some() || qb.is_some() {
+                let (ga, gb) = self.aig.and_fanins(m).expect("affected implies AND");
+                let arg = |s: &mut Scratch2, qx: Option<usize>, g: AigLit| match qx {
+                    Some(qx) => local(qx, g),
+                    None => outer(s, g.node(), g.is_complement()),
+                };
+                let a = arg(s, qa, ga);
+                let b = arg(s, qb, gb);
+                NestOp {
+                    q: q as u8,
+                    pin,
+                    affected: true,
+                    a,
+                    b,
+                }
+            } else {
+                let a = outer(s, m, false);
+                NestOp {
+                    q: q as u8,
+                    pin,
+                    affected: false,
+                    a,
+                    b: a,
+                }
+            };
+            s.ops.push(op);
+        }
         let (fa, fb) = self
             .aig
             .and_fanins(n)
             .expect("cone interior node is an AND");
-        let own_pos = [fa, fb].map(|f| {
-            ncone
-                .inner
-                .binary_search(&f.node())
-                .map_or(-1, |q| q as i32)
-        });
-        let mut loc = [0.0f64; MAX_NESTED_CONE];
-        let mut total = 0.0f64;
-        let mut norm = 0.0f64;
-        'assignments: for v in 0..(1usize << wn) {
-            let mut weight = 1.0f64;
-            let mut bits = sub;
-            while bits != 0 {
-                let q = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let m = ncone.inner[q];
-                let [qa, qb] = ncone.fanin_ci[q];
-                let affected = in_sub(qa) || in_sub(qb);
-                let phat = if affected {
-                    let (ga, gb) = self.aig.and_fanins(m).expect("affected implies AND");
-                    let va = if in_sub(qa) {
-                        loc[qa as usize]
-                    } else {
-                        outer(map[q][1], ga.node())
-                    };
-                    let vb = if in_sub(qb) {
-                        loc[qb as usize]
-                    } else {
-                        outer(map[q][2], gb.node())
-                    };
-                    lit_of(va, ga) * lit_of(vb, gb)
-                } else {
-                    outer(map[q][0], m)
-                };
-                if let Some(i) = pin_pos[..wn].iter().position(|&p| p == q) {
-                    let bit = (v >> i) & 1 == 1;
-                    weight *= if bit { phat } else { 1.0 - phat };
-                    if weight <= 0.0 {
-                        continue 'assignments;
-                    }
-                    loc[q] = f64::from(bit);
-                } else if affected {
-                    loc[q] = phat;
-                }
+        let own = [(fa, s.fan[ci][0]), (fb, s.fan[ci][1])].map(|(f, l)| {
+            match ncone.inner.binary_search(&f.node()) {
+                Ok(q) if in_sub(q) => local(q, f),
+                _ => (l >> 1) << 2 | (l & 1),
             }
-            let [va, vb] = [(fa, own_pos[0], nf[0]), (fb, own_pos[1], nf[1])].map(|(f, q, l)| {
-                if in_sub(q) {
-                    lit_of(loc[q as usize], f)
-                } else {
-                    outer_lit(l)
+        });
+        s.nest_at[ci] = s.progs.len() as u32;
+        s.progs.push(NestProg {
+            ops: (first, s.ops.len() as u32),
+            wn: wn as u32,
+            own,
+        });
+        s.progs.len() - 1
+    }
+}
+
+/// A nested-conditioning operand (see [`NestProg`]): `index << 2 | local
+/// << 1 | complement`, where `index` is a nested-cone position when
+/// `local` is set and an outer slot otherwise.
+fn operand(loc: &[f64; MAX_NESTED_CONE], read: &impl Fn(u32) -> f64, o: u32) -> f64 {
+    let p = if o & 2 != 0 {
+        loc[(o >> 2) as usize]
+    } else {
+        read(o >> 2)
+    };
+    if o & 1 != 0 {
+        1.0 - p
+    } else {
+        p
+    }
+}
+
+/// Runs a nested-conditioning program under the outer context `read` (a
+/// slot's current outer value). `fan` is the node's fanins as outer slot
+/// literals, for the product-rule fallback when every nested assignment
+/// is impossible.
+fn nested_value(prog: &NestProg, ops: &[NestOp], fan: [u32; 2], read: impl Fn(u32) -> f64) -> f64 {
+    let mut loc = [0.0f64; MAX_NESTED_CONE];
+    let mut total = 0.0f64;
+    let mut norm = 0.0f64;
+    'assignments: for v in 0..1u32 << prog.wn {
+        let mut weight = 1.0f64;
+        for op in ops {
+            let phat = if op.affected {
+                operand(&loc, &read, op.a) * operand(&loc, &read, op.b)
+            } else {
+                operand(&loc, &read, op.a)
+            };
+            if op.pin != NOT_PIN {
+                let bit = (v >> op.pin) & 1 == 1;
+                weight *= if bit { phat } else { 1.0 - phat };
+                if weight <= 0.0 {
+                    continue 'assignments;
                 }
-            });
-            total += weight * va * vb;
-            norm += weight;
+                loc[op.q as usize] = f64::from(bit);
+            } else if op.affected {
+                loc[op.q as usize] = phat;
+            }
         }
-        if norm <= 0.0 {
-            return outer_lit(nf[0]) * outer_lit(nf[1]);
-        }
-        (total / norm).clamp(0.0, 1.0)
+        let va = operand(&loc, &read, prog.own[0]);
+        let vb = operand(&loc, &read, prog.own[1]);
+        total += weight * va * vb;
+        norm += weight;
+    }
+    if norm <= 0.0 {
+        return slot_value(read(fan[0] >> 1), fan[0]) * slot_value(read(fan[1] >> 1), fan[1]);
+    }
+    (total / norm).clamp(0.0, 1.0)
+}
+
+/// One nested-cone node of a [`NestProg`].
+#[derive(Debug, Clone, Copy)]
+struct NestOp {
+    /// Nested-cone position the node's value is kept at.
+    q: u8,
+    /// Index among the nested pins, or [`NOT_PIN`].
+    pin: u8,
+    /// Whether a fanin lies in the pins' descendant union: the value is
+    /// then the product of operands `a` and `b`, else operand `a` (the
+    /// node's own outer value).
+    affected: bool,
+    a: u32,
+    b: u32,
+}
+
+/// [`NestOp::pin`] of a node that is not a nested pin.
+const NOT_PIN: u8 = u8::MAX;
+
+/// One level of nested conditioning for one cone node, compiled for the
+/// current AND (see [`SignalProbEstimator::nest_prog`]).
+#[derive(Debug, Clone, Copy)]
+struct NestProg {
+    /// Range of the node's [`NestOp`]s in [`Scratch2::ops`], ascending.
+    ops: (u32, u32),
+    /// Nested pins: the program runs `2^wn` assignments.
+    wn: u32,
+    /// The node's own fanins as operands.
+    own: [u32; 2],
+}
+
+impl NestProg {
+    /// The outer slots the program reads besides the node's fanin slots.
+    fn outer_slots<'a>(&self, ops: &'a [NestOp]) -> impl Iterator<Item = u32> + 'a {
+        let own = self.own;
+        ops[self.ops.0 as usize..self.ops.1 as usize]
+            .iter()
+            .flat_map(|op| [op.a, op.b])
+            .chain(own)
+            .filter(|&o| o & 2 == 0)
+            .map(|o| o >> 2)
     }
 }
 
@@ -1329,23 +1408,19 @@ pub(crate) fn lit_prob(probs: &[f64], lit: AigLit) -> f64 {
     }
 }
 
-/// A literal's probability given its node's probability `p`.
-fn lit_of(p: f64, lit: AigLit) -> f64 {
-    if lit.is_complement() {
+/// A slot literal's (`slot << 1 | complement`) probability given its
+/// slot's value `p`.
+fn slot_value(p: f64, l: u32) -> f64 {
+    if l & 1 != 0 {
         1.0 - p
     } else {
         p
     }
 }
 
-/// The value of a slot literal (`slot << 1 | complement`) over `tab`.
+/// The value of a slot literal over `tab`.
 fn slot_lit(tab: &[f64], l: u32) -> f64 {
-    let p = tab[(l >> 1) as usize];
-    if l & 1 != 0 {
-        1.0 - p
-    } else {
-        p
-    }
+    slot_value(tab[(l >> 1) as usize], l)
 }
 
 /// Position of the lowest set bit of a non-empty bitset — for a
@@ -1388,8 +1463,9 @@ pub(crate) struct Scratch2 {
     cb: Vec<f64>,
     /// Per cone position, its two fanins as slot literals.
     fan: Vec<[u32; 2]>,
-    /// Per slot, the offset of its enumeration table in `tab` and its
-    /// pin-dependency mask (identity and 0 until the node is enumerated).
+    /// Per slot, the offset of its value in `tab` and its pin-dependency
+    /// mask: the slot itself and 0, until enumeration gives an affected
+    /// node a table.
     off: Vec<u32>,
     dep: Vec<u32>,
     /// Bitset over cone positions: the pins' descendant union.
@@ -1398,10 +1474,11 @@ pub(crate) struct Scratch2 {
     /// `(score, candidate)` pairs, then the selected candidates.
     scored: Vec<(f64, u32)>,
     w: Vec<u32>,
-    /// Per cone position, the offset of its nested read map in `nest`
-    /// (`u32::MAX` until built).
+    /// Per cone position, the index of its nested-conditioning program
+    /// in `progs` (`u32::MAX` until compiled), and the programs' steps.
     nest_at: Vec<u32>,
-    nest: Vec<[i32; 3]>,
+    progs: Vec<NestProg>,
+    ops: Vec<NestOp>,
 }
 
 impl Scratch2 {
@@ -1409,14 +1486,24 @@ impl Scratch2 {
     /// cone slots, one slot per out-of-cone fanin read, and every cone
     /// node's fanins as slot literals. Returns the AND's own fanins
     /// `la`, `lb` as slot literals.
-    fn load(&mut self, aig: &Aig, base: &[f64], cone: Cone<'_>, la: AigLit, lb: AigLit) -> [u32; 2] {
+    fn load(
+        &mut self,
+        aig: &Aig,
+        base: &[f64],
+        cone: Cone<'_>,
+        la: AigLit,
+        lb: AigLit,
+    ) -> [u32; 2] {
         let len = cone.inner.len();
         let Scratch2 {
             tab,
             cb,
             fan,
+            off,
+            dep,
             nest_at,
-            nest,
+            progs,
+            ops,
             ..
         } = self;
         tab.clear();
@@ -1444,13 +1531,34 @@ impl Scratch2 {
         }
         let pos = |l: AigLit| cone.inner.binary_search(&l.node()).map_or(-1, |p| p as i32);
         let own = [slot(la, pos(la)), slot(lb, pos(lb))];
+        off.clear();
+        off.extend(0..tab.len() as u32);
+        dep.clear();
+        dep.resize(tab.len(), 0);
         nest_at.clear();
         nest_at.resize(len, u32::MAX);
-        nest.clear();
+        progs.clear();
+        ops.clear();
         own
     }
 
+    /// Appends a constant slot holding `value` (a nested read of a node
+    /// outside the cone) and returns it. Valid in both phases: before the
+    /// enumeration's tables, slot and `tab` index coincide.
+    fn push_const(&mut self, value: f64) -> u32 {
+        self.off.push(self.tab.len() as u32);
+        self.dep.push(0);
+        self.tab.push(value);
+        (self.off.len() - 1) as u32
+    }
+
+    /// The steps of a compiled nested program.
+    fn prog_ops(&self, prog: &NestProg) -> &[NestOp] {
+        &self.ops[prog.ops.0 as usize..prog.ops.1 as usize]
+    }
+
     /// Heap bytes held by the buffers (capacities × element sizes).
+    #[cfg(test)]
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.tab.capacity() * size_of::<f64>()
@@ -1461,7 +1569,8 @@ impl Scratch2 {
             + self.aff.capacity() * size_of::<u64>()
             + self.pins.capacity() * size_of::<Pin>()
             + self.scored.capacity() * size_of::<(f64, u32)>()
-            + self.nest.capacity() * size_of::<[i32; 3]>()
+            + self.progs.capacity() * size_of::<NestProg>()
+            + self.ops.capacity() * size_of::<NestOp>()
     }
 }
 
