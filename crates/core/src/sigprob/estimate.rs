@@ -1019,14 +1019,9 @@ impl SignalProbEstimator {
             }
         }
         let out = (slot_lit(&s.tab, own[0]), slot_lit(&s.tab, own[1]));
-        for (wi, &word0) in row.iter().enumerate() {
-            let mut word = word0;
-            while word != 0 {
-                let ci = (wi << 6) | word.trailing_zeros() as usize;
-                word &= word - 1;
-                s.tab[ci] = s.cb[ci];
-            }
-        }
+        // The row lies in `x..`; one copy restores it.
+        let len = s.cb.len();
+        s.tab[x..len].copy_from_slice(&s.cb[x..]);
         out
     }
 
