@@ -1138,7 +1138,7 @@ impl SignalProbEstimator {
         let nested = cone.nested_ok[ci].then(|| {
             let prog = self.nest_prog(base, cone, ci, s);
             let prog = s.progs[prog];
-            for sl in prog.outer_slots(&s.ops) {
+            for sl in prog.outer_slots(s.prog_ops(&prog)) {
                 dep |= s.dep[sl as usize];
             }
             prog
@@ -1227,32 +1227,25 @@ impl SignalProbEstimator {
                 .iter()
                 .position(|&p| p == q)
                 .map_or(NOT_PIN, |i| i as u8);
-            let op = if qa.is_some() || qb.is_some() {
+            // A node with a fanin in the union is re-evaluated from its
+            // fanins. Only a pin can have none; it keeps its outer value
+            // (times the constant 1.0, which is exact).
+            let [a, b] = if qa.is_some() || qb.is_some() {
                 let (ga, gb) = self.aig.and_fanins(m).expect("affected implies AND");
                 let arg = |s: &mut Scratch2, qx: Option<usize>, g: AigLit| match qx {
                     Some(qx) => local(qx, g),
                     None => outer(s, g.node(), g.is_complement()),
                 };
-                let a = arg(s, qa, ga);
-                let b = arg(s, qb, gb);
-                NestOp {
-                    q: q as u8,
-                    pin,
-                    affected: true,
-                    a,
-                    b,
-                }
+                [arg(s, qa, ga), arg(s, qb, gb)]
             } else {
-                let a = outer(s, m, false);
-                NestOp {
-                    q: q as u8,
-                    pin,
-                    affected: false,
-                    a,
-                    b: a,
-                }
+                [outer(s, m, false), ONE]
             };
-            s.ops.push(op);
+            s.ops.push(NestOp {
+                q: q as u8,
+                pin,
+                a,
+                b,
+            });
         }
         let (fa, fb) = self
             .aig
@@ -1277,7 +1270,7 @@ impl SignalProbEstimator {
 /// A nested-conditioning operand (see [`NestProg`]): `index << 2 | local
 /// << 1 | complement`, where `index` is a nested-cone position when
 /// `local` is set and an outer slot otherwise.
-fn operand(loc: &[f64; MAX_NESTED_CONE], read: &impl Fn(u32) -> f64, o: u32) -> f64 {
+fn operand(loc: &[f64; MAX_NESTED_CONE + 1], read: &impl Fn(u32) -> f64, o: u32) -> f64 {
     let p = if o & 2 != 0 {
         loc[(o >> 2) as usize]
     } else {
@@ -1295,27 +1288,25 @@ fn operand(loc: &[f64; MAX_NESTED_CONE], read: &impl Fn(u32) -> f64, o: u32) -> 
 /// literals, for the product-rule fallback when every nested assignment
 /// is impossible.
 fn nested_value(prog: &NestProg, ops: &[NestOp], fan: [u32; 2], read: impl Fn(u32) -> f64) -> f64 {
-    let mut loc = [0.0f64; MAX_NESTED_CONE];
+    // Nested-cone values, plus the constant operand `ONE`.
+    let mut loc = [0.0f64; MAX_NESTED_CONE + 1];
+    loc[MAX_NESTED_CONE] = 1.0;
     let mut total = 0.0f64;
     let mut norm = 0.0f64;
     'assignments: for v in 0..1u32 << prog.wn {
         let mut weight = 1.0f64;
         for op in ops {
-            let phat = if op.affected {
-                operand(&loc, &read, op.a) * operand(&loc, &read, op.b)
+            let phat = operand(&loc, &read, op.a) * operand(&loc, &read, op.b);
+            loc[op.q as usize] = if op.pin == NOT_PIN {
+                phat
             } else {
-                operand(&loc, &read, op.a)
-            };
-            if op.pin != NOT_PIN {
                 let bit = (v >> op.pin) & 1 == 1;
                 weight *= if bit { phat } else { 1.0 - phat };
                 if weight <= 0.0 {
                     continue 'assignments;
                 }
-                loc[op.q as usize] = f64::from(bit);
-            } else if op.affected {
-                loc[op.q as usize] = phat;
-            }
+                f64::from(bit)
+            };
         }
         let va = operand(&loc, &read, prog.own[0]);
         let vb = operand(&loc, &read, prog.own[1]);
@@ -1335,16 +1326,16 @@ struct NestOp {
     q: u8,
     /// Index among the nested pins, or [`NOT_PIN`].
     pin: u8,
-    /// Whether a fanin lies in the pins' descendant union: the value is
-    /// then the product of operands `a` and `b`, else operand `a` (the
-    /// node's own outer value).
-    affected: bool,
+    /// The node's estimate is the product of these two operands.
     a: u32,
     b: u32,
 }
 
 /// [`NestOp::pin`] of a node that is not a nested pin.
 const NOT_PIN: u8 = u8::MAX;
+
+/// The operand reading the constant 1.0 (the entry after the nested cone).
+const ONE: u32 = (MAX_NESTED_CONE as u32) << 2 | 2;
 
 /// One level of nested conditioning for one cone node, compiled for the
 /// current AND (see [`SignalProbEstimator::nest_prog`]).
@@ -1359,13 +1350,12 @@ struct NestProg {
 }
 
 impl NestProg {
-    /// The outer slots the program reads besides the node's fanin slots.
+    /// The outer slots the program, with steps `ops`, reads besides the
+    /// node's fanin slots.
     fn outer_slots<'a>(&self, ops: &'a [NestOp]) -> impl Iterator<Item = u32> + 'a {
-        let own = self.own;
-        ops[self.ops.0 as usize..self.ops.1 as usize]
-            .iter()
+        ops.iter()
             .flat_map(|op| [op.a, op.b])
-            .chain(own)
+            .chain(self.own)
             .filter(|&o| o & 2 == 0)
             .map(|o| o >> 2)
     }
