@@ -1276,11 +1276,7 @@ fn operand(loc: &[f64; MAX_NESTED_CONE + 1], read: &impl Fn(u32) -> f64, o: u32)
     } else {
         read(o >> 2)
     };
-    if o & 1 != 0 {
-        1.0 - p
-    } else {
-        p
-    }
+    slot_value(p, o)
 }
 
 /// Runs a nested-conditioning program under the outer context `read` (a
@@ -1394,7 +1390,7 @@ pub(crate) fn lit_prob(probs: &[f64], lit: AigLit) -> f64 {
 }
 
 /// A slot literal's (`slot << 1 | complement`) probability given its
-/// slot's value `p`.
+/// slot's value `p`; only bit 0 is read, so nested operands use it too.
 fn slot_value(p: f64, l: u32) -> f64 {
     if l & 1 != 0 {
         1.0 - p
