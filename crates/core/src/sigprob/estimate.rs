@@ -1066,13 +1066,12 @@ impl SignalProbEstimator {
                 dep: 0,
             });
         }
-        let slots = s.tab.len();
-        // One value table shared by every pin: entry `1 << i` reads 1.0
-        // (pin i set), entry 0 reads 0.0.
-        let bits_at = s.tab.len() as u32;
-        s.tab.resize(slots + (1 << (b - 1)) + 1, 0.0);
+        // One value table shared by every pin, after the slots: entry
+        // `1 << i` reads 1.0 (pin i set), entry 0 reads 0.0.
+        let bits_at = s.tab.len();
+        s.tab.resize(bits_at + (1 << (b - 1)) + 1, 0.0);
         for i in 0..b {
-            s.tab[slots + (1 << i)] = 1.0;
+            s.tab[bits_at + (1 << i)] = 1.0;
         }
         let mut next_pin = 0;
         for wi in 0..s.aff.len() {
@@ -1095,7 +1094,7 @@ impl SignalProbEstimator {
                 if next_pin < b && s.pins[next_pin].pos as usize == ci {
                     s.pins[next_pin].at = at;
                     s.pins[next_pin].dep = dep;
-                    s.off[ci] = bits_at;
+                    s.off[ci] = bits_at as u32;
                     s.dep[ci] = 1 << next_pin;
                     next_pin += 1;
                 } else {
@@ -1438,7 +1437,8 @@ pub(crate) struct Scratch2 {
     /// Slot values, then the enumeration's tables. Slots `0..len` are the
     /// cone positions, holding their base values outside a scoring walk;
     /// `len` is a never-read fanin slot of the cone's inputs; the rest
-    /// hold the base values of out-of-cone fanins.
+    /// hold base values of out-of-cone nodes the cone reads (fanins, and
+    /// nested reads added by [`Scratch2::push_const`]).
     tab: Vec<f64>,
     /// Base value per cone position, for restoring a scoring walk.
     cb: Vec<f64>,
