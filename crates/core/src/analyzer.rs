@@ -305,9 +305,27 @@ impl<'c> Analyzer<'c> {
         self.estimator().storage_bytes()
     }
 
+    /// Heap bytes of the monolithic estimator's fanin-depth ranks, or
+    /// `None` until a session or parallel pass has built them — a
+    /// memory-footprint counter for `stats` reports.
+    pub fn estimator_ranks_bytes(&self) -> Option<usize> {
+        self.estimator
+            .get()
+            .and_then(SignalProbEstimator::ranks_bytes)
+    }
+
+    /// Heap bytes of the monolithic estimator's read-dependency map, or
+    /// `None` until a session has built it — a memory-footprint counter
+    /// for `stats` reports.
+    pub fn estimator_readers_bytes(&self) -> Option<usize> {
+        self.estimator
+            .get()
+            .and_then(SignalProbEstimator::readers_bytes)
+    }
+
     /// The monolithic estimator's sweep-shape counters (forces its
-    /// construction) — conditioned ANDs, mean joining candidates and mean
-    /// cone size, for `stats` reports.
+    /// construction) — conditioned ANDs, mean joining candidates, mean
+    /// cone size and distinct cone shapes, for `stats` reports.
     pub fn estimator_sweep_shape(&self) -> crate::sigprob::SweepShape {
         self.estimator().sweep_shape()
     }

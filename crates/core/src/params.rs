@@ -61,6 +61,14 @@ pub struct AnalyzerParams {
     pub maxvers: usize,
     /// `MAXLIST`: maximal path length (in edges) of the backward search for
     /// joining points and of conditional re-propagation.
+    ///
+    /// The estimator stores positions within a conditioning cone as `u16`,
+    /// so every cone must have fewer than 65,535 nodes. That always holds
+    /// for AIGs under 65,535 nodes, and for any AIG when `maxlist ≤ 14`:
+    /// each side's bounded cone then has fewer than 2^15 nodes. Outside
+    /// that bound, building the estimator panics on a cone that does not
+    /// fit ("exceeds its u16 positions") rather than truncating it. The
+    /// default, 10, is what `protest serve` always uses.
     pub maxlist: usize,
     /// Stem recombination model for observability.
     pub observability: ObservabilityModel,

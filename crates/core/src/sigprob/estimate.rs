@@ -20,9 +20,15 @@
 //!    fanin cone with the joining points pinned.
 //!
 //! Construction precomputes every AND's conditioning structure once, into
-//! one CSR `ConeArena`: the joining points, the cone `inner` a pin can
-//! change (ascending, so topological), each cone node's fanin positions,
-//! and one descendant bitset row per joining candidate.
+//! one `ConeArena`. Per AND it keeps only the node ids of its cone
+//! `inner` — the nodes a pin can change, ascending, so topological — and
+//! a shape id. The rest is a function of the cone's *shape*: the joining
+//! points and each cone node's fanins as positions in `inner`, the cone
+//! nodes that run nested conditioning, and one descendant bitset row per
+//! joining candidate. It is stored once per distinct shape, in an
+//! interned table that every AND with that shape shares. Regular circuits
+//! repeat few shapes (`multmesh:4x12x64`: 966 shapes for 69,150
+//! conditioned ANDs), so the arena is little more than the node ids.
 //!
 //! A case-4 AND is then evaluated cone-locally, on dense per-AND arrays
 //! indexed by `inner` position (`Scratch2`):
@@ -46,6 +52,8 @@
 //! Nothing is cached per node between evaluations, so the scratch stays
 //! cone-sized however many ANDs a worker or session evaluates.
 
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::aig::{Aig, AigFanouts, AigLit, AigNodeId};
@@ -59,23 +67,25 @@ use crate::params::AnalyzerParams;
 /// bounding the response latency to a fraction of a pass.
 pub(crate) const CANCEL_CHECK_NODES: usize = 4096;
 
-/// One AND node's conditioning structure, borrowed from the [`ConeArena`]:
-/// joining points and the bounded cone used for conditional
-/// re-propagation. Probability-independent, so the optimizer can
-/// re-estimate thousands of times without re-running graph searches.
+/// One AND node's conditioning structure, decoded from the [`ConeArena`]:
+/// its own cone node ids plus the slices of its interned shape.
+/// Probability-independent, so the optimizer can re-estimate thousands of
+/// times without re-running graph searches.
 #[derive(Debug, Clone, Copy)]
 struct Cone<'a> {
-    /// Bounded `V(a, b)`, ascending; empty for case-3 ANDs.
-    joining: &'a [AigNodeId],
+    /// Bounded `V(a, b)` as positions in `inner`, ascending; empty for
+    /// case-3 ANDs.
+    joining: &'a [u16],
     /// The joining points plus their descendants within the bounded union
     /// cone of `a` and `b`, ascending (= topo) order. Re-propagation only
     /// walks this set: pinning joining points cannot change any other cone
     /// node, so the rest of the cone keeps its base estimate untouched.
     inner: &'a [AigNodeId],
     /// For each cone node, the positions of its two fanins within `inner`
-    /// (`-1` when a fanin is outside the cone or the node is not an AND).
-    fanin_ci: &'a [[i32; 2]],
-    /// Whether [`SignalProbEstimator::nested_value`] runs nested
+    /// ([`NO_POS`] when a fanin is outside the cone or the node is not an
+    /// AND).
+    fanin_ci: &'a [[u16; 2]],
+    /// Whether [`SignalProbEstimator::nest_prog`] runs nested
     /// conditioning for this cone node (its own joining set is non-empty
     /// and its own cone is small enough).
     nested_ok: &'a [bool],
@@ -100,32 +110,55 @@ impl<'a> Cone<'a> {
     }
 }
 
-/// Every AND node's [`Cone`], in CSR form: each field is one contiguous
-/// array over all nodes, sliced by per-node offsets, instead of five
-/// `Vec`s (and a `Vec` per joining candidate) per node.
+/// [`Cone::fanin_ci`] of a fanin outside the cone.
+const NO_POS: u16 = u16::MAX;
+
+/// A stored fanin position, `None` for [`NO_POS`].
+fn cone_pos(f: u16) -> Option<usize> {
+    (f != NO_POS).then_some(usize::from(f))
+}
+
+/// Every node's [`Cone`]: per node, its `inner` node ids (CSR) and a shape
+/// id into the interned [`ShapeTable`] that holds the rest. ANDs with
+/// equal shapes share one entry, so the arena grows with the node ids and
+/// the distinct shapes, not with every AND's structure.
 #[derive(Debug, PartialEq, Eq)]
 struct ConeArena {
-    /// `n + 1` offsets into `joining`.
-    joining_off: Vec<u32>,
-    joining: Vec<AigNodeId>,
-    /// `n + 1` offsets into `inner`, `fanin_ci` and `nested_ok`.
+    /// `n + 1` offsets into `inner`.
     inner_off: Vec<u32>,
     inner: Vec<AigNodeId>,
-    fanin_ci: Vec<[i32; 2]>,
+    /// Per node, its shape in `shapes`; 0 is the empty, case-3 shape.
+    shape: Vec<u32>,
+    shapes: ShapeTable,
+}
+
+/// The distinct cone shapes. A shape's key is its cone length, joining
+/// positions, fanin positions and `nested_ok`; its `desc` rows are a
+/// function of that key. Positions are `u16` (see
+/// [`AnalyzerParams::maxlist`] for the bound).
+#[derive(Debug, PartialEq, Eq)]
+struct ShapeTable {
+    /// `shapes + 1` offsets into `joining`.
+    joining_off: Vec<u32>,
+    joining: Vec<u16>,
+    /// `shapes + 1` offsets into `fanin_ci` and `nested_ok` (the cone
+    /// positions).
+    pos_off: Vec<u32>,
+    fanin_ci: Vec<[u16; 2]>,
     nested_ok: Vec<bool>,
-    /// `n + 1` offsets into `desc` (rows are `joining × words`).
-    desc_off: Vec<usize>,
+    /// `shapes + 1` offsets into `desc` (rows are `joining × words`).
+    desc_off: Vec<u32>,
     desc: Vec<u64>,
 }
 
-/// AIGs with fewer AND nodes than this build their cone arena serially:
-/// their build takes milliseconds, so small circuits (partition lanes,
-/// served paper circuits) stay off the pool.
+/// AIGs with fewer AND nodes than this build their cone arena on one
+/// worker: their build takes milliseconds, so small circuits (partition
+/// lanes, served paper circuits) stay off the pool.
 const MIN_PAR_BUILD_ANDS: usize = 8192;
 
-/// Nodes per interleaved block of the parallel arena build. Consecutive
-/// blocks go to different workers, so deep and shallow regions of the
-/// AIG spread evenly across them.
+/// Nodes per interleaved block of the arena build. Consecutive blocks go
+/// to different workers, so deep and shallow regions of the AIG spread
+/// evenly across them.
 const BUILD_BLOCK: usize = 128;
 
 /// Blocks each worker builds per window. A window's chunks are stitched
@@ -133,146 +166,294 @@ const BUILD_BLOCK: usize = 128;
 /// worth of chunk data exists beside the arena.
 const BUILD_BLOCKS_PER_WORKER: usize = 16;
 
-impl ConeArena {
-    /// An empty arena (or build chunk) covering zero nodes.
-    fn empty() -> Self {
-        ConeArena {
-            joining_off: vec![0],
-            joining: Vec::new(),
-            inner_off: vec![0],
-            inner: Vec::new(),
-            fanin_ci: Vec::new(),
-            nested_ok: Vec::new(),
-            desc_off: vec![0],
-            desc: Vec::new(),
-        }
-    }
+/// The offsets `off[i]..off[i + 1]` of a CSR entry.
+fn span(off: &[u32], i: usize) -> Range<usize> {
+    off[i] as usize..off[i + 1] as usize
+}
 
-    /// Builds the arena for every node of `aig` in two passes. Pass 1
-    /// computes each AND's cone, joining points, `inner`, `fanin_ci` and
-    /// `desc` — node-local work that runs over interleaved blocks on
-    /// `exec` once the AIG has at least `min_par_ands` ANDs. Pass 2 fills
-    /// `nested_ok`, the only field that reads other nodes' entries. The
-    /// arena is identical whichever path builds it.
+impl ConeArena {
+    /// Builds the arena for every node of `aig`. Pass 1 computes each
+    /// AND's cone, joining points, `inner` and fanin positions — node-local
+    /// work, run over interleaved blocks by one worker, or by every worker
+    /// of `exec` once the AIG has at least `min_par_ands` ANDs. The stitch
+    /// appends each window's chunks in node order and interns each AND's
+    /// shape, so the arena is identical at every thread count.
     fn build(aig: &Aig, maxlist: usize, exec: &Exec, min_par_ands: usize) -> Self {
+        let exec = if aig.num_ands() >= min_par_ands {
+            exec.clone()
+        } else {
+            Exec::new(1)
+        };
         let fanouts = aig.fanout_map();
         let n = aig.len();
-        let mut arena = ConeArena::empty();
-        if !exec.parallel() || aig.num_ands() < min_par_ands {
-            let mut b = ConeBuilder::new(aig, &fanouts, maxlist);
-            for k in 0..n {
-                b.push(k, &mut arena);
-            }
-        } else {
-            let threads = exec.threads();
-            let mut builders: Vec<ConeBuilder> = (0..threads)
-                .map(|_| ConeBuilder::new(aig, &fanouts, maxlist))
-                .collect();
-            let window = threads * BUILD_BLOCKS_PER_WORKER * BUILD_BLOCK;
-            let mut chunks: Vec<ConeArena> = (0..threads * BUILD_BLOCKS_PER_WORKER)
-                .map(|_| ConeArena::empty())
-                .collect();
-            exec.run(|| {
-                for lo in (0..n).step_by(window) {
-                    let mut mine: Vec<Vec<(usize, &mut ConeArena)>> =
-                        (0..threads).map(|_| Vec::new()).collect();
-                    for (bi, chunk) in chunks.iter_mut().enumerate() {
-                        mine[bi % threads].push((lo + bi * BUILD_BLOCK, chunk));
-                    }
+        let threads = exec.threads();
+        let mut builders: Vec<ConeBuilder> = (0..threads)
+            .map(|_| ConeBuilder::new(aig, &fanouts, maxlist))
+            .collect();
+        let mut chunks: Vec<ConeChunk> = (0..threads * BUILD_BLOCKS_PER_WORKER)
+            .map(|_| ConeChunk::default())
+            .collect();
+        let window = chunks.len() * BUILD_BLOCK;
+        let mut stitch = Stitcher::new(n);
+        exec.run(|| {
+            for lo in (0..n).step_by(window) {
+                let mut mine: Vec<Vec<(usize, &mut ConeChunk)>> =
+                    (0..threads).map(|_| Vec::new()).collect();
+                for (bi, chunk) in chunks.iter_mut().enumerate() {
+                    mine[bi % threads].push((lo + bi * BUILD_BLOCK, chunk));
+                }
+                if exec.parallel() {
                     rayon::scope(|s| {
                         for (b, blocks) in builders.iter_mut().zip(mine) {
-                            s.spawn(move |_| {
-                                for (start, chunk) in blocks {
-                                    chunk.clear();
-                                    for k in start..(start + BUILD_BLOCK).min(n) {
-                                        b.push(k, chunk);
-                                    }
-                                }
-                            });
+                            s.spawn(move |_| b.fill(blocks));
                         }
                     });
-                    for chunk in &chunks {
-                        arena.append(chunk);
-                    }
+                } else {
+                    builders[0].fill(mine.pop().expect("one worker"));
                 }
-            });
-        }
-        let (jo, io) = (&arena.joining_off, &arena.inner_off);
-        let nested_ok = arena
-            .inner
-            .iter()
-            .map(|x| {
-                let k = x.index();
-                jo[k] != jo[k + 1] && (io[k + 1] - io[k]) as usize <= MAX_NESTED_CONE
-            })
-            .collect();
-        arena.nested_ok = nested_ok;
-        arena
-    }
-
-    /// Resets a build chunk to cover zero nodes, keeping its capacity.
-    fn clear(&mut self) {
-        self.joining_off.truncate(1);
-        self.joining.clear();
-        self.inner_off.truncate(1);
-        self.inner.clear();
-        self.fanin_ci.clear();
-        self.desc_off.truncate(1);
-        self.desc.clear();
-    }
-
-    /// Appends the nodes of a build chunk, rebasing its offsets.
-    fn append(&mut self, chunk: &ConeArena) {
-        let (jb, ib, db) = (self.joining.len(), self.inner.len(), self.desc.len());
-        let rebase = |o: u32, base: usize| to_u32(o as usize + base);
-        self.joining_off
-            .extend(chunk.joining_off[1..].iter().map(|&o| rebase(o, jb)));
-        self.inner_off
-            .extend(chunk.inner_off[1..].iter().map(|&o| rebase(o, ib)));
-        self.desc_off
-            .extend(chunk.desc_off[1..].iter().map(|&o| o + db));
-        self.joining.extend_from_slice(&chunk.joining);
-        self.inner.extend_from_slice(&chunk.inner);
-        self.fanin_ci.extend_from_slice(&chunk.fanin_ci);
-        self.desc.extend_from_slice(&chunk.desc);
+                for chunk in &chunks {
+                    stitch.append(chunk);
+                }
+            }
+        });
+        stitch.arena
     }
 
     /// The conditioning structure of node `k`.
     fn cone(&self, k: usize) -> Cone<'_> {
-        let (j0, j1) = (
-            self.joining_off[k] as usize,
-            self.joining_off[k + 1] as usize,
-        );
-        let (i0, i1) = (self.inner_off[k] as usize, self.inner_off[k + 1] as usize);
+        let t = &self.shapes;
+        let s = self.shape[k] as usize;
+        let pos = span(&t.pos_off, s);
         Cone {
-            joining: &self.joining[j0..j1],
-            inner: &self.inner[i0..i1],
-            fanin_ci: &self.fanin_ci[i0..i1],
-            nested_ok: &self.nested_ok[i0..i1],
-            desc: &self.desc[self.desc_off[k]..self.desc_off[k + 1]],
+            joining: &t.joining[span(&t.joining_off, s)],
+            inner: &self.inner[span(&self.inner_off, k)],
+            fanin_ci: &t.fanin_ci[pos.clone()],
+            nested_ok: &t.nested_ok[pos],
+            desc: &t.desc[span(&t.desc_off, s)],
         }
     }
 
     /// Whether node `k` has joining points (runs the conditioned kernel).
     fn is_conditioned(&self, k: usize) -> bool {
-        self.joining_off[k] != self.joining_off[k + 1]
+        self.shape[k] != 0
+    }
+
+    /// Number of distinct non-empty shapes.
+    fn num_shapes(&self) -> usize {
+        self.shapes.joining_off.len() - 2
     }
 
     /// Heap bytes of the arrays' contents (lengths × element sizes).
     fn storage_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.joining_off.len() + self.inner_off.len()) * size_of::<u32>()
-            + (self.joining.len() + self.inner.len()) * size_of::<AigNodeId>()
-            + self.fanin_ci.len() * size_of::<[i32; 2]>()
-            + self.nested_ok.len() * size_of::<bool>()
-            + self.desc_off.len() * size_of::<usize>()
-            + self.desc.len() * size_of::<u64>()
+        let t = &self.shapes;
+        (self.inner_off.len() + self.shape.len()) * size_of::<u32>()
+            + self.inner.len() * size_of::<AigNodeId>()
+            + (t.joining_off.len() + t.pos_off.len() + t.desc_off.len()) * size_of::<u32>()
+            + t.joining.len() * size_of::<u16>()
+            + t.fanin_ci.len() * size_of::<[u16; 2]>()
+            + t.nested_ok.len() * size_of::<bool>()
+            + t.desc.len() * size_of::<u64>()
     }
 }
 
-/// A CSR offset as `u32`.
+impl ShapeTable {
+    /// A table holding only shape 0, the empty (case-3) shape.
+    fn new() -> Self {
+        ShapeTable {
+            joining_off: vec![0, 0],
+            joining: Vec::new(),
+            pos_off: vec![0, 0],
+            fanin_ci: Vec::new(),
+            nested_ok: Vec::new(),
+            desc_off: vec![0, 0],
+            desc: Vec::new(),
+        }
+    }
+
+    /// Whether shape `s` has this key.
+    fn matches(
+        &self,
+        s: usize,
+        joining: &[u16],
+        fanin_ci: &[[u16; 2]],
+        nested_ok: &[bool],
+    ) -> bool {
+        let pos = span(&self.pos_off, s);
+        self.joining[span(&self.joining_off, s)] == *joining
+            && self.fanin_ci[pos.clone()] == *fanin_ci
+            && self.nested_ok[pos] == *nested_ok
+    }
+
+    /// Appends a new shape with this key, deriving its `desc` rows (`reach`
+    /// is scratch), and returns its id.
+    fn push(
+        &mut self,
+        joining: &[u16],
+        fanin_ci: &[[u16; 2]],
+        nested_ok: &[bool],
+        reach: &mut Vec<u64>,
+    ) -> u32 {
+        // Descendant bitsets of every cone position, in reverse
+        // topological order: a node's set is itself plus its successors'
+        // sets, and all successors come later. The candidates' rows are
+        // then copied out.
+        let len = fanin_ci.len();
+        let words = len.div_ceil(64);
+        reach.clear();
+        reach.resize(len * words, 0);
+        for (ci, fc) in fanin_ci.iter().enumerate().rev() {
+            let (before, row) = reach.split_at_mut(ci * words);
+            let row = &mut row[..words];
+            row[ci >> 6] |= 1 << (ci & 63);
+            for f in fc.iter().filter_map(|&f| cone_pos(f)) {
+                let dst = &mut before[f * words..(f + 1) * words];
+                for (d, &w) in dst.iter_mut().zip(row.iter()) {
+                    *d |= w;
+                }
+            }
+        }
+        for &p in joining {
+            let p = usize::from(p);
+            self.desc
+                .extend_from_slice(&reach[p * words..(p + 1) * words]);
+        }
+        self.joining.extend_from_slice(joining);
+        self.fanin_ci.extend_from_slice(fanin_ci);
+        self.nested_ok.extend_from_slice(nested_ok);
+        self.joining_off.push(to_u32(self.joining.len()));
+        self.pos_off.push(to_u32(self.fanin_ci.len()));
+        self.desc_off.push(to_u32(self.desc.len()));
+        to_u32(self.joining_off.len() - 2)
+    }
+}
+
+/// A CSR offset (or shape id) as `u32`.
 fn to_u32(offset: usize) -> u32 {
     u32::try_from(offset).expect("cone arena exceeds u32 offsets")
+}
+
+/// One block's pass-1 output, in node order: each node's `inner` ids and
+/// its joining and fanin positions (empty unless the node is an AND with
+/// joining points). The stitch turns the positions into a shape.
+#[derive(Default)]
+struct ConeChunk {
+    /// `block + 1` offsets into `joining`.
+    joining_off: Vec<u32>,
+    joining: Vec<u16>,
+    /// `block + 1` offsets into `inner` and `fanin_ci`.
+    inner_off: Vec<u32>,
+    inner: Vec<AigNodeId>,
+    fanin_ci: Vec<[u16; 2]>,
+}
+
+impl ConeChunk {
+    /// Resets the chunk to cover zero nodes, keeping its capacity.
+    fn clear(&mut self) {
+        for off in [&mut self.joining_off, &mut self.inner_off] {
+            off.clear();
+            off.push(0);
+        }
+        self.joining.clear();
+        self.inner.clear();
+        self.fanin_ci.clear();
+    }
+}
+
+/// The serial half of the build: appends pass-1 chunks to the arena in
+/// node order and interns each AND's shape, numbering shapes in order of
+/// first occurrence. Dropped with the build; it holds no copy of any
+/// shape, since a lookup compares against the table itself.
+struct Stitcher {
+    arena: ConeArena,
+    /// Shape ids by key hash; ids with equal hashes chain through `next`
+    /// (0 ends a chain: the empty shape is never interned).
+    heads: HashMap<u64, u32>,
+    next: Vec<u32>,
+    /// `nested_ok` of the AND being stitched.
+    nested: Vec<bool>,
+    /// Descendant bitsets of a new shape's positions, row-major.
+    reach: Vec<u64>,
+}
+
+impl Stitcher {
+    fn new(n: usize) -> Self {
+        let mut inner_off = Vec::with_capacity(n + 1);
+        inner_off.push(0);
+        Stitcher {
+            arena: ConeArena {
+                inner_off,
+                inner: Vec::new(),
+                shape: Vec::with_capacity(n),
+                shapes: ShapeTable::new(),
+            },
+            heads: HashMap::new(),
+            next: vec![0],
+            nested: Vec::new(),
+            reach: Vec::new(),
+        }
+    }
+
+    /// Appends the nodes of a build chunk.
+    fn append(&mut self, chunk: &ConeChunk) {
+        for i in 0..chunk.inner_off.len() - 1 {
+            let joining = &chunk.joining[span(&chunk.joining_off, i)];
+            let inner = &chunk.inner[span(&chunk.inner_off, i)];
+            let shape = if joining.is_empty() {
+                0
+            } else {
+                // Every cone node precedes this AND, so its own entry is
+                // already stitched.
+                let a = &self.arena;
+                self.nested.clear();
+                self.nested.extend(inner.iter().map(|x| {
+                    let k = x.index();
+                    a.is_conditioned(k) && span(&a.inner_off, k).len() <= MAX_NESTED_CONE
+                }));
+                self.intern(joining, &chunk.fanin_ci[span(&chunk.inner_off, i)])
+            };
+            let a = &mut self.arena;
+            a.shape.push(shape);
+            a.inner.extend_from_slice(inner);
+            a.inner_off.push(to_u32(a.inner.len()));
+        }
+    }
+
+    /// The id of the shape with this key and `self.nested`, added to the
+    /// table if new.
+    fn intern(&mut self, joining: &[u16], fanin_ci: &[[u16; 2]]) -> u32 {
+        let nested = &self.nested;
+        let table = &mut self.arena.shapes;
+        let head = self
+            .heads
+            .entry(shape_hash(joining, fanin_ci, nested))
+            .or_insert(0);
+        let mut s = *head;
+        while s != 0 {
+            if table.matches(s as usize, joining, fanin_ci, nested) {
+                return s;
+            }
+            s = self.next[s as usize];
+        }
+        let id = table.push(joining, fanin_ci, nested, &mut self.reach);
+        self.next.push(*head);
+        *head = id;
+        id
+    }
+}
+
+/// Hash of a shape key. Any collision only costs one slice comparison.
+fn shape_hash(joining: &[u16], fanin_ci: &[[u16; 2]], nested_ok: &[bool]) -> u64 {
+    let mut h = 0u64;
+    let mut mix = |w: u64| h = (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+    mix((joining.len() as u64) << 32 | fanin_ci.len() as u64);
+    for &p in joining {
+        mix(u64::from(p));
+    }
+    for (&[a, b], &ok) in fanin_ci.iter().zip(nested_ok) {
+        mix(u64::from(a) << 17 | u64::from(b) << 1 | u64::from(ok));
+    }
+    h
 }
 
 /// One worker's pass-1 state: epoch-stamped per-node marks and reusable
@@ -293,8 +474,8 @@ struct ConeBuilder<'g> {
     cone_b: Vec<AigNodeId>,
     frontier: Vec<AigNodeId>,
     next: Vec<AigNodeId>,
-    /// Descendant bitsets of the current `inner` positions, row-major.
-    reach: Vec<u64>,
+    /// The current AND's joining points.
+    joining: Vec<AigNodeId>,
 }
 
 impl<'g> ConeBuilder<'g> {
@@ -313,19 +494,28 @@ impl<'g> ConeBuilder<'g> {
             cone_b: Vec::new(),
             frontier: Vec::new(),
             next: Vec::new(),
-            reach: Vec::new(),
+            joining: Vec::new(),
+        }
+    }
+
+    /// Fills each `(start, chunk)` with the block of nodes from `start`.
+    fn fill(&mut self, blocks: Vec<(usize, &mut ConeChunk)>) {
+        for (start, chunk) in blocks {
+            chunk.clear();
+            for k in start..(start + BUILD_BLOCK).min(self.aig.len()) {
+                self.push(k, chunk);
+            }
         }
     }
 
     /// Appends node `k`'s pass-1 entries (empty unless `k` is an AND with
     /// joining points) to `out`, closing its offsets.
-    fn push(&mut self, k: usize, out: &mut ConeArena) {
+    fn push(&mut self, k: usize, out: &mut ConeChunk) {
         if let Some((la, lb)) = self.aig.and_fanins(AigNodeId::from_index(k)) {
             self.push_and(la.node(), lb.node(), out);
         }
         out.joining_off.push(to_u32(out.joining.len()));
         out.inner_off.push(to_u32(out.inner.len()));
-        out.desc_off.push(out.desc.len());
     }
 
     /// Collects the `maxlist`-bounded backward cone of `root` (inclusive)
@@ -363,9 +553,14 @@ impl<'g> ConeBuilder<'g> {
         }
     }
 
-    /// Appends the joining points, `inner`, `fanin_ci` and `desc` rows of
-    /// the AND over fanin nodes `a` and `b` (nothing when it joins none).
-    fn push_and(&mut self, a: AigNodeId, b: AigNodeId, out: &mut ConeArena) {
+    /// Appends the `inner` ids and the joining and fanin positions of the
+    /// AND over fanin nodes `a` and `b` (nothing when it joins none).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cone has `u16::MAX` nodes or more (see
+    /// [`AnalyzerParams::maxlist`]).
+    fn push_and(&mut self, a: AigNodeId, b: AigNodeId, out: &mut ConeChunk) {
         self.epoch += 1;
         let epoch = self.epoch;
         self.collect_cone(a, false);
@@ -373,7 +568,7 @@ impl<'g> ConeBuilder<'g> {
         let aig = self.aig;
         // Joining points: in both cones, fanout ≥ 2, with distinct
         // immediate successors toward a and b.
-        let j0 = out.joining.len();
+        self.joining.clear();
         for &x in &self.cone_a {
             if self.in_b[x.index()] != epoch {
                 continue;
@@ -401,18 +596,17 @@ impl<'g> ConeBuilder<'g> {
             }
             // Need two *different* routes: total distinct branch uses ≥ 2.
             if to_a && to_b && branches_a + branches_b >= 2 {
-                out.joining.push(x);
+                self.joining.push(x);
             }
         }
-        if out.joining.len() == j0 {
+        if self.joining.is_empty() {
             return;
         }
-        out.joining[j0..].sort_unstable();
         // Forward closure of the joining points through the union cone:
         // the subgraph a pinned assignment can actually change. Sorted,
         // it is `inner` in ascending (= topological) order.
         let i0 = out.inner.len();
-        for &x in &out.joining[j0..] {
+        for &x in &self.joining {
             self.in_inner[x.index()] = epoch;
             out.inner.push(x);
         }
@@ -429,45 +623,30 @@ impl<'g> ConeBuilder<'g> {
             }
         }
         out.inner[i0..].sort_unstable();
+        let len = out.inner.len() - i0;
+        assert!(
+            len < usize::from(NO_POS),
+            "cone arena: a {len}-node cone exceeds its u16 positions \
+             (see AnalyzerParams::maxlist for the bound)"
+        );
         for (ci, x) in out.inner[i0..].iter().enumerate() {
             self.pos[x.index()] = ci as u32;
         }
+        let j0 = out.joining.len();
+        out.joining
+            .extend(self.joining.iter().map(|x| self.pos[x.index()] as u16));
+        out.joining[j0..].sort_unstable();
         // Each kept node's fanin positions inside the subgraph.
         for &x in &out.inner[i0..] {
-            let mut ci = [-1i32; 2];
+            let mut ci = [NO_POS; 2];
             if let Some((fa, fb)) = aig.and_fanins(x) {
                 for (side, f) in [fa.node(), fb.node()].into_iter().enumerate() {
                     if self.in_inner[f.index()] == epoch {
-                        ci[side] = self.pos[f.index()] as i32;
+                        ci[side] = self.pos[f.index()] as u16;
                     }
                 }
             }
             out.fanin_ci.push(ci);
-        }
-        // Descendant bitsets of every cone position, in reverse
-        // topological order: a node's set is itself plus its successors'
-        // sets, and all successors come later. The candidates' rows are
-        // then copied out.
-        let len = out.inner.len() - i0;
-        let words = len.div_ceil(64);
-        let reach = &mut self.reach;
-        reach.clear();
-        reach.resize(len * words, 0);
-        for (ci, fc) in out.fanin_ci[i0..].iter().enumerate().rev() {
-            let (before, row) = reach.split_at_mut(ci * words);
-            let row = &mut row[..words];
-            row[ci >> 6] |= 1 << (ci & 63);
-            for &f in fc.iter().filter(|&&f| f >= 0) {
-                let dst = &mut before[f as usize * words..(f as usize + 1) * words];
-                for (d, &w) in dst.iter_mut().zip(row.iter()) {
-                    *d |= w;
-                }
-            }
-        }
-        for x in &out.joining[j0..] {
-            let p = self.pos[x.index()] as usize;
-            out.desc
-                .extend_from_slice(&reach[p * words..(p + 1) * words]);
         }
     }
 }
@@ -502,6 +681,9 @@ pub struct SweepShape {
     pub mean_joining: f64,
     /// Mean cone (`inner`) size per conditioned AND.
     pub mean_inner: f64,
+    /// Distinct cone shapes among the conditioned ANDs, each stored once
+    /// in the cone arena.
+    pub shapes: usize,
 }
 
 /// CSR form of the read-dependency fan-out map (see
@@ -518,7 +700,12 @@ pub struct ReaderMap {
 impl ReaderMap {
     /// The AND nodes whose evaluation reads node `i`, ascending.
     pub(crate) fn of(&self, i: usize) -> &[u32] {
-        &self.dat[self.off[i] as usize..self.off[i + 1] as usize]
+        &self.dat[span(&self.off, i)]
+    }
+
+    /// Heap bytes of the arrays' contents (lengths × element sizes).
+    fn storage_bytes(&self) -> usize {
+        (self.off.len() + self.dat.len()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -550,7 +737,13 @@ impl Ranks {
 
     /// The AND nodes of rank `r`, ascending.
     pub(crate) fn rank(&self, r: usize) -> &[u32] {
-        &self.dat[self.off[r] as usize..self.off[r + 1] as usize]
+        &self.dat[span(&self.off, r)]
+    }
+
+    /// Heap bytes of the arrays' contents (lengths × element sizes).
+    fn storage_bytes(&self) -> usize {
+        let words = self.of.len() + self.off.len() + self.dat.len() + self.cond_per_rank.len();
+        words * std::mem::size_of::<u32>()
     }
 }
 
@@ -571,18 +764,34 @@ impl SignalProbEstimator {
         }
     }
 
-    /// Heap bytes of the per-AND conditioning structure (the cone arena):
-    /// a memory-footprint counter for `stats` reports.
+    /// Heap bytes of the per-AND conditioning structure (the cone arena:
+    /// per-AND node ids plus the interned shapes): a memory-footprint
+    /// counter for `stats` reports.
     pub fn storage_bytes(&self) -> usize {
         self.arena.storage_bytes()
     }
 
+    /// Heap bytes of the [`ranks`](Self::ranks), or `None` until they are
+    /// built.
+    pub fn ranks_bytes(&self) -> Option<usize> {
+        self.ranks.get().map(Ranks::storage_bytes)
+    }
+
+    /// Heap bytes of the [`readers`](Self::readers) map, or `None` until
+    /// it is built.
+    pub fn readers_bytes(&self) -> Option<usize> {
+        self.readers.get().map(ReaderMap::storage_bytes)
+    }
+
     /// The sweep's shape, read off the cone arena at no sweep cost: how
-    /// many ANDs run the conditioned kernel, and the mean joining-candidate
-    /// count and cone (`inner`) size over those ANDs.
+    /// many ANDs run the conditioned kernel, the mean joining-candidate
+    /// count and cone (`inner`) size over those ANDs, and how many
+    /// distinct cone shapes they share.
     pub fn sweep_shape(&self) -> SweepShape {
         let a = &self.arena;
-        let conditioned = (0..self.aig.len()).filter(|&k| a.is_conditioned(k)).count();
+        let n = self.aig.len();
+        let conditioned = (0..n).filter(|&k| a.is_conditioned(k)).count();
+        let joining: usize = (0..n).map(|k| a.cone(k).joining.len()).sum();
         let per_and = |total: usize| {
             if conditioned == 0 {
                 0.0
@@ -593,8 +802,9 @@ impl SignalProbEstimator {
         SweepShape {
             ands: self.aig.num_ands(),
             conditioned,
-            mean_joining: per_and(a.joining.len()),
+            mean_joining: per_and(joining),
             mean_inner: per_and(a.inner.len()),
+            shapes: a.num_shapes(),
         }
     }
 
@@ -791,7 +1001,7 @@ impl SignalProbEstimator {
 
     /// Evaluates one AND node given the current per-node probabilities of
     /// everything the node *reads* (its fanins plus its conditioning cone;
-    /// see [`reader_map`](Self::reader_map)). This is the per-node kernel
+    /// see [`readers`](Self::readers)). This is the per-node kernel
     /// shared by [`full_estimate`](Self::full_estimate) and the incremental
     /// session.
     ///
@@ -927,7 +1137,7 @@ impl SignalProbEstimator {
         let mut scored = std::mem::take(&mut s.scored);
         scored.clear();
         for (j, &x) in cone.joining.iter().enumerate() {
-            let px = base[x.index()];
+            let px = s.cb[usize::from(x)];
             if px <= f64::EPSILON || px >= 1.0 - f64::EPSILON {
                 continue; // deterministic node carries no correlation
             }
@@ -996,7 +1206,7 @@ impl SignalProbEstimator {
         s: &mut Scratch2,
     ) -> (f64, f64) {
         let row = cone.desc_row(j);
-        let x = first_bit(row);
+        let x = usize::from(cone.joining[j]);
         s.tab[x] = 1.0;
         for (wi, &word0) in row.iter().enumerate() {
             let mut word = word0;
@@ -1061,7 +1271,7 @@ impl SignalProbEstimator {
                 *a |= r;
             }
             s.pins.push(Pin {
-                pos: first_bit(row) as u32,
+                pos: u32::from(cone.joining[j as usize]),
                 at: 0,
                 dep: 0,
             });
@@ -1201,9 +1411,8 @@ impl SignalProbEstimator {
         let mut sub: u64 = 0;
         let mut pin_pos = [usize::MAX; MAX_NESTED_VERS];
         for (j, p) in pin_pos.iter_mut().enumerate().take(wn) {
-            let row = ncone.desc_row(j)[0];
-            sub |= row;
-            *p = row.trailing_zeros() as usize;
+            sub |= ncone.desc_row(j)[0];
+            *p = usize::from(ncone.joining[j]);
         }
         let in_sub = |q: usize| (sub >> q) & 1 == 1;
         let local = |q: usize, lit: AigLit| (q as u32) << 2 | 2 | u32::from(lit.is_complement());
@@ -1220,8 +1429,7 @@ impl SignalProbEstimator {
             let q = bits.trailing_zeros() as usize;
             bits &= bits - 1;
             let m = ncone.inner[q];
-            let [qa, qb] =
-                ncone.fanin_ci[q].map(|f| usize::try_from(f).ok().filter(|&f| in_sub(f)));
+            let [qa, qb] = ncone.fanin_ci[q].map(|f| cone_pos(f).filter(|&f| in_sub(f)));
             let pin = pin_pos[..wn]
                 .iter()
                 .position(|&p| p == q)
@@ -1403,17 +1611,6 @@ fn slot_lit(tab: &[f64], l: u32) -> f64 {
     slot_value(tab[(l >> 1) as usize], l)
 }
 
-/// Position of the lowest set bit of a non-empty bitset — for a
-/// descendant row, the candidate itself (its descendants come later in
-/// topological order).
-fn first_bit(words: &[u64]) -> usize {
-    let wi = words
-        .iter()
-        .position(|&w| w != 0)
-        .expect("descendant rows hold their candidate");
-    (wi << 6) | words[wi].trailing_zeros() as usize
-}
-
 /// One selected pin of the enumeration: its cone position and the table
 /// of its pre-pin estimate (offset into [`Scratch2::tab`], dependency
 /// mask).
@@ -1492,12 +1689,13 @@ impl Scratch2 {
         cb.clear();
         cb.extend_from_slice(tab);
         tab.push(0.0);
-        let mut slot = |f: AigLit, ci: i32| -> u32 {
-            let sl = if ci >= 0 {
-                ci as u32
-            } else {
-                tab.push(base[f.node().index()]);
-                (tab.len() - 1) as u32
+        let mut slot = |f: AigLit, ci: u16| -> u32 {
+            let sl = match cone_pos(ci) {
+                Some(p) => p as u32,
+                None => {
+                    tab.push(base[f.node().index()]);
+                    (tab.len() - 1) as u32
+                }
             };
             sl << 1 | u32::from(f.is_complement())
         };
@@ -1510,7 +1708,11 @@ impl Scratch2 {
                 None => [(len as u32) << 1; 2],
             });
         }
-        let pos = |l: AigLit| cone.inner.binary_search(&l.node()).map_or(-1, |p| p as i32);
+        let pos = |l: AigLit| {
+            cone.inner
+                .binary_search(&l.node())
+                .map_or(NO_POS, |p| p as u16)
+        };
         let own = [slot(la, pos(la)), slot(lb, pos(lb))];
         off.clear();
         off.extend(0..tab.len() as u32);
@@ -1627,6 +1829,7 @@ mod tests {
             for k in 0..est.aig.len() {
                 let cone = est.arena.cone(k);
                 for (j, &x) in cone.joining.iter().enumerate() {
+                    let x = cone.inner[usize::from(x)];
                     let mut reached: Vec<bool> = cone.inner.iter().map(|&y| y == x).collect();
                     let mut changed = true;
                     while changed {
@@ -1662,19 +1865,236 @@ mod tests {
         let n = aig.len();
         let est = SignalProbEstimator::new(aig, &AnalyzerParams::default());
         let a = &est.arena;
-        assert_eq!(a.joining_off.len(), n + 1);
+        let t = &a.shapes;
+        let shapes = a.num_shapes() + 1;
         assert_eq!(a.inner_off.len(), n + 1);
-        assert_eq!(a.desc_off.len(), n + 1);
-        assert_eq!(a.fanin_ci.len(), a.inner.len());
-        assert_eq!(a.nested_ok.len(), a.inner.len());
-        let want = 2 * (n + 1) * 4
-            + (a.joining.len() + a.inner.len()) * 4
-            + a.fanin_ci.len() * 8
-            + a.nested_ok.len()
-            + (n + 1) * std::mem::size_of::<usize>()
-            + a.desc.len() * 8;
-        assert!(!a.desc.is_empty());
+        assert_eq!(a.shape.len(), n);
+        for off in [&t.joining_off, &t.pos_off, &t.desc_off] {
+            assert_eq!(off.len(), shapes + 1);
+        }
+        assert_eq!(t.nested_ok.len(), t.fanin_ci.len());
+        let want = (2 * n + 1) * 4
+            + a.inner.len() * 4
+            + 3 * (shapes + 1) * 4
+            + t.joining.len() * 2
+            + t.fanin_ci.len() * 4
+            + t.nested_ok.len()
+            + t.desc.len() * 8;
+        assert!(!t.desc.is_empty());
         assert_eq!(est.storage_bytes(), want);
+    }
+
+    #[test]
+    fn ranks_and_readers_bytes_appear_once_built() {
+        let est = SignalProbEstimator::new(
+            Aig::from_circuit(&protest_circuits::comp24()),
+            &AnalyzerParams::default(),
+        );
+        assert_eq!((est.ranks_bytes(), est.readers_bytes()), (None, None));
+        let ranks = est.ranks();
+        let words = ranks.of.len() + ranks.off.len() + ranks.dat.len() + ranks.cond_per_rank.len();
+        assert_eq!(est.ranks_bytes(), Some(4 * words));
+        let readers = est.readers();
+        let words = readers.off.len() + readers.dat.len();
+        assert_eq!(est.readers_bytes(), Some(4 * words));
+    }
+
+    /// One AND's cone as [`ConeBuilder`] produces it for that AND alone,
+    /// with joining points as node ids, `nested_ok` from the cones of its
+    /// nodes (built alone too) and descendant rows by a forward scan.
+    #[derive(Debug, PartialEq)]
+    struct AloneCone {
+        joining: Vec<AigNodeId>,
+        inner: Vec<AigNodeId>,
+        fanin_ci: Vec<[u16; 2]>,
+        nested_ok: Vec<bool>,
+        desc: Vec<u64>,
+    }
+
+    impl AloneCone {
+        /// Decodes node `k`'s cone from the interned arena.
+        fn decode(arena: &ConeArena, k: usize) -> Self {
+            let cone = arena.cone(k);
+            AloneCone {
+                joining: cone
+                    .joining
+                    .iter()
+                    .map(|&p| cone.inner[usize::from(p)])
+                    .collect(),
+                inner: cone.inner.to_vec(),
+                fanin_ci: cone.fanin_ci.to_vec(),
+                nested_ok: cone.nested_ok.to_vec(),
+                desc: cone.desc.to_vec(),
+            }
+        }
+
+        /// Builds node `k`'s cone alone.
+        fn build(b: &mut ConeBuilder, k: usize) -> Self {
+            let mut chunk = ConeChunk::default();
+            chunk.clear();
+            b.push(k, &mut chunk);
+            let joining: Vec<AigNodeId> = chunk
+                .joining
+                .iter()
+                .map(|&p| chunk.inner[usize::from(p)])
+                .collect();
+            let nested_ok = chunk
+                .inner
+                .iter()
+                .map(|x| {
+                    let mut own = ConeChunk::default();
+                    own.clear();
+                    b.push(x.index(), &mut own);
+                    !own.joining.is_empty() && own.inner.len() <= MAX_NESTED_CONE
+                })
+                .collect();
+            let len = chunk.inner.len();
+            let words = len.div_ceil(64);
+            let mut desc = Vec::new();
+            for &p in &chunk.joining {
+                let mut reached = vec![false; len];
+                reached[usize::from(p)] = true;
+                for ci in usize::from(p) + 1..len {
+                    reached[ci] = chunk.fanin_ci[ci]
+                        .iter()
+                        .any(|&f| f != NO_POS && reached[usize::from(f)]);
+                }
+                let mut row = vec![0u64; words];
+                for ci in (0..len).filter(|&ci| reached[ci]) {
+                    row[ci >> 6] |= 1 << (ci & 63);
+                }
+                desc.extend(row);
+            }
+            AloneCone {
+                joining,
+                inner: chunk.inner,
+                fanin_ci: chunk.fanin_ci,
+                nested_ok,
+                desc,
+            }
+        }
+    }
+
+    /// Checks every node's cone decoded from `arena` against the cone
+    /// built for that node alone; returns the conditioned ANDs.
+    fn assert_interning_loses_nothing(name: &str, aig: &Aig, arena: &ConeArena) -> usize {
+        let fanouts = aig.fanout_map();
+        let mut b = ConeBuilder::new(aig, &fanouts, AnalyzerParams::default().maxlist);
+        let mut conditioned = 0;
+        for k in 0..aig.len() {
+            let alone = AloneCone::build(&mut b, k);
+            assert_eq!(AloneCone::decode(arena, k), alone, "{name}: node {k}");
+            assert_eq!(arena.is_conditioned(k), !alone.joining.is_empty());
+            conditioned += usize::from(arena.is_conditioned(k));
+        }
+        conditioned
+    }
+
+    #[test]
+    fn interned_cones_equal_cones_built_alone() {
+        let maxlist = AnalyzerParams::default().maxlist;
+        for (name, aig) in paper_aigs() {
+            let arena = ConeArena::build(&aig, maxlist, &Exec::new(1), MIN_PAR_BUILD_ANDS);
+            assert!(assert_interning_loses_nothing(name, &aig, &arena) > 0);
+        }
+    }
+
+    #[test]
+    fn mesh_interned_through_blocks_shares_its_shapes() {
+        // Above the AND threshold, so 4 threads take the block path.
+        let build = |spec: &str| {
+            let aig = Aig::from_circuit(&protest_circuits::mesh_by_spec(spec).unwrap());
+            assert!(aig.num_ands() >= MIN_PAR_BUILD_ANDS, "{spec}");
+            let arena = ConeArena::build(&aig, 10, &Exec::new(4), MIN_PAR_BUILD_ANDS);
+            (aig, arena)
+        };
+        let (aig, arena) = build("multmesh:4x8x10");
+        let conditioned = assert_interning_loses_nothing("multmesh:4x8x10", &aig, &arena);
+        // A mesh's shapes follow its width, not its length: twice the
+        // length doubles the conditioned ANDs and adds no shape.
+        let (_, long) = build("multmesh:4x8x20");
+        let long_conditioned = (0..long.shape.len())
+            .filter(|&k| long.is_conditioned(k))
+            .count();
+        assert!(long_conditioned > 2 * conditioned - conditioned / 10);
+        assert_eq!(long.num_shapes(), arena.num_shapes(), "sharing lost");
+        assert!(
+            long.num_shapes() * 10 <= long_conditioned,
+            "{} shapes for {long_conditioned} conditioned ANDs: sharing lost",
+            long.num_shapes()
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+        #[test]
+        fn random_interned_cones_equal_cones_built_alone(seed in 0u64..3000) {
+            let c = protest_circuits::random_circuit(protest_circuits::RandomCircuitParams {
+                inputs: 8,
+                gates: 80,
+                outputs: 4,
+                seed,
+            });
+            let aig = Aig::from_circuit(&c);
+            let arena = ConeArena::build(&aig, 10, &Exec::new(2), 0);
+            assert_interning_loses_nothing("random", &aig, &arena);
+        }
+    }
+
+    #[test]
+    fn maxlist_16_builds_agree_across_threads() {
+        // The setting of the `maxlist_mult` ablation: mult_abcd has far
+        // fewer than 65,535 nodes, so its cones fit u16 positions.
+        let params = AnalyzerParams {
+            maxlist: 16,
+            ..AnalyzerParams::default()
+        };
+        let aig = Aig::from_circuit(&protest_circuits::mult_abcd());
+        let serial = ConeArena::build(&aig, 16, &Exec::new(1), 0);
+        assert!(serial == ConeArena::build(&aig, 16, &Exec::new(4), 0));
+        let est = |threads| {
+            let params = AnalyzerParams {
+                num_threads: threads,
+                ..params
+            };
+            SignalProbEstimator::new(aig.clone(), &params)
+        };
+        let probs: Vec<f64> = (0..aig.num_inputs())
+            .map(|i| ((i % 15) + 1) as f64 / 16.0)
+            .collect();
+        let (a, b) = (est(1).full_estimate(&probs), est(4).full_estimate(&probs));
+        assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds its u16 positions")]
+    fn oversized_cone_panics_by_name() {
+        // An AND tree and an OR tree over the same 2^15 inputs, joined by
+        // one AND: every input is one of its joining points, so at MAXLIST
+        // 16 its cone holds both trees and the inputs (~98k nodes).
+        let mut b = CircuitBuilder::new("wide");
+        let xs = b.input_bus("x", 1 << 15);
+        let mut tree = |or: bool| {
+            let mut layer = xs.clone();
+            while layer.len() > 1 {
+                layer = layer
+                    .chunks(2)
+                    .map(|p| {
+                        if or {
+                            b.or2(p[0], p[1])
+                        } else {
+                            b.and2(p[0], p[1])
+                        }
+                    })
+                    .collect();
+            }
+            layer[0]
+        };
+        let (t, u) = (tree(false), tree(true));
+        let z = b.and2(t, u);
+        b.output(z, "z");
+        let aig = Aig::from_circuit(&b.finish().unwrap());
+        ConeArena::build(&aig, 16, &Exec::new(1), usize::MAX);
     }
 
     #[test]
@@ -1685,6 +2105,7 @@ mod tests {
         );
         let shape = est.sweep_shape();
         assert_eq!((shape.conditioned, shape.ands), (72, 192));
+        assert_eq!(shape.shapes, 7);
         let (mut joining, mut inner) = (0, 0);
         for k in (0..est.aig.len()).filter(|&k| est.arena.is_conditioned(k)) {
             joining += est.arena.cone(k).joining.len();

@@ -411,6 +411,14 @@ fn load_circuit(path: &str) -> Result<Circuit, String> {
 fn cmd_stats(circuit: &Circuit, opts: &Options) -> Result<String, String> {
     let mut out = format!("{}\n", CircuitStats::of(circuit));
     let analyzer = analyzer_for(circuit, opts);
+    // The probe runs first so that the footprint below includes the
+    // estimator ranks and reader map its session builds.
+    let probe = if opts.probe {
+        probe_report(circuit, &analyzer)?
+    } else {
+        String::new()
+    };
+    let shape = analyzer.estimator_sweep_shape();
     let _ = writeln!(out, "memory footprint:");
     let _ = writeln!(
         out,
@@ -419,9 +427,17 @@ fn cmd_stats(circuit: &Circuit, opts: &Options) -> Result<String, String> {
     );
     let _ = writeln!(
         out,
-        "  estimator cones:    {} B (CSR cone arena)",
-        analyzer.estimator_storage_bytes()
+        "  estimator cones:    {} B (node ids per AND, {} shapes shared by {} conditioned ANDs)",
+        analyzer.estimator_storage_bytes(),
+        shape.shapes,
+        shape.conditioned
     );
+    if let Some(bytes) = analyzer.estimator_ranks_bytes() {
+        let _ = writeln!(out, "  estimator ranks:    {bytes} B (fanin-depth ranks)");
+    }
+    if let Some(bytes) = analyzer.estimator_readers_bytes() {
+        let _ = writeln!(out, "  estimator readers:  {bytes} B (read-dependency map)");
+    }
     let _ = writeln!(
         out,
         "  fault dependencies: {} B ({} collapsed faults, interval sets)",
@@ -435,52 +451,57 @@ fn cmd_stats(circuit: &Circuit, opts: &Options) -> Result<String, String> {
         analyzer.partition_class_count(),
         analyzer.partition_storage_bytes()
     );
-    let shape = analyzer.estimator_sweep_shape();
     let _ = writeln!(
         out,
         "estimator sweep: {} of {} ANDs conditioned, {:.1} joining candidates and {:.1} cone nodes per conditioned AND",
         shape.conditioned, shape.ands, shape.mean_joining, shape.mean_inner
     );
-    if opts.probe {
-        if circuit.num_inputs() == 0 {
-            return Err("--probe needs at least one primary input".to_string());
-        }
-        let probs = InputProbs::uniform(circuit.num_inputs());
-        let mut session = analyzer.session(&probs).map_err(|e| e.to_string())?;
-        session.fault_detect_probs();
-        let cold = session.stats();
-        session
-            .set_input_prob(0, 0.5 + 1.0 / 16.0)
-            .map_err(|e| e.to_string())?;
-        let window = session
-            .dirty_rank_range()
-            .map_or("empty".to_string(), |(lo, hi)| format!("ranks {lo}..={hi}"));
-        session.fault_detect_probs();
-        let warm = session.stats();
-        let _ = writeln!(out, "incremental probe (input 0: 0.5000 -> 0.5625):");
-        let _ = writeln!(out, "  dirty window:  {window}");
-        let _ = writeln!(
-            out,
-            "  forward:       {} of {} AND nodes re-evaluated",
-            warm.and_evals - cold.and_evals,
-            warm.and_nodes
-        );
-        let _ = writeln!(
-            out,
-            "  observability: {} levels swept, {} nodes re-evaluated, {} reused of {}",
-            warm.obs_level_evals - cold.obs_level_evals,
-            warm.obs_node_evals - cold.obs_node_evals,
-            warm.obs_node_reuses - cold.obs_node_reuses,
-            warm.circuit_nodes
-        );
-        let _ = writeln!(
-            out,
-            "  faults:        {} re-estimated, {} reused of {}",
-            warm.fault_evals - cold.fault_evals,
-            warm.fault_reuses - cold.fault_reuses,
-            analyzer.faults().len()
-        );
+    out.push_str(&probe);
+    Ok(out)
+}
+
+/// The `stats --probe` report: opens an incremental session, nudges input
+/// 0 and counts the work the session re-did and reused.
+fn probe_report(circuit: &Circuit, analyzer: &Analyzer<'_>) -> Result<String, String> {
+    if circuit.num_inputs() == 0 {
+        return Err("--probe needs at least one primary input".to_string());
     }
+    let mut out = String::new();
+    let probs = InputProbs::uniform(circuit.num_inputs());
+    let mut session = analyzer.session(&probs).map_err(|e| e.to_string())?;
+    session.fault_detect_probs();
+    let cold = session.stats();
+    session
+        .set_input_prob(0, 0.5 + 1.0 / 16.0)
+        .map_err(|e| e.to_string())?;
+    let window = session
+        .dirty_rank_range()
+        .map_or("empty".to_string(), |(lo, hi)| format!("ranks {lo}..={hi}"));
+    session.fault_detect_probs();
+    let warm = session.stats();
+    let _ = writeln!(out, "incremental probe (input 0: 0.5000 -> 0.5625):");
+    let _ = writeln!(out, "  dirty window:  {window}");
+    let _ = writeln!(
+        out,
+        "  forward:       {} of {} AND nodes re-evaluated",
+        warm.and_evals - cold.and_evals,
+        warm.and_nodes
+    );
+    let _ = writeln!(
+        out,
+        "  observability: {} levels swept, {} nodes re-evaluated, {} reused of {}",
+        warm.obs_level_evals - cold.obs_level_evals,
+        warm.obs_node_evals - cold.obs_node_evals,
+        warm.obs_node_reuses - cold.obs_node_reuses,
+        warm.circuit_nodes
+    );
+    let _ = writeln!(
+        out,
+        "  faults:        {} re-estimated, {} reused of {}",
+        warm.fault_evals - cold.fault_evals,
+        warm.fault_reuses - cold.fault_reuses,
+        analyzer.faults().len()
+    );
     Ok(out)
 }
 
@@ -906,6 +927,15 @@ mod tests {
             out.contains("estimator sweep: 72 of 192 ANDs conditioned"),
             "{out}"
         );
+        assert!(
+            out.contains("7 shapes shared by 72 conditioned ANDs)"),
+            "{out}"
+        );
+        // Ranks and the reader map are built by the probe's session only.
+        assert!(!out.contains("estimator ranks:"), "{out}");
+        let probed = run(&args(&["stats", "comp24", "--probe"])).unwrap();
+        assert!(probed.contains("  estimator ranks:    "), "{probed}");
+        assert!(probed.contains("  estimator readers:  "), "{probed}");
         let out = run(&args(&["analyze", p, "--testlen", "1.0,0.95"])).unwrap();
         assert!(out.contains("required random test lengths"), "{out}");
     }
