@@ -1,6 +1,5 @@
 //! Robustness benchmark for the `protest serve` daemon: what does
-//! cooperative cancellation buy under a deadline-heavy mix, and how fast
-//! does the supervisor bring a crashed circuit host back?
+//! cooperative cancellation buy under a deadline-heavy mix?
 //!
 //! Writes `BENCH_robustness.json` (path overridable as the first CLI
 //! argument). `--smoke` shrinks every workload to a CI-sized run.
@@ -9,21 +8,16 @@
 //! cargo run --release -p protest-bench --bin bench_chaos [-- [--smoke] [PATH]]
 //! ```
 //!
-//! Two experiments, each against a fresh in-process daemon:
-//!
-//! * **deadline mix** — every client interleaves one doomed `optimize`
-//!   (a hill climb whose objective evaluations are slowed by the
-//!   `core.detect.delay` failpoint, so it always blows the 150 ms
-//!   request deadline) with a burst of fast `analyze` queries. Run
-//!   twice: with `cancel_on_timeout` the deadline *stops* the climb at
-//!   its next poll point and frees the worker; without it the abandoned
-//!   climb keeps burning a worker long after its client got the timeout
-//!   reply, so the fast queries queue behind zombie work. The gap in
-//!   fast-query latency and ok-rate is the payoff of cancellation.
-//! * **recovery** — the `serve.host.exit` failpoint kills a circuit
-//!   host mid-job (the client gets an immediate typed `internal`); the
-//!   benchmark measures how long after that crash report the
-//!   supervisor's respawned host answers the next query.
+//! **Deadline mix**: every client interleaves one doomed `optimize` (a
+//! hill climb whose objective evaluations are slowed by the
+//! `core.detect.delay` failpoint, so it always blows the 150 ms request
+//! deadline) with a burst of fast `analyze` queries. It runs twice, each
+//! against a fresh in-process daemon: with `cancel_on_timeout` the
+//! deadline *stops* the climb at its next poll point and frees the
+//! worker; without it the abandoned climb keeps burning a worker long
+//! after its client got the timeout reply, so the fast queries queue
+//! behind zombie work. The gap in fast-query latency and ok-rate is the
+//! payoff of cancellation.
 //!
 //! Fault injection doubles as a clock here: the failpoint delay makes
 //! the slow/fast split deterministic instead of machine-dependent.
@@ -60,12 +54,6 @@ struct MixResult {
     slow_timeouts: u64,
     cancelled_work: u64,
     timeouts: u64,
-}
-
-struct RecoveryResult {
-    trigger_wait_ms: u64,
-    recovery_ms: u64,
-    host_restarts: u64,
 }
 
 fn quantile(sorted_us: &[u64], q: f64) -> u64 {
@@ -235,58 +223,7 @@ fn run_mix(
     }
 }
 
-/// Kill a circuit host mid-job and time the supervisor's recovery.
-fn run_recovery() -> RecoveryResult {
-    failpoints::reset();
-    let handle = serve(ServeConfig {
-        request_timeout: Duration::from_millis(500),
-        ..ServeConfig::default()
-    })
-    .expect("start daemon");
-    let (mut w, mut r) = connect(&handle);
-    expect_ok(&mut w, &mut r, r#"{"op":"submit","builtin":"c17"}"#);
-    const ANALYZE: &str = r#"{"op":"analyze","circuit":"builtin:c17","prob":0.5}"#;
-    expect_ok(&mut w, &mut r, ANALYZE);
-
-    // The next dispatched job takes the whole host down with it; the
-    // dropped reply channel surfaces as an immediate typed `internal`.
-    failpoints::configure("serve.host.exit=once");
-    let (wait, reply) = roundtrip(&mut w, &mut r, ANALYZE);
-    assert_eq!(
-        error_kind(&reply).as_deref(),
-        Some("internal"),
-        "the crash-triggering request must surface as a typed internal error"
-    );
-    failpoints::reset();
-
-    // From the client's point of view the outage ends at the first
-    // successful reply after the crash report.
-    let t0 = Instant::now();
-    let give_up = t0 + Duration::from_secs(10);
-    loop {
-        let (_, reply) = roundtrip(&mut w, &mut r, ANALYZE);
-        if error_kind(&reply).is_none() {
-            break;
-        }
-        assert!(Instant::now() < give_up, "host never recovered: {reply:?}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let recovery = t0.elapsed();
-
-    let metrics = handle.metrics();
-    let host_restarts = metrics
-        .host_restarts
-        .load(std::sync::atomic::Ordering::Relaxed);
-    handle.shutdown();
-    assert!(host_restarts >= 1, "supervisor never logged a restart");
-    RecoveryResult {
-        trigger_wait_ms: wait.as_millis() as u64,
-        recovery_ms: recovery.as_millis() as u64,
-        host_restarts,
-    }
-}
-
-fn json(mixes: &[MixResult], rec: &RecoveryResult, smoke: bool) -> String {
+fn json(mixes: &[MixResult], smoke: bool) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"robustness\",\n");
@@ -297,9 +234,6 @@ fn json(mixes: &[MixResult], rec: &RecoveryResult, smoke: bool) -> String {
          failpoint, always past the 150ms deadline) with four fast analyzes; with \
          cancel_on_timeout the deadline stops the climb and frees the worker, without it the \
          zombie climb starves the fast queries (compare fast_p99_us / fast_ok / fast_timeouts). \
-         recovery: serve.host.exit kills a circuit host mid-job (immediate typed internal \
-         reply); recovery_ms is the time from that crash report to the first successful reply \
-         from the supervisor's respawned host. \
          1-core container: replies_per_sec measures interleaving, the on/off contrast is the \
          result.\",\n",
     );
@@ -330,13 +264,7 @@ fn json(mixes: &[MixResult], rec: &RecoveryResult, smoke: bool) -> String {
             if i + 1 == mixes.len() { "" } else { "," },
         );
     }
-    out.push_str("  ],\n");
-    let _ = writeln!(
-        out,
-        "  \"recovery\": {{\"trigger_wait_ms\": {}, \"recovery_ms\": {}, \"host_restarts\": {}}}",
-        rec.trigger_wait_ms, rec.recovery_ms, rec.host_restarts
-    );
-    out.push_str("}\n");
+    out.push_str("  ]\n}\n");
     out
 }
 
@@ -351,7 +279,7 @@ fn main() {
         }
     }
     banner(
-        "serve robustness: cancellation payoff and crash recovery",
+        "serve robustness: cancellation payoff under deadlines",
         "fault injection via PROTEST_FAILPOINTS-style sites",
     );
 
@@ -359,7 +287,6 @@ fn main() {
 
     let with_cancel = run_mix("cancel_on_timeout", true, clients, rounds);
     let without = run_mix("no_cancel", false, clients, rounds);
-    let recovery = run_recovery();
 
     for m in [&with_cancel, &without] {
         println!(
@@ -376,10 +303,6 @@ fn main() {
             m.cancelled_work,
         );
     }
-    println!(
-        "recovery          crash reported after {}ms, recovered {}ms later ({} restart[s])",
-        recovery.trigger_wait_ms, recovery.recovery_ms, recovery.host_restarts
-    );
 
     // The contract, not the performance: cancellation must actually stop
     // work when on, and must never fire when off.
@@ -392,7 +315,6 @@ fn main() {
         "no_cancel run must not cancel anything"
     );
 
-    std::fs::write(&path, json(&[with_cancel, without], &recovery, smoke))
-        .expect("write benchmark JSON");
+    std::fs::write(&path, json(&[with_cancel, without], smoke)).expect("write benchmark JSON");
     println!("wrote {path}");
 }

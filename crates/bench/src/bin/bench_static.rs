@@ -66,7 +66,7 @@ struct CircuitRow {
 
 /// Times the per-fault loop alone: a fresh session per rep, with signal
 /// probabilities and observabilities forced before the clock starts.
-fn min_fault_loop_ms(analyzer: &Analyzer<'_>, probs: &InputProbs) -> f64 {
+fn min_fault_loop_ms(analyzer: &Analyzer, probs: &InputProbs) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..REPS {
         let mut session = analyzer.session(probs).expect("session");
@@ -78,7 +78,7 @@ fn min_fault_loop_ms(analyzer: &Analyzer<'_>, probs: &InputProbs) -> f64 {
     best
 }
 
-fn min_run_ms(analyzer: &Analyzer<'_>, probs: &InputProbs) -> f64 {
+fn min_run_ms(analyzer: &Analyzer, probs: &InputProbs) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..REPS {
         let start = Instant::now();

@@ -44,7 +44,7 @@ fn median_ms(samples: &mut [f64]) -> f64 {
 }
 
 /// One full single-thread analysis, returning its wall-clock in ms.
-fn run_once(analyzer: &Analyzer<'_>, probs: &InputProbs) -> f64 {
+fn run_once(analyzer: &Analyzer, probs: &InputProbs) -> f64 {
     let t = Instant::now();
     std::hint::black_box(analyzer.run(probs).expect("analysis succeeds"));
     t.elapsed().as_secs_f64() * 1e3

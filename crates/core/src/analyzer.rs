@@ -31,9 +31,20 @@ pub struct FaultEstimate {
 /// The PROTEST analyzer: builds all probability-independent structure once
 /// (AIG, joining points, fault universe), then evaluates any input
 /// probability vector cheaply — which is exactly what the optimizer needs.
+///
+/// An `Analyzer` owns its circuit and is a cheap [`Clone`] handle: clones
+/// share one circuit and one set of lazily built structures (estimator,
+/// observability engine, fault dependencies), so sessions, pools and
+/// services hold a handle instead of a borrow.
+#[derive(Debug, Clone)]
+pub struct Analyzer {
+    inner: Arc<Shared>,
+}
+
+/// The state every clone of one [`Analyzer`] shares.
 #[derive(Debug)]
-pub struct Analyzer<'c> {
-    circuit: &'c Circuit,
+struct Shared {
+    circuit: Arc<Circuit>,
     params: AnalyzerParams,
     /// Monolithic-AIG estimator, built on first use (sessions force it;
     /// partitioned one-shot runs never do).
@@ -50,10 +61,10 @@ pub struct Analyzer<'c> {
     exec: Exec,
     /// The reverse-sweep structure (levelization, fanouts, wavefront
     /// bounds), built on the first session and shared by all of them.
-    obs_engine: OnceLock<Arc<ObservabilityEngine<'c>>>,
+    obs_engine: OnceLock<ObservabilityEngine>,
     /// Fault→dependent-nodes interval sets for the sessions' incremental
     /// fault query cache, built on first use and shared by every session.
-    fault_deps: OnceLock<Arc<crate::detect::FaultDeps>>,
+    fault_deps: OnceLock<crate::detect::FaultDeps>,
     /// For each AIG node, the circuit nodes carrying its probability
     /// (inverse of `Aig::lit_of`, constants excluded) — translates the
     /// sessions' AIG-level dirty regions into circuit-level node sets.
@@ -64,10 +75,11 @@ pub struct Analyzer<'c> {
     partitioning: OnceLock<Option<crate::partition::Partitioning>>,
 }
 
-impl<'c> Analyzer<'c> {
+impl Analyzer {
     /// Creates an analyzer with default parameters over the collapsed fault
-    /// universe.
-    pub fn new(circuit: &'c Circuit) -> Self {
+    /// universe. Takes the circuit by value, as an `Arc`, or by reference
+    /// (cloned once).
+    pub fn new(circuit: impl Into<Arc<Circuit>>) -> Self {
         Self::with_params(circuit, AnalyzerParams::default())
     }
 
@@ -80,16 +92,17 @@ impl<'c> Analyzer<'c> {
     /// a dominance class mixes faults with *different* test sets, so only
     /// equivalence classes — where one proof covers every member — may be
     /// dropped wholesale.
-    pub fn with_params(circuit: &'c Circuit, params: AnalyzerParams) -> Self {
-        let universe = FaultUniverse::all(circuit);
+    pub fn with_params(circuit: impl Into<Arc<Circuit>>, params: AnalyzerParams) -> Self {
+        let circuit = circuit.into();
+        let universe = FaultUniverse::all(&circuit);
         let uncollapsed = universe.len();
-        let mut collapsed = collapse_universe(circuit, &universe);
+        let mut collapsed = collapse_universe(&circuit, &universe);
         let mut pruned_classes = 0;
         let mut pruned_faults = 0;
         if params.prune_redundant {
             let probs = vec![0.5; circuit.num_inputs()];
             let (verdicts, _) = crate::staticanalysis::redundancy::prove_classes(
-                circuit,
+                &circuit,
                 &collapsed,
                 &probs,
                 params.redundancy_budget,
@@ -109,11 +122,11 @@ impl<'c> Analyzer<'c> {
             }
         }
         if params.collapse == FaultCollapse::Dominance {
-            collapsed = dominance_collapse(circuit, &collapsed);
+            collapsed = dominance_collapse(&circuit, &collapsed);
         }
         let class_sizes = collapsed.classes().iter().map(|c| c.len() as u32).collect();
         let exec = Exec::new(params.num_threads);
-        Analyzer {
+        let inner = Arc::new(Shared {
             circuit,
             params,
             estimator: OnceLock::new(),
@@ -127,51 +140,52 @@ impl<'c> Analyzer<'c> {
             fault_deps: OnceLock::new(),
             circ_of_aig: OnceLock::new(),
             partitioning: OnceLock::new(),
-        }
+        });
+        Analyzer { inner }
     }
 
     /// The resolved thread count this analyzer's parallel passes run on
     /// (1 = everything serial).
     pub fn num_threads(&self) -> usize {
-        self.exec.threads()
+        self.inner.exec.threads()
     }
 
     /// The circuit under analysis.
-    pub fn circuit(&self) -> &'c Circuit {
-        self.circuit
+    pub fn circuit(&self) -> &Circuit {
+        &self.inner.circuit
     }
 
     /// The analysis parameters.
     pub fn params(&self) -> &AnalyzerParams {
-        &self.params
+        &self.inner.params
     }
 
     /// The collapsed fault list the analyzer estimates (representatives).
     pub fn faults(&self) -> &[Fault] {
-        &self.faults
+        &self.inner.faults
     }
 
     /// Expanded member count of each analyzed class, aligned with
     /// [`faults`](Self::faults) — the weights for class-expanded test
     /// lengths.
     pub fn class_sizes(&self) -> &[u32] {
-        &self.class_sizes
+        &self.inner.class_sizes
     }
 
     /// Size of the uncollapsed fault universe.
     pub fn uncollapsed_fault_count(&self) -> usize {
-        self.uncollapsed
+        self.inner.uncollapsed
     }
 
     /// Fault classes dropped by the redundancy prover (0 unless
     /// [`AnalyzerParams::prune_redundant`] was set).
     pub fn pruned_class_count(&self) -> usize {
-        self.pruned_classes
+        self.inner.pruned_classes
     }
 
     /// Expanded faults inside the pruned classes.
     pub fn pruned_fault_count(&self) -> usize {
-        self.pruned_faults
+        self.inner.pruned_faults
     }
 
     /// Opens an incremental [`AnalysisSession`] at the given input
@@ -183,7 +197,7 @@ impl<'c> Analyzer<'c> {
     ///
     /// Returns [`CoreError::ProbsLength`] if `probs` does not match the
     /// circuit's input count.
-    pub fn session(&self, probs: &InputProbs) -> Result<AnalysisSession<'_, 'c>, CoreError> {
+    pub fn session(&self, probs: &InputProbs) -> Result<AnalysisSession, CoreError> {
         AnalysisSession::new(self, probs, CancelToken::never())
     }
 
@@ -201,7 +215,7 @@ impl<'c> Analyzer<'c> {
         &self,
         probs: &InputProbs,
         cancel: CancelToken,
-    ) -> Result<AnalysisSession<'_, 'c>, CoreError> {
+    ) -> Result<AnalysisSession, CoreError> {
         AnalysisSession::new(self, probs, cancel)
     }
 
@@ -256,8 +270,9 @@ impl<'c> Analyzer<'c> {
 
     /// The cached partitioning, built on first use (crate-internal).
     pub(crate) fn partitioning(&self) -> Option<&crate::partition::Partitioning> {
-        self.partitioning
-            .get_or_init(|| crate::partition::plan(self.circuit, &self.params))
+        self.inner
+            .partitioning
+            .get_or_init(|| crate::partition::plan(self.circuit(), self.params()))
             .as_ref()
     }
 
@@ -266,29 +281,31 @@ impl<'c> Analyzer<'c> {
     /// partitioned one-shot path analyzes per-component estimators instead
     /// and never pays for the monolithic one.
     pub(crate) fn estimator(&self) -> &SignalProbEstimator {
-        self.estimator
-            .get_or_init(|| SignalProbEstimator::new(Aig::from_circuit(self.circuit), &self.params))
+        self.inner.estimator.get_or_init(|| {
+            SignalProbEstimator::new(Aig::from_circuit(self.circuit()), self.params())
+        })
     }
 
     /// The execution context parallel passes run on (crate-internal).
     pub(crate) fn exec(&self) -> &Exec {
-        &self.exec
+        &self.inner.exec
     }
 
     /// The shared observability engine (crate-internal), built when the
     /// first session over this analyzer opens — every session and clone
     /// reuses one levelization and fanout map.
-    pub(crate) fn obs_engine(&self) -> &Arc<ObservabilityEngine<'c>> {
-        self.obs_engine
-            .get_or_init(|| Arc::new(ObservabilityEngine::new(self.circuit, &self.params)))
+    pub(crate) fn obs_engine(&self) -> &ObservabilityEngine {
+        self.inner.obs_engine.get_or_init(|| {
+            ObservabilityEngine::new(Arc::clone(&self.inner.circuit), self.params())
+        })
     }
 
     /// The shared fault→dependent-nodes map (crate-internal), built on the
     /// first incremental fault refresh of any session over this analyzer.
-    pub(crate) fn fault_deps(&self) -> Arc<crate::detect::FaultDeps> {
-        self.fault_deps
-            .get_or_init(|| Arc::new(crate::detect::build_fault_deps(self)))
-            .clone()
+    pub(crate) fn fault_deps(&self) -> &crate::detect::FaultDeps {
+        self.inner
+            .fault_deps
+            .get_or_init(|| crate::detect::build_fault_deps(self))
     }
 
     /// Heap bytes of the fault→dependency interval store (forces its
@@ -309,7 +326,8 @@ impl<'c> Analyzer<'c> {
     /// `None` until a session or parallel pass has built them — a
     /// memory-footprint counter for `stats` reports.
     pub fn estimator_ranks_bytes(&self) -> Option<usize> {
-        self.estimator
+        self.inner
+            .estimator
             .get()
             .and_then(SignalProbEstimator::ranks_bytes)
     }
@@ -318,7 +336,8 @@ impl<'c> Analyzer<'c> {
     /// `None` until a session has built it — a memory-footprint counter
     /// for `stats` reports.
     pub fn estimator_readers_bytes(&self) -> Option<usize> {
-        self.estimator
+        self.inner
+            .estimator
             .get()
             .and_then(SignalProbEstimator::readers_bytes)
     }
@@ -333,11 +352,11 @@ impl<'c> Analyzer<'c> {
     /// The AIG→circuit probability-carrier map (crate-internal), shared by
     /// every incremental query consumer.
     pub(crate) fn circ_of_aig(&self) -> &CircOfAig {
-        self.circ_of_aig.get_or_init(|| {
+        self.inner.circ_of_aig.get_or_init(|| {
             let aig = self.estimator().aig();
             let n = aig.len();
             let mut off = vec![0u32; n + 1];
-            for c in 0..self.circuit.num_nodes() {
+            for c in 0..self.circuit().num_nodes() {
                 let lit = aig.lit_of(NodeId::from_index(c));
                 if !lit.is_const() {
                     off[lit.node().index() + 1] += 1;
@@ -348,7 +367,7 @@ impl<'c> Analyzer<'c> {
             }
             let mut dat = vec![0u32; off[n] as usize];
             let mut cursor = off.clone();
-            for c in 0..self.circuit.num_nodes() {
+            for c in 0..self.circuit().num_nodes() {
                 let lit = aig.lit_of(NodeId::from_index(c));
                 if !lit.is_const() {
                     let a = lit.node().index();
@@ -504,6 +523,31 @@ mod tests {
         // c17 is highly random-testable: a short test suffices.
         let tl = analysis.required_test_length(1.0, 0.98).unwrap();
         assert!(tl.patterns < 200, "N = {}", tl.patterns);
+    }
+
+    #[test]
+    fn analyzer_is_the_one_owner_of_its_circuit() {
+        fn shareable<T: Clone + Send + Sync + 'static>() {}
+        shareable::<Analyzer>();
+
+        let circuit = Arc::new(c17());
+        let weak = Arc::downgrade(&circuit);
+        let analyzer = Analyzer::new(circuit);
+        let probs = InputProbs::uniform(5);
+        let want = analyzer.run(&probs).unwrap().detection_probabilities();
+        let mut session = analyzer.session(&probs).unwrap();
+        // The caller's last handle goes; the session keeps the circuit.
+        drop(analyzer);
+        assert!(weak.upgrade().is_some());
+        let got: Vec<u64> = session
+            .fault_detect_probs()
+            .iter()
+            .map(|p| p.to_bits())
+            .collect();
+        assert_eq!(got, want.iter().map(|p| p.to_bits()).collect::<Vec<_>>());
+        assert_eq!(session.circuit().num_inputs(), 5);
+        drop(session);
+        assert!(weak.upgrade().is_none(), "nothing else holds the circuit");
     }
 
     #[test]

@@ -348,7 +348,7 @@ fn coalesce_cap(
     }
 }
 
-pub(crate) fn build_fault_deps(analyzer: &Analyzer<'_>) -> FaultDeps {
+pub(crate) fn build_fault_deps(analyzer: &Analyzer) -> FaultDeps {
     let circuit = analyzer.circuit();
     let engine = analyzer.obs_engine();
     let fanouts = engine.fanouts();

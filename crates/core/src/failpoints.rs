@@ -20,7 +20,7 @@
 //! * `once` — fire on the first hit only
 //!
 //! "Firing" means [`hit`] returns `true`; the call site decides what
-//! the injected fault is (a panic, a simulated crash, an early return).
+//! the injected fault is (a panic, an early return).
 //! Delay actions sleep inside [`hit`] and return `false`, so a delay
 //! can be attached to any site without the site knowing. Unparseable
 //! entries are ignored.
@@ -33,7 +33,6 @@
 //! | `core.detect.delay`   | delay per fault-estimation block (delay-only)|
 //! | `serve.worker.panic`  | worker panics mid-job (exercises `catch_unwind`) |
 //! | `serve.worker.delay`  | delay per dispatched job (delay-only)       |
-//! | `serve.host.exit`     | circuit host thread dies (exercises the supervisor) |
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};

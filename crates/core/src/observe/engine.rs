@@ -8,6 +8,7 @@
 
 use protest_netlist::analyze::Fanouts;
 use protest_netlist::{Circuit, Levels, NodeId};
+use std::sync::Arc;
 
 use crate::cancel::CancelToken;
 use crate::error::CoreError;
@@ -55,8 +56,8 @@ pub(crate) struct NodeEvalScratch {
 /// the first pass an [`crate::AnalysisSession`] keeps the result alive and
 /// re-sweeps only the dirty reverse region (see `super::incremental`).
 #[derive(Debug)]
-pub struct ObservabilityEngine<'c> {
-    pub(super) circuit: &'c Circuit,
+pub struct ObservabilityEngine {
+    pub(super) circuit: Arc<Circuit>,
     pub(super) levels: Levels,
     pub(super) fanouts: Fanouts,
     pub(super) params: AnalyzerParams,
@@ -66,10 +67,12 @@ pub struct ObservabilityEngine<'c> {
     pub(super) level_bounds: Vec<(u32, u32)>,
 }
 
-impl<'c> ObservabilityEngine<'c> {
-    /// Builds the engine (levelization + fanout map) for a circuit.
-    pub fn new(circuit: &'c Circuit, params: &AnalyzerParams) -> Self {
-        let levels = Levels::new(circuit);
+impl ObservabilityEngine {
+    /// Builds the engine (levelization + fanout map) for a circuit, which
+    /// it shares (a `&Circuit` argument is cloned once).
+    pub fn new(circuit: impl Into<Arc<Circuit>>, params: &AnalyzerParams) -> Self {
+        let circuit = circuit.into();
+        let levels = Levels::new(&circuit);
         let order = levels.order();
         let mut level_bounds = Vec::new();
         let mut start = 0usize;
@@ -83,9 +86,9 @@ impl<'c> ObservabilityEngine<'c> {
             start = end;
         }
         ObservabilityEngine {
+            fanouts: Fanouts::new(&circuit),
             circuit,
             levels,
-            fanouts: Fanouts::new(circuit),
             params: *params,
             level_bounds,
         }
@@ -310,7 +313,7 @@ impl<'c> ObservabilityEngine<'c> {
         pins_out: &mut Vec<f64>,
         adjust: Option<StemAdjust>,
     ) -> f64 {
-        let circuit = self.circuit;
+        let circuit = &*self.circuit;
         scratch.branches.clear();
         scratch.branches.extend(
             self.fanouts

@@ -128,7 +128,7 @@ pub(crate) struct ObsDelta {
 
 impl ObsDelta {
     /// Empty sweep state shaped for `engine`'s circuit.
-    pub(crate) fn new(engine: &ObservabilityEngine<'_>) -> Self {
+    pub(crate) fn new(engine: &ObservabilityEngine) -> Self {
         ObsDelta {
             front: LevelFront::new(
                 engine.circuit.num_nodes(),
@@ -150,7 +150,7 @@ impl ObsDelta {
     /// its own evaluation never reads its own probability; if its stem
     /// must change, the sweep reaches it through a consumer's changed pin
     /// row.)
-    pub(crate) fn seed_readers(&mut self, engine: &ObservabilityEngine<'_>, changed: NodeId) {
+    pub(crate) fn seed_readers(&mut self, engine: &ObservabilityEngine, changed: NodeId) {
         for &(gate, _pin) in engine.fanouts.of(changed) {
             self.front
                 .push(engine.levels.level(gate), gate.index() as u32);
@@ -158,7 +158,7 @@ impl ObsDelta {
     }
 }
 
-impl ObservabilityEngine<'_> {
+impl ObservabilityEngine {
     /// Re-sweeps the dirty reverse region seeded via
     /// [`ObsDelta::seed_readers`], updating `obs` in place. Wavefronts wide
     /// enough to beat queueing overhead fan out on the executor exactly

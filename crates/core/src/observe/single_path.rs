@@ -24,6 +24,7 @@
 
 use protest_netlist::analyze::Fanouts;
 use protest_netlist::{Circuit, GateKind, NodeId};
+use std::sync::Arc;
 
 /// Configuration for the path enumerator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,18 +46,20 @@ impl Default for SinglePathParams {
 
 /// Estimator for single-path sensitization probabilities.
 #[derive(Debug)]
-pub struct SinglePathEstimator<'c> {
-    circuit: &'c Circuit,
+pub struct SinglePathEstimator {
+    circuit: Arc<Circuit>,
     fanouts: Fanouts,
     params: SinglePathParams,
 }
 
-impl<'c> SinglePathEstimator<'c> {
-    /// Creates an estimator over a circuit.
-    pub fn new(circuit: &'c Circuit, params: SinglePathParams) -> Self {
+impl SinglePathEstimator {
+    /// Creates an estimator over a circuit, which it shares (a `&Circuit`
+    /// argument is cloned once).
+    pub fn new(circuit: impl Into<Arc<Circuit>>, params: SinglePathParams) -> Self {
+        let circuit = circuit.into();
         SinglePathEstimator {
+            fanouts: Fanouts::new(&circuit),
             circuit,
-            fanouts: Fanouts::new(circuit),
             params,
         }
     }
@@ -106,7 +109,7 @@ impl<'c> SinglePathEstimator<'c> {
             return;
         }
         for &(gate, pin) in self.fanouts.of(node) {
-            let sens = side_input_sensitization(self.circuit, gate, pin as usize, node_probs);
+            let sens = side_input_sensitization(&self.circuit, gate, pin as usize, node_probs);
             if sens <= 0.0 {
                 continue;
             }

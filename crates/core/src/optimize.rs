@@ -111,23 +111,23 @@ impl MultiDistributionResult {
 /// # }
 /// ```
 #[derive(Debug)]
-pub struct HillClimber<'a, 'c> {
-    analyzer: &'a Analyzer<'c>,
+pub struct HillClimber {
+    analyzer: Analyzer,
     params: OptimizeParams,
     cancel: CancelToken,
 }
 
-impl<'a, 'c> HillClimber<'a, 'c> {
+impl HillClimber {
     /// Creates a climber for an analyzer.
     ///
     /// # Panics
     ///
     /// Panics if `params.grid < 2` or `params.n_target == 0`.
-    pub fn new(analyzer: &'a Analyzer<'c>, params: OptimizeParams) -> Self {
+    pub fn new(analyzer: &Analyzer, params: OptimizeParams) -> Self {
         assert!(params.grid >= 2, "grid must have at least two cells");
         assert!(params.n_target > 0, "objective needs N ≥ 1");
         HillClimber {
-            analyzer,
+            analyzer: analyzer.clone(),
             params,
             cancel: CancelToken::never(),
         }
@@ -311,7 +311,7 @@ impl<'a, 'c> HillClimber<'a, 'c> {
     /// trajectory — every accepted move, every count — is unchanged).
     fn climb(
         &self,
-        session: &mut AnalysisSession<'_, '_>,
+        session: &mut AnalysisSession,
         start: Vec<u32>,
         mask: Option<&[bool]>,
     ) -> Result<OptimizationResult, CoreError> {
@@ -331,7 +331,7 @@ impl<'a, 'c> HillClimber<'a, 'c> {
         // Trial-move workers, cloned lazily on the first parallel trial.
         // `worker_base` snapshots the driving session's counters at clone
         // time so each worker's *net* work can be folded into the result.
-        let mut workers: Vec<(AnalysisSession<'_, '_>, Vec<f64>)> = Vec::new();
+        let mut workers: Vec<(AnalysisSession, Vec<f64>)> = Vec::new();
         let mut worker_base = SessionStats::default();
         let mut rng = StdRng::seed_from_u64(self.params.seed);
         let mut order: Vec<usize> = (0..inputs).collect();
@@ -356,7 +356,7 @@ impl<'a, 'c> HillClimber<'a, 'c> {
                     }
                     let base = session.input_probs().to_vec();
                     let (w0, w1) = workers.split_at_mut(1);
-                    let eval = |worker: &mut (AnalysisSession<'_, '_>, Vec<f64>),
+                    let eval = |worker: &mut (AnalysisSession, Vec<f64>),
                                 cand: u32|
                      -> Result<f64, CoreError> {
                         let (worker_session, ps) = worker;
@@ -460,7 +460,7 @@ impl<'a, 'c> HillClimber<'a, 'c> {
     /// instead of poisoning the sum.
     fn objective_value(
         &self,
-        session: &mut AnalysisSession<'_, '_>,
+        session: &mut AnalysisSession,
         mask: Option<&[bool]>,
         ps_buf: &mut Vec<f64>,
     ) -> Result<f64, CoreError> {

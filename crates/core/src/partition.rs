@@ -48,6 +48,8 @@
 //! monolithic: their dirty-cone propagation already touches only the
 //! affected component.
 
+use std::sync::Arc;
+
 use protest_netlist::{Circuit, CircuitBuilder, GateKind, NodeId};
 
 use crate::aig::Aig;
@@ -66,7 +68,7 @@ pub(crate) struct Part {
     /// The component as a self-contained circuit (order-preserving
     /// extraction: sub node `i` is the component's `i`-th node in global
     /// storage order).
-    sub: Circuit,
+    sub: Arc<Circuit>,
     /// Sub node index → global node index, ascending.
     nodes: Vec<u32>,
     /// Sub input position → global input position, ascending.
@@ -278,7 +280,11 @@ pub(crate) fn plan(circuit: &Circuit, params: &AnalyzerParams) -> Option<Partiti
         // A validation failure here means the component is not a standalone
         // circuit after all — fall back to the monolithic path.
         let sub = builder.finish().ok()?;
-        parts.push(Part { sub, nodes, inputs });
+        parts.push(Part {
+            sub: Arc::new(sub),
+            nodes,
+            inputs,
+        });
     }
     let (classes, reps) = structure_classes(&parts);
     Some(Partitioning {
@@ -292,9 +298,9 @@ pub(crate) fn plan(circuit: &Circuit, params: &AnalyzerParams) -> Option<Partiti
 /// built once from the class representative's sub-circuit and shared by
 /// every partition of the class (identical structure → bit-identical
 /// per-node computations, whichever copy they run against).
-struct ClassKit<'p> {
+struct ClassKit {
     est: SignalProbEstimator,
-    engine: ObservabilityEngine<'p>,
+    engine: ObservabilityEngine,
 }
 
 /// Runs the full one-shot analysis through the partitioned path: every
@@ -312,7 +318,7 @@ struct ClassKit<'p> {
 /// estimation passes; a fired token abandons the run with
 /// [`CoreError::Cancelled`].
 pub(crate) fn run_partitioned(
-    analyzer: &Analyzer<'_>,
+    analyzer: &Analyzer,
     plan: &Partitioning,
     probs: &InputProbs,
     cancel: &CancelToken,
@@ -322,13 +328,13 @@ pub(crate) fn run_partitioned(
     let params = analyzer.params();
     let exec = analyzer.exec();
     let global = probs.as_slice();
-    let mut kits: Vec<ClassKit<'_>> = Vec::with_capacity(plan.reps.len());
+    let mut kits: Vec<ClassKit> = Vec::with_capacity(plan.reps.len());
     for &pi in &plan.reps {
         cancel.check()?;
         let sub = &plan.parts[pi as usize].sub;
         kits.push(ClassKit {
             est: SignalProbEstimator::new(Aig::from_circuit(sub), params),
-            engine: ObservabilityEngine::new(sub, params),
+            engine: ObservabilityEngine::new(Arc::clone(sub), params),
         });
     }
     let kits = &kits;
@@ -391,7 +397,7 @@ pub(crate) fn run_partitioned(
 /// structure class's shared machinery.
 fn analyze_part(
     part: &Part,
-    kit: &ClassKit<'_>,
+    kit: &ClassKit,
     global_probs: &[f64],
     cancel: &CancelToken,
 ) -> Result<(Vec<f64>, Observability), CoreError> {

@@ -9,7 +9,8 @@
 //!
 //! * [`checkout`](SessionPool::checkout) pops an idle warm session (or
 //!   clones the pool's template on a cold start — engines and fault maps
-//!   are `Arc`-shared, so a clone is proportional to per-node state only);
+//!   are shared through the analyzer handle, so a clone is proportional
+//!   to per-node state only);
 //! * the returned [`PooledSession`] derefs to the session; the request
 //!   handler mutates and queries it freely;
 //! * on drop the session is **re-synced** to the pool's base probabilities
@@ -21,9 +22,11 @@
 //! re-propagations (to the custom point, back to base) instead of three
 //! full passes.
 //!
-//! The pool is `Sync`: checkout/return take a mutex around the idle vector
-//! only, so concurrent request workers contend for nanoseconds, not for
-//! analysis time. Counters ([`PoolStats`]) expose warm hits vs cold
+//! The pool is `Sync` and `'static` (it holds an [`Analyzer`] handle, not
+//! a borrow), so a service can keep one per circuit in a plain map:
+//! checkout/return take a mutex around the idle vector only, so
+//! concurrent request workers contend for nanoseconds, not for analysis
+//! time. Counters ([`PoolStats`]) expose warm hits vs cold
 //! clones and the live/idle census for a service's observability endpoint.
 
 use std::ops::{Deref, DerefMut};
@@ -56,21 +59,20 @@ pub struct PoolStats {
 /// A pool of warm [`AnalysisSession`]s over one [`Analyzer`], all based at
 /// one canonical input-probability vector (see the module docs).
 #[derive(Debug)]
-pub struct SessionPool<'a, 'c> {
-    analyzer: &'a Analyzer<'c>,
+pub struct SessionPool {
     base: InputProbs,
     /// The warm prototype new sessions are cloned from (kept separate from
     /// `idle` so the pool can always grow without re-running the cold
     /// full-pass construction).
-    template: AnalysisSession<'a, 'c>,
-    idle: Mutex<Vec<AnalysisSession<'a, 'c>>>,
+    template: AnalysisSession,
+    idle: Mutex<Vec<AnalysisSession>>,
     warm_hits: AtomicU64,
     cold_clones: AtomicU64,
     live: AtomicU64,
     discarded: AtomicU64,
 }
 
-impl<'a, 'c> SessionPool<'a, 'c> {
+impl SessionPool {
     /// Creates a pool based at `base`. Pays one full session construction
     /// (the template every later checkout clones or re-syncs to).
     ///
@@ -78,13 +80,12 @@ impl<'a, 'c> SessionPool<'a, 'c> {
     ///
     /// Returns [`CoreError::ProbsLength`] if `base` does not match the
     /// circuit's input count.
-    pub fn new(analyzer: &'a Analyzer<'c>, base: InputProbs) -> Result<Self, CoreError> {
+    pub fn new(analyzer: &Analyzer, base: InputProbs) -> Result<Self, CoreError> {
         let mut template = analyzer.session(&base)?;
         // Warm every query cache once so clones start fully warm: a
         // checked-out clone then pays only incremental refreshes.
         template.fault_detect_probs();
         Ok(SessionPool {
-            analyzer,
             base,
             template,
             idle: Mutex::new(Vec::new()),
@@ -96,8 +97,8 @@ impl<'a, 'c> SessionPool<'a, 'c> {
     }
 
     /// The analyzer the pooled sessions evaluate.
-    pub fn analyzer(&self) -> &'a Analyzer<'c> {
-        self.analyzer
+    pub fn analyzer(&self) -> &Analyzer {
+        self.template.analyzer()
     }
 
     /// The canonical base probabilities sessions are re-synced to.
@@ -118,7 +119,7 @@ impl<'a, 'c> SessionPool<'a, 'c> {
     /// Checks a session out. Warm when an idle session is available, else
     /// a clone of the template. The guard returns (and re-syncs) the
     /// session on drop.
-    pub fn checkout(&self) -> PooledSession<'_, 'a, 'c> {
+    pub fn checkout(&self) -> PooledSession<'_> {
         let popped = self.idle.lock().unwrap().pop();
         let session = match popped {
             Some(s) => {
@@ -148,7 +149,7 @@ impl<'a, 'c> SessionPool<'a, 'c> {
         }
     }
 
-    fn give_back(&self, mut session: AnalysisSession<'a, 'c>) {
+    fn give_back(&self, mut session: AnalysisSession) {
         self.live.fetch_sub(1, Ordering::Relaxed);
         // A session poisoned by a mid-refresh cancellation has lost dirty
         // tracking — re-syncing it could return stale values to later
@@ -179,26 +180,26 @@ impl<'a, 'c> SessionPool<'a, 'c> {
 /// A checked-out session (see [`SessionPool::checkout`]); derefs to
 /// [`AnalysisSession`] and re-syncs + returns it to the pool on drop.
 #[derive(Debug)]
-pub struct PooledSession<'p, 'a, 'c> {
-    pool: &'p SessionPool<'a, 'c>,
-    session: Option<AnalysisSession<'a, 'c>>,
+pub struct PooledSession<'p> {
+    pool: &'p SessionPool,
+    session: Option<AnalysisSession>,
 }
 
-impl<'a, 'c> Deref for PooledSession<'_, 'a, 'c> {
-    type Target = AnalysisSession<'a, 'c>;
+impl Deref for PooledSession<'_> {
+    type Target = AnalysisSession;
 
     fn deref(&self) -> &Self::Target {
         self.session.as_ref().expect("session present until drop")
     }
 }
 
-impl DerefMut for PooledSession<'_, '_, '_> {
+impl DerefMut for PooledSession<'_> {
     fn deref_mut(&mut self) -> &mut Self::Target {
         self.session.as_mut().expect("session present until drop")
     }
 }
 
-impl PooledSession<'_, '_, '_> {
+impl PooledSession<'_> {
     /// Drops the session instead of returning it to the pool — for
     /// callers that caught a panic or otherwise no longer trust the
     /// session's state. Counted in [`PoolStats::discarded`].
@@ -208,7 +209,7 @@ impl PooledSession<'_, '_, '_> {
     }
 }
 
-impl Drop for PooledSession<'_, '_, '_> {
+impl Drop for PooledSession<'_> {
     fn drop(&mut self) {
         if let Some(session) = self.session.take() {
             // Unwinding out of a request handler means the session was

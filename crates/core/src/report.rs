@@ -30,7 +30,7 @@ impl TestabilityReport {
     /// Assembles a report from an analysis. `targets` are `(d, e)` pairs for
     /// the test-length section; `hardest` bounds the least-testable list.
     pub fn new(
-        analyzer: &Analyzer<'_>,
+        analyzer: &Analyzer,
         analysis: &CircuitAnalysis,
         targets: &[(f64, f64)],
         hardest: usize,

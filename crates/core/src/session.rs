@@ -99,8 +99,6 @@
 //! # }
 //! ```
 
-use std::sync::Arc;
-
 use protest_netlist::{Circuit, NodeId};
 
 use crate::analyzer::{Analyzer, CircuitAnalysis, FaultEstimate};
@@ -109,7 +107,7 @@ use crate::detect::{self, FaultScratch};
 use crate::dirty::{Consumer, DirtyRegion, Wavefront};
 use crate::error::CoreError;
 use crate::failpoints;
-use crate::observe::{ObsDelta, Observability, ObservabilityEngine};
+use crate::observe::{ObsDelta, Observability};
 use crate::params::InputProbs;
 use crate::sigprob::{lit_prob_of, EvalScratch, MIN_PAR_COND, MIN_PAR_WIDE};
 
@@ -217,14 +215,15 @@ const DENSE_OBS_WINDOW_DIVISOR: usize = 2;
 /// [`snapshot`](Self::snapshot) / [`revert`](Self::revert) undo rejected
 /// trial moves in O(dirty cone).
 ///
-/// Sessions are [`Clone`]: the big immutable structures (observability
-/// engine, fault dependency map) are shared, so cloning is proportional to
-/// the per-node state only — the optimizer clones one session per worker
-/// to evaluate trial moves in parallel.
+/// Sessions are [`Clone`]: the big immutable structures (the analyzer
+/// handle with its circuit, observability engine and fault dependency map)
+/// are shared, so cloning is proportional to the per-node state only — the
+/// optimizer clones one session per worker to evaluate trial moves in
+/// parallel. A session holds its own [`Analyzer`] handle, so it outlives
+/// the caller's.
 #[derive(Debug)]
-pub struct AnalysisSession<'a, 'c> {
-    analyzer: &'a Analyzer<'c>,
-    obs_engine: Arc<ObservabilityEngine<'c>>,
+pub struct AnalysisSession {
+    analyzer: Analyzer,
     input_probs: Vec<f64>,
     /// Per-AIG-node probabilities, kept equal to a from-scratch pass.
     aig_probs: Vec<f64>,
@@ -270,9 +269,9 @@ pub struct AnalysisSession<'a, 'c> {
     poisoned: bool,
 }
 
-impl<'a, 'c> AnalysisSession<'a, 'c> {
+impl AnalysisSession {
     pub(crate) fn new(
-        analyzer: &'a Analyzer<'c>,
+        analyzer: &Analyzer,
         probs: &InputProbs,
         cancel: CancelToken,
     ) -> Result<Self, CoreError> {
@@ -281,14 +280,13 @@ impl<'a, 'c> AnalysisSession<'a, 'c> {
         let est = analyzer.estimator();
         let aig_probs =
             est.full_estimate_exec_cancellable(probs.as_slice(), analyzer.exec(), &cancel)?;
-        let obs_engine = Arc::clone(analyzer.obs_engine());
+        let obs_engine = analyzer.obs_engine();
         let obs = obs_engine.empty();
-        let obs_delta = ObsDelta::new(&obs_engine);
+        let obs_delta = ObsDelta::new(obs_engine);
         let n = est.aig().len();
         let circuit_nodes = analyzer.circuit().num_nodes();
         Ok(AnalysisSession {
-            analyzer,
-            obs_engine,
+            analyzer: analyzer.clone(),
             input_probs: probs.as_slice().to_vec(),
             aig_probs,
             scratch: est.new_scratch(),
@@ -342,12 +340,12 @@ impl<'a, 'c> AnalysisSession<'a, 'c> {
     }
 
     /// The analyzer this session evaluates.
-    pub fn analyzer(&self) -> &'a Analyzer<'c> {
-        self.analyzer
+    pub fn analyzer(&self) -> &Analyzer {
+        &self.analyzer
     }
 
     /// The circuit under analysis.
-    pub fn circuit(&self) -> &'c Circuit {
+    pub fn circuit(&self) -> &Circuit {
         self.analyzer.circuit()
     }
 
@@ -677,7 +675,7 @@ impl<'a, 'c> AnalysisSession<'a, 'c> {
     /// session is poisoned and [`CoreError::Cancelled`] returned.
     fn propagate(&mut self) -> Result<(), CoreError> {
         let _t = protest_telemetry::span(protest_telemetry::Site::Propagate);
-        let analyzer = self.analyzer;
+        let analyzer = self.analyzer.clone();
         let est = analyzer.estimator();
         let exec = analyzer.exec();
         let mut batch = std::mem::take(&mut self.batch_ids);
@@ -802,13 +800,13 @@ impl<'a, 'c> AnalysisSession<'a, 'c> {
         let dense = self.dirty.pending(Consumer::Observability).len()
             >= self.aig_probs.len() / DENSE_OBS_WINDOW_DIVISOR;
         if !self.have_obs || dense || self.dirty.overflowed(Consumer::Observability) {
-            self.obs_engine.compute_into_exec_cancellable(
+            self.analyzer.obs_engine().compute_into_exec_cancellable(
                 &self.node_probs,
                 &mut self.obs,
                 self.analyzer.exec(),
                 &self.cancel,
             )?;
-            self.stats.obs_level_evals += self.obs_engine.num_levels() as u64;
+            self.stats.obs_level_evals += self.analyzer.obs_engine().num_levels() as u64;
             self.stats.obs_node_evals += self.stats.circuit_nodes as u64;
             self.dirty.commit(Consumer::Observability);
             self.have_obs = true;
@@ -834,10 +832,10 @@ impl<'a, 'c> AnalysisSession<'a, 'c> {
                 let c = wi * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 self.obs_delta
-                    .seed_readers(&self.obs_engine, NodeId::from_index(c));
+                    .seed_readers(self.analyzer.obs_engine(), NodeId::from_index(c));
             }
         }
-        let work = match self.obs_engine.refresh_into_exec_cancellable(
+        let work = match self.analyzer.obs_engine().refresh_into_exec_cancellable(
             &self.node_probs,
             &mut self.obs,
             &mut self.obs_delta,
@@ -869,7 +867,7 @@ impl<'a, 'c> AnalysisSession<'a, 'c> {
             return Ok(());
         }
         self.ensure_obs()?;
-        let analyzer = self.analyzer;
+        let analyzer = self.analyzer.clone();
         let circuit = analyzer.circuit();
         let faults = analyzer.faults();
         let exec = analyzer.exec();
@@ -928,11 +926,10 @@ impl<'a, 'c> AnalysisSession<'a, 'c> {
     }
 }
 
-impl Clone for AnalysisSession<'_, '_> {
+impl Clone for AnalysisSession {
     fn clone(&self) -> Self {
         AnalysisSession {
-            analyzer: self.analyzer,
-            obs_engine: Arc::clone(&self.obs_engine),
+            analyzer: self.analyzer.clone(),
             input_probs: self.input_probs.clone(),
             aig_probs: self.aig_probs.clone(),
             scratch: self.scratch.clone(),

@@ -97,7 +97,7 @@ pub(crate) fn detectable_into(src: &[f64], dst: &mut Vec<f64>) {
 /// never on scratch history.
 pub(crate) fn score_candidate(
     circuit: &Circuit,
-    engine: &ObservabilityEngine<'_>,
+    engine: &ObservabilityEngine,
     base: &BaseState,
     spec: TestPointSpec,
     scratch: &mut ScoreScratch,
@@ -126,7 +126,7 @@ fn finish(base: &BaseState, spec: TestPointSpec, scratch: &mut ScoreScratch) -> 
 /// site lies in the cone.
 fn score_observe(
     circuit: &Circuit,
-    engine: &ObservabilityEngine<'_>,
+    engine: &ObservabilityEngine,
     base: &BaseState,
     spec: TestPointSpec,
     scratch: &mut ScoreScratch,
@@ -170,7 +170,7 @@ fn score_observe(
 /// pass-through factor at the stem, recompute every fault.
 fn score_control(
     circuit: &Circuit,
-    engine: &ObservabilityEngine<'_>,
+    engine: &ObservabilityEngine,
     base: &BaseState,
     spec: TestPointSpec,
     scratch: &mut ScoreScratch,
@@ -273,7 +273,7 @@ fn collect_fanin_cone(circuit: &Circuit, root: NodeId, scratch: &mut ScoreScratc
 /// (inclusive).
 fn collect_fanout_cone(
     circuit: &Circuit,
-    engine: &ObservabilityEngine<'_>,
+    engine: &ObservabilityEngine,
     root: NodeId,
     scratch: &mut ScoreScratch,
 ) {
@@ -309,7 +309,7 @@ mod tests {
     use super::*;
 
     /// Builds the base state the advisor would compute for a circuit.
-    fn base_for(circuit: &Circuit, analyzer: &Analyzer<'_>) -> BaseState {
+    fn base_for(circuit: &Circuit, analyzer: &Analyzer) -> BaseState {
         let probs = InputProbs::uniform(circuit.num_inputs());
         let mut session = analyzer.session(&probs).unwrap();
         let detections = session.fault_detect_probs().to_vec();

@@ -212,6 +212,15 @@ impl CircuitParts {
     }
 }
 
+/// Shares a borrowed circuit by cloning it once, so owners that take
+/// `impl Into<Arc<Circuit>>` accept `&Circuit`, an owned `Circuit` or an
+/// existing `Arc` alike.
+impl From<&Circuit> for std::sync::Arc<Circuit> {
+    fn from(circuit: &Circuit) -> Self {
+        std::sync::Arc::new(circuit.clone())
+    }
+}
+
 impl Circuit {
     /// The circuit's name.
     pub fn name(&self) -> &str {

@@ -15,9 +15,11 @@
 //!   [`AnalysisSession`](protest_core::AnalysisSession)s checked out per
 //!   request and re-synced on return, so repeat queries pay only the
 //!   dirty-cone cost ([`protest_core::SessionPool`]);
-//! * a **bounded worker model** — accept thread, N request handlers,
-//!   per-circuit worker threads behind bounded queues; overload sheds
-//!   typed `busy` replies instead of queueing unboundedly ([`server`]);
+//! * a **bounded worker model** — accept thread, N request handlers and
+//!   M analysis workers shared by every circuit behind one bounded job
+//!   queue; overload sheds typed `busy` replies instead of queueing
+//!   unboundedly, and the thread count does not grow with the number of
+//!   resident circuits ([`server`]);
 //! * **observability** — per-endpoint p50/p99 latency with a queue-wait
 //!   vs compute phase split, cache hit rates, pool and queue gauges via
 //!   the `stats` endpoint and an optional periodic log line ([`metrics`]);
@@ -26,8 +28,8 @@
 //!   checkout → compute → serialize), off by default and free when off;
 //! * **robustness** — request deadlines cooperatively cancel in-flight
 //!   analysis, worker panics become typed `internal` replies with the
-//!   session discarded, a supervisor respawns crashed circuit hosts, and
-//!   an optional capacity cap evicts idle hosts LRU-first ([`registry`]).
+//!   session discarded, and an optional capacity cap evicts idle
+//!   circuits LRU-first ([`registry`]).
 //!
 //! # Wire protocol
 //!
@@ -52,15 +54,11 @@
 //!   appears on the outer request when the client-side wait gives up;
 //!   `cancelled` is what an individual op inside a batch reports once the
 //!   cancellation reached the math.
-//! * **`internal`** — the daemon failed, not the request. Either a worker
-//!   panicked while executing the request (the panic is caught, the
-//!   worker's warm session is discarded instead of returned to the pool —
-//!   `sessions_discarded` — and the daemon keeps serving), or the
-//!   circuit's host thread died outright and dropped the request
-//!   unanswered. A dead host is respawned by a supervisor within ~100 ms
-//!   (`host_restarts`); jobs still queued at crash time survive the
-//!   restart, and a retry of the dropped request succeeds once the fresh
-//!   host is up.
+//! * **`internal`** — the daemon failed, not the request: a worker
+//!   panicked while executing the request. The panic is caught, the
+//!   worker's warm session is discarded instead of returned to the pool
+//!   (`sessions_discarded`), and the same worker goes on serving every
+//!   circuit, so a retry succeeds.
 //!
 //! ## Endpoints
 //!
@@ -110,8 +108,9 @@
 //! Any circuit op (or `batch`) may set `"timing": true` to get the
 //! daemon-side phase split of its own request echoed in the success
 //! reply as a sibling `timing` object — microseconds spent waiting in
-//! the circuit's job queue, checking a session out of the pool, and
-//! actually computing:
+//! the shared job queue, checking a session out of the circuit's pool
+//! (on its first job, including building the pool), and actually
+//! computing:
 //!
 //! ```text
 //! → {"id":9,"op":"analyze","circuit":"builtin:comp24","timing":true}
@@ -119,7 +118,7 @@
 //! ```
 //!
 //! The flag is ignored on `submit`, `stats` and `shutdown` (they never
-//! reach a circuit host, so there are no phases to report) and on error
+//! reach a worker, so there are no phases to report) and on error
 //! replies. Omitting it leaves the reply byte-for-byte what it always
 //! was, so existing clients are unaffected.
 //!

@@ -84,7 +84,7 @@ pub struct EndpointMetrics {
     /// End-to-end handler latency (parse → reply written).
     pub latency: Histogram,
     /// Job queue-wait phase (enqueue → worker pop); only requests that
-    /// reached a circuit host record here.
+    /// reached a worker record here.
     pub queue_wait: Histogram,
     /// Job compute phase (ops executing against a checked-out session).
     pub compute: Histogram,
@@ -128,9 +128,7 @@ pub struct Metrics {
     pub cancelled_work: AtomicU64,
     /// Worker panics caught and converted into `internal` error replies.
     pub worker_panics: AtomicU64,
-    /// Dead circuit-host threads restarted by the supervisor.
-    pub host_restarts: AtomicU64,
-    /// Idle circuit hosts evicted to respect the registry capacity cap.
+    /// Idle circuits evicted to respect the registry capacity cap.
     pub evictions: AtomicU64,
     /// Sessions discarded instead of returned to a pool (poisoned by a
     /// mid-update cancel, or abandoned during a panic unwind).
@@ -158,7 +156,6 @@ impl Default for Metrics {
             circuits: AtomicU64::new(0),
             cancelled_work: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
-            host_restarts: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             sessions_discarded: AtomicU64::new(0),
             started: Instant::now(),
@@ -184,7 +181,7 @@ impl Metrics {
     }
 
     /// Records the phase split of a dispatched job: where its wall-clock
-    /// went between sitting in the circuit's queue and actually computing.
+    /// went between sitting in the job queue and actually computing.
     pub fn record_phases(&self, e: Endpoint, queue_wait_us: u64, compute_us: u64) {
         let m = self.endpoint(e);
         m.queue_wait.record_us(queue_wait_us);
@@ -217,7 +214,7 @@ impl Metrics {
                 ("mean_us", Json::Num(m.latency.mean_us())),
             ];
             // Phase split, present only once a job has actually reached a
-            // circuit host for this endpoint.
+            // worker for this endpoint.
             if m.queue_wait.count() > 0 {
                 fields.push((
                     "queue_wait_p50_us",
@@ -329,10 +326,6 @@ impl Metrics {
                         Json::Num(self.worker_panics.load(Ordering::Relaxed) as f64),
                     ),
                     (
-                        "host_restarts",
-                        Json::Num(self.host_restarts.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
                         "evictions",
                         Json::Num(self.evictions.load(Ordering::Relaxed) as f64),
                     ),
@@ -412,7 +405,7 @@ mod tests {
         let analyze = snap.get("endpoints").unwrap().get("analyze").unwrap();
         assert!(
             analyze.get("queue_wait_p50_us").is_none(),
-            "no phase fields before any job reached a host"
+            "no phase fields before any job reached a worker"
         );
         m.record_phases(Endpoint::Analyze, 40, 400);
         let snap = m.snapshot();

@@ -1,11 +1,12 @@
 //! Executes [`CircuitOp`]s against a registered circuit.
 //!
-//! Every op runs inside a circuit host (see [`crate::registry`]): the
-//! `Circuit` and `Analyzer` are shared by reference across all requests,
-//! and incremental ops borrow a warm [`AnalysisSession`] checked out from
-//! the host's [`SessionPool`](protest_core::SessionPool). A `batch`
-//! request re-uses ONE checkout for all of its entries, so consecutive
-//! analyses of nearby probability vectors pay only the dirty-cone cost.
+//! Every op runs on a shared worker (see [`crate::registry`]) against a
+//! warm [`AnalysisSession`] checked out from the circuit's
+//! [`SessionPool`](protest_core::SessionPool); the session's
+//! [`Analyzer`] handle carries the circuit, shared by every request. A
+//! `batch` request re-uses ONE checkout for all of its entries, so
+//! consecutive analyses of nearby probability vectors pay only the
+//! dirty-cone cost.
 
 use protest_core::optimize::{HillClimber, OptimizeParams};
 use protest_core::staticanalysis;
@@ -103,7 +104,7 @@ fn hardest_rows(circuit: &Circuit, estimates: &[FaultEstimate], k: usize) -> Jso
 
 fn run_analyze(
     circuit: &Circuit,
-    session: &mut AnalysisSession<'_, '_>,
+    session: &mut AnalysisSession,
     probs: &ProbSpec,
     testlens: &[(f64, f64)],
     hardest: usize,
@@ -148,8 +149,8 @@ fn run_analyze(
 
 fn run_optimize(
     circuit: &Circuit,
-    analyzer: &Analyzer<'_>,
-    session: &mut AnalysisSession<'_, '_>,
+    analyzer: &Analyzer,
+    session: &mut AnalysisSession,
     cancel: &CancelToken,
     n_target: u64,
     seed: u64,
@@ -316,7 +317,7 @@ fn run_check(
 
 fn run_simulate(
     circuit: &Circuit,
-    analyzer: &Analyzer<'_>,
+    analyzer: &Analyzer,
     cancel: &CancelToken,
     probs: &ProbSpec,
     patterns: u64,
@@ -343,18 +344,19 @@ fn run_simulate(
     ]))
 }
 
-/// Runs one op. `session` is the request's (or batch's) single warm
-/// checkout; ops that work on the bare circuit ignore it. `cancel` is
-/// the request's deadline token — the session is expected to already be
-/// armed with it (see the worker loop in [`crate::registry`]), and ops
-/// that build their own analysis state thread it down explicitly.
+/// Runs one op against the circuit of `session`, the request's (or
+/// batch's) single warm checkout; ops that work on the bare circuit use
+/// only its analyzer. `cancel` is the request's deadline token — the
+/// session is expected to already be armed with it (see the worker loop
+/// in [`crate::registry`]), and ops that build their own analysis state
+/// thread it down explicitly.
 pub fn run_op(
-    circuit: &Circuit,
-    analyzer: &Analyzer<'_>,
-    session: &mut AnalysisSession<'_, '_>,
+    session: &mut AnalysisSession,
     cancel: &CancelToken,
     op: &CircuitOp,
 ) -> Result<Json, WireError> {
+    let analyzer = session.analyzer().clone();
+    let circuit = analyzer.circuit();
     match op {
         CircuitOp::Analyze {
             probs,
@@ -376,7 +378,7 @@ pub fn run_op(
             seed,
             testlens,
         } => run_optimize(
-            circuit, analyzer, session, cancel, *n_target, *seed, testlens,
+            circuit, &analyzer, session, cancel, *n_target, *seed, testlens,
         ),
         CircuitOp::Tpi {
             budget,
@@ -401,7 +403,7 @@ pub fn run_op(
             probs,
             patterns,
             seed,
-        } => run_simulate(circuit, analyzer, cancel, probs, *patterns, *seed),
+        } => run_simulate(circuit, &analyzer, cancel, probs, *patterns, *seed),
     }
 }
 
@@ -427,7 +429,7 @@ mod tests {
             detect_probs: true,
             signal_probs: true,
         };
-        let out = run_op(&ckt, &analyzer, &mut session, &CancelToken::never(), &op).unwrap();
+        let out = run_op(&mut session, &CancelToken::never(), &op).unwrap();
 
         let mut direct = analyzer.session(&probs).unwrap();
         let want = direct.fault_detect_probs().to_vec();
@@ -455,7 +457,7 @@ mod tests {
             prove_redundant: false,
             bdd_budget: 10_000,
         };
-        let out = run_op(&ckt, &analyzer, &mut session, &CancelToken::never(), &op).unwrap();
+        let out = run_op(&mut session, &CancelToken::never(), &op).unwrap();
         assert_eq!(out.get("circuit").and_then(Json::as_str), Some("c17"));
         assert!(!out.to_line().contains('\n'));
     }
@@ -473,7 +475,7 @@ mod tests {
             detect_probs: false,
             signal_probs: false,
         };
-        let err = run_op(&ckt, &analyzer, &mut session, &CancelToken::never(), &op).unwrap_err();
+        let err = run_op(&mut session, &CancelToken::never(), &op).unwrap_err();
         assert_eq!(err.kind, ErrorKind::Analysis);
     }
 }

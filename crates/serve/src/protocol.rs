@@ -37,10 +37,9 @@ pub enum ErrorKind {
     Cancelled,
     /// The daemon failed, not the request: a worker panicked mid-job
     /// (the panicking worker's session is discarded, never returned to
-    /// the pool, and the daemon keeps serving) or the circuit's host
-    /// thread crashed and dropped the request unanswered (the
-    /// supervisor respawns it). Either way the request is answered with
-    /// this kind rather than left hanging, and a retry is safe.
+    /// the pool, and the worker keeps serving every circuit). The
+    /// request is answered with this kind rather than left hanging, and
+    /// a retry is safe.
     Internal,
 }
 

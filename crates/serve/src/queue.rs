@@ -1,6 +1,6 @@
 //! A small bounded MPMC queue (mutex + condvars) — the backpressure
 //! primitive between the accept thread, the request handlers and the
-//! per-circuit workers.
+//! shared analysis workers.
 //!
 //! `std::sync::mpsc` receivers are single-consumer; the daemon needs many
 //! handler threads popping connections and many circuit workers popping
@@ -19,7 +19,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
 /// Why a [`Bounded::try_push`] did not enqueue.
 #[derive(Debug, PartialEq, Eq)]
@@ -28,17 +27,6 @@ pub enum PushError<T> {
     Full(T),
     /// The queue was closed; the item is handed back.
     Closed(T),
-}
-
-/// Outcome of a [`Bounded::pop_timeout`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum Popped<T> {
-    /// An item was dequeued.
-    Item(T),
-    /// The timeout elapsed on an open-but-empty queue.
-    Empty,
-    /// The queue is closed and fully drained.
-    Closed,
 }
 
 struct State<T> {
@@ -119,36 +107,6 @@ impl<T> Bounded<T> {
         }
     }
 
-    /// Like [`pop`](Self::pop) but gives up after `timeout`; see
-    /// [`Popped`] for the three outcomes.
-    pub fn pop_timeout(&self, timeout: Duration) -> Popped<T> {
-        let mut state = self.state.lock().unwrap();
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                drop(state);
-                self.not_full.notify_one();
-                return Popped::Item(item);
-            }
-            if state.closed {
-                return Popped::Closed;
-            }
-            let (next, result) = self.not_empty.wait_timeout(state, timeout).unwrap();
-            state = next;
-            if result.timed_out() {
-                if let Some(item) = state.items.pop_front() {
-                    drop(state);
-                    self.not_full.notify_one();
-                    return Popped::Item(item);
-                }
-                return if state.closed {
-                    Popped::Closed
-                } else {
-                    Popped::Empty
-                };
-            }
-        }
-    }
-
     /// Current queue length.
     pub fn len(&self) -> usize {
         self.state.lock().unwrap().items.len()
@@ -157,12 +115,6 @@ impl<T> Bounded<T> {
     /// Whether the queue currently holds no items.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Whether [`close`](Self::close) has been called. Items may still be
-    /// draining; this only reports that no new pushes are accepted.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().unwrap().closed
     }
 
     /// Closes the queue: pushes start failing, pops drain the remainder
@@ -203,7 +155,6 @@ mod tests {
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Popped::Closed);
     }
 
     #[test]
@@ -224,14 +175,5 @@ mod tests {
         }
         q.close();
         assert_eq!(consumer.join().unwrap(), (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pop_timeout_on_empty_open_queue() {
-        let q: Bounded<u32> = Bounded::new(1);
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), Popped::Empty);
-        q.try_push(7).unwrap();
-        assert!(!q.is_empty());
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), Popped::Item(7));
     }
 }

@@ -1,24 +1,25 @@
-//! The content-hash circuit registry and per-circuit host threads.
+//! The content-hash circuit registry and its shared worker pool.
 //!
-//! [`Analyzer`] borrows its `Circuit` (`#![forbid(unsafe_code)]` rules out
-//! a self-referential owning cell), so warm state cannot live in a plain
-//! map. Instead each registered circuit gets a **host thread** that owns
-//! the `Circuit`, builds the `Analyzer` and a [`SessionPool`] on its own
-//! stack, and runs a [`std::thread::scope`] of workers that share both by
-//! reference. Handler threads talk to the host through a bounded job
-//! queue: [`try_push`](crate::queue::Bounded::try_push) gives backpressure
-//! (full queue → typed `busy` reply, never unbounded buffering) and a
-//! `sync_channel` carries the reply back with a per-request timeout.
+//! An [`Analyzer`] owns its circuit, so the registry is a plain map from
+//! content hash to an [`Entry`]: the parsed circuit plus a
+//! [`SessionPool`] built by the first job that reaches it. One pool of
+//! `workers` threads serves every circuit from **one** bounded job queue;
+//! each job carries its entry. [`try_push`](crate::queue::Bounded::try_push)
+//! gives backpressure (full queue → typed `busy` reply, never unbounded
+//! buffering) and a `sync_channel` carries the reply back with a
+//! per-request timeout. The thread count is fixed at construction and
+//! does not grow with the number of resident circuits.
 //!
 //! The registry key is a content hash computed over the *raw netlist
 //! text* (before parsing), so resubmitting an already-known netlist never
 //! parses, never builds, and shares the one warm `Analyzer` with every
 //! other client — the cache-hit fast path the whole daemon is built
-//! around. Built-ins are keyed `builtin:<name>`.
+//! around. Built-ins are keyed `builtin:<name>`. A cold submit parses
+//! outside the map lock, so it never stalls lookups of resident circuits.
 //!
 //! # Robustness
 //!
-//! Three failure paths are handled explicitly so no request ever goes
+//! Two failure paths are handled explicitly so no request ever goes
 //! unanswered:
 //!
 //! * **Deadlines stop work.** Every dispatched job carries a
@@ -30,22 +31,20 @@
 //! * **Worker panics are contained.** Each job runs under
 //!   [`catch_unwind`]; a panic yields a typed `internal` error reply, the
 //!   panicking worker's session is discarded instead of returned to the
-//!   pool, and the worker keeps serving (`worker_panics` metric).
-//! * **Dead hosts are restarted.** A supervisor pass
-//!   ([`Registry::supervise`]) respawns the host thread of any circuit
-//!   whose thread exited while its queue is still open; queued jobs
-//!   survive the restart (`host_restarts` metric).
+//!   pool, and the worker keeps serving every circuit (`worker_panics`
+//!   metric).
 //!
 //! A capacity cap (`max_circuits`) bounds resident warm state: inserting
-//! past the cap evicts the least-recently-used *idle* host (empty queue,
-//! no op in flight) after a graceful drain; later lookups of the evicted
-//! hash get a typed `not_found` (`evictions` metric).
+//! past the cap removes the least-recently-used *idle* entry (no job or
+//! request holds it) from the map; later lookups of the evicted hash get
+//! a typed `not_found` (`evictions` metric). A job that already holds an
+//! entry still finishes on it.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -56,15 +55,16 @@ use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::ops::run_op;
 use crate::protocol::{CircuitOp, ErrorKind, WireError};
-use crate::queue::{Bounded, Popped, PushError};
+use crate::queue::{Bounded, PushError};
 
 /// Per-op results of one job, in request order.
 type JobReply = Vec<Result<Json, WireError>>;
 
 /// Phase timing of one executed job, in microseconds: how long it sat
-/// in the circuit's queue, how long the session checkout took, and how
-/// long the ops ran. Fed into the per-endpoint phase histograms and —
-/// when the request set the `timing` flag — echoed in the reply.
+/// in the shared job queue, how long the session checkout took (on a
+/// circuit's first job, including the pool build), and how long the ops
+/// ran. Fed into the per-endpoint phase histograms and — when the
+/// request set the `timing` flag — echoed in the reply.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JobTiming {
     /// Enqueue → worker pop.
@@ -95,12 +95,8 @@ pub struct JobOutcome {
     pub timing: JobTiming,
 }
 
-/// How long an idle worker waits on the queue before re-checking the
-/// host-wide dead flag. Bounds both crash detection and eviction-join
-/// latency.
-const WORKER_TICK: Duration = Duration::from_millis(50);
-
 struct Job {
+    entry: Arc<Entry>,
     ops: Vec<CircuitOp>,
     reply: SyncSender<JobOutcome>,
     /// The request's deadline token; armed by `dispatch`, honored by
@@ -110,7 +106,7 @@ struct Job {
     enqueued_ns: u64,
 }
 
-/// One registered circuit: identity + the channel to its host thread.
+/// One registered circuit: identity, the circuit, and its warm pool.
 pub struct Entry {
     /// The registry key (content hash or `builtin:<name>`).
     pub hash: String,
@@ -122,20 +118,32 @@ pub struct Entry {
     pub outputs: usize,
     /// Gate count.
     pub gates: usize,
-    jobs: Arc<Bounded<Job>>,
-    pool_stats: Arc<Mutex<PoolStats>>,
-    host: Mutex<Option<JoinHandle<()>>>,
-    /// A pristine copy of the circuit, kept so the supervisor can respawn
-    /// the host after a crash (the running host owns its own copy).
-    circuit: Circuit,
-    /// Jobs currently being executed by this host's workers.
-    active: Arc<AtomicU64>,
-    /// Cooperative kill switch shared by the host's workers; also set by
-    /// the `serve.host.exit` failpoint to simulate a host crash.
-    dead: Arc<AtomicBool>,
+    circuit: Arc<Circuit>,
+    /// The analyzer's warm sessions, built by the first job that reaches
+    /// the entry; a construction failure is kept and answered to every
+    /// job as a typed error.
+    pool: OnceLock<Result<SessionPool, WireError>>,
     /// Milliseconds since the registry epoch at the last dispatch —
     /// the LRU clock for capacity eviction.
     last_used: AtomicU64,
+}
+
+impl Entry {
+    /// The entry's session pool, built on first use with `warm` idle
+    /// sessions.
+    fn pool(&self, warm: usize) -> Result<&SessionPool, WireError> {
+        self.pool
+            .get_or_init(|| {
+                let analyzer = Analyzer::new(Arc::clone(&self.circuit));
+                let base = InputProbs::uniform(self.inputs);
+                let pool = SessionPool::new(&analyzer, base)
+                    .map_err(|e| WireError::new(ErrorKind::Analysis, e.to_string()))?;
+                pool.warm(warm);
+                Ok(pool)
+            })
+            .as_ref()
+            .map_err(WireError::clone)
+    }
 }
 
 /// What `submit` learned: the entry plus whether it was already cached.
@@ -172,161 +180,99 @@ fn content_hash(format: &str, text: &str) -> String {
     format!("{a:016x}{b:016x}")
 }
 
-/// The circuit host loop: owns the circuit, shares analyzer + pool across
-/// `workers` scoped threads, drains the job queue until it is closed (or
-/// the `dead` flag is raised — the simulated-crash path the supervisor
-/// recovers from).
-fn host_loop(
-    circuit: Circuit,
-    jobs: Arc<Bounded<Job>>,
-    pool_stats: Arc<Mutex<PoolStats>>,
-    dead: Arc<AtomicBool>,
-    active: Arc<AtomicU64>,
-    metrics: Arc<Metrics>,
-    workers: usize,
-) {
-    let analyzer = Analyzer::new(&circuit);
-    let base = InputProbs::uniform(circuit.num_inputs());
-    let pool = match SessionPool::new(&analyzer, base) {
-        Ok(pool) => pool,
-        Err(e) => {
-            // Construction failed (degenerate circuit): answer every job
-            // with a typed error instead of leaving clients to time out.
-            let err = WireError::new(ErrorKind::Analysis, e.to_string());
-            while let Some(job) = jobs.pop() {
-                let n = job.ops.len();
-                let _ = job.reply.send(JobOutcome {
-                    results: vec![Err(err.clone()); n],
-                    timing: JobTiming::default(),
-                });
+/// One shared worker: drains the job queue until it is closed and
+/// drained, running each job on its entry's pool.
+fn worker_loop(jobs: &Bounded<Job>, metrics: &Metrics, warm: usize) {
+    while let Some(Job {
+        entry,
+        ops,
+        reply,
+        cancel,
+        enqueued_ns,
+    }) = jobs.pop()
+    {
+        // The queue-wait phase ends at this pop; stamp it for the reply
+        // timing and (when tracing is armed) the trace.
+        let queue_wait_us = protest_telemetry::now_ns().saturating_sub(enqueued_ns) / 1_000;
+        protest_telemetry::record_span(protest_telemetry::Site::ServeQueueWait, enqueued_ns);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let checkout_span = protest_telemetry::span(protest_telemetry::Site::ServeCheckout);
+            let checkout_start = Instant::now();
+            let mut session = entry.pool(warm)?.checkout();
+            session.set_cancel(cancel.clone());
+            let checkout_us = checkout_start.elapsed().as_micros() as u64;
+            drop(checkout_span);
+            failpoints::hit("serve.worker.delay");
+            if failpoints::hit("serve.worker.panic") {
+                // Deliberately after the checkout: the unwind must
+                // exercise the pool's discard-on-panic path.
+                panic!("injected worker panic (failpoint serve.worker.panic)");
             }
-            return;
+            let compute_span = protest_telemetry::span(protest_telemetry::Site::ServeCompute);
+            let compute_start = Instant::now();
+            let results = ops
+                .iter()
+                .map(|op| run_op(&mut session, &cancel, op))
+                .collect::<JobReply>();
+            let compute_us = compute_start.elapsed().as_micros() as u64;
+            drop(compute_span);
+            Ok::<_, WireError>((results, checkout_us, compute_us))
+            // The checkout drops here: a clean return disarms and
+            // re-syncs it into the pool; a poisoned session (or a drop
+            // during a panic unwind) is discarded instead.
+        }));
+        let failed = |err: WireError| {
+            (
+                vec![Err(err); ops.len()],
+                JobTiming {
+                    queue_wait_us,
+                    ..JobTiming::default()
+                },
+            )
+        };
+        let (results, timing) = match outcome {
+            Ok(Ok((results, checkout_us, compute_us))) => (
+                results,
+                JobTiming {
+                    queue_wait_us,
+                    checkout_us,
+                    compute_us,
+                },
+            ),
+            // The pool could not be built (degenerate circuit).
+            Ok(Err(err)) => failed(err),
+            Err(_) => {
+                metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
+                failed(WireError::new(
+                    ErrorKind::Internal,
+                    "worker panicked while executing the request; \
+                     its session was discarded",
+                ))
+            }
+        };
+        if results
+            .iter()
+            .any(|r| matches!(r, Err(e) if e.kind == ErrorKind::Cancelled))
+        {
+            metrics.cancelled_work.fetch_add(1, Ordering::Relaxed);
         }
-    };
-    pool.warm(workers);
-    *pool_stats.lock().unwrap() = pool.stats();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                // Short timed pops instead of a blocking `pop`, so every
-                // worker notices the dead flag promptly. After `close`,
-                // remaining jobs still drain before `Closed` is returned
-                // — the graceful-shutdown contract.
-                if dead.load(Ordering::Relaxed) {
-                    return;
-                }
-                let job = match jobs.pop_timeout(WORKER_TICK) {
-                    Popped::Item(job) => job,
-                    Popped::Empty => continue,
-                    Popped::Closed => return,
-                };
-                // Re-check after the pop: a sibling worker may have
-                // crashed while this one was blocked. A crashed host
-                // must go down whole — answering a job popped *after*
-                // the crash would make the failure half-visible. The
-                // dropped job surfaces as a typed `internal` reply, and
-                // the job re-queued by its client drains on the
-                // supervisor's respawned host.
-                if dead.load(Ordering::Relaxed) {
-                    return;
-                }
-                active.fetch_add(1, Ordering::Relaxed);
-                if failpoints::hit("serve.host.exit") {
-                    // Simulated host crash: every worker of this host
-                    // stops, the popped job goes unanswered (the client
-                    // gets a typed `internal` reply via the dropped
-                    // channel), and the supervisor respawns the host.
-                    active.fetch_sub(1, Ordering::Relaxed);
-                    dead.store(true, Ordering::Relaxed);
-                    return;
-                }
-                // The queue-wait phase ends at this pop; stamp it for the
-                // reply timing and (when tracing is armed) the trace.
-                let queue_wait_us =
-                    protest_telemetry::now_ns().saturating_sub(job.enqueued_ns) / 1_000;
-                protest_telemetry::record_span(
-                    protest_telemetry::Site::ServeQueueWait,
-                    job.enqueued_ns,
-                );
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let checkout_span =
-                        protest_telemetry::span(protest_telemetry::Site::ServeCheckout);
-                    let checkout_start = Instant::now();
-                    let mut session = pool.checkout();
-                    session.set_cancel(job.cancel.clone());
-                    let checkout_us = checkout_start.elapsed().as_micros() as u64;
-                    drop(checkout_span);
-                    failpoints::hit("serve.worker.delay");
-                    if failpoints::hit("serve.worker.panic") {
-                        // Deliberately after the checkout: the unwind must
-                        // exercise the pool's discard-on-panic path.
-                        panic!("injected worker panic (failpoint serve.worker.panic)");
-                    }
-                    let compute_span =
-                        protest_telemetry::span(protest_telemetry::Site::ServeCompute);
-                    let compute_start = Instant::now();
-                    let results = job
-                        .ops
-                        .iter()
-                        .map(|op| run_op(&circuit, &analyzer, &mut session, &job.cancel, op))
-                        .collect::<JobReply>();
-                    let compute_us = compute_start.elapsed().as_micros() as u64;
-                    drop(compute_span);
-                    (results, checkout_us, compute_us)
-                    // The checkout drops here: a clean return disarms and
-                    // re-syncs it into the pool; a poisoned session (or a
-                    // drop during a panic unwind) is discarded instead.
-                }));
-                let (results, timing) = match outcome {
-                    Ok((results, checkout_us, compute_us)) => (
-                        results,
-                        JobTiming {
-                            queue_wait_us,
-                            checkout_us,
-                            compute_us,
-                        },
-                    ),
-                    Err(_) => {
-                        metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-                        let err = WireError::new(
-                            ErrorKind::Internal,
-                            "worker panicked while executing the request; \
-                             its session was discarded",
-                        );
-                        (
-                            vec![Err(err); job.ops.len()],
-                            JobTiming {
-                                queue_wait_us,
-                                ..JobTiming::default()
-                            },
-                        )
-                    }
-                };
-                if results
-                    .iter()
-                    .any(|r| matches!(r, Err(e) if e.kind == ErrorKind::Cancelled))
-                {
-                    metrics.cancelled_work.fetch_add(1, Ordering::Relaxed);
-                }
-                *pool_stats.lock().unwrap() = pool.stats();
-                // A dropped receiver (request timed out) is fine.
-                let _ = job.reply.send(JobOutcome { results, timing });
-                active.fetch_sub(1, Ordering::Relaxed);
-            });
-        }
-    });
+        // Release the entry before replying: a client holding its answer
+        // never finds the circuit busy for eviction.
+        drop(entry);
+        // A dropped receiver (request timed out) is fine.
+        let _ = reply.send(JobOutcome { results, timing });
+    }
 }
 
 /// The content-hash circuit registry (see the module docs).
 pub struct Registry {
     entries: Mutex<HashMap<String, Arc<Entry>>>,
     metrics: Arc<Metrics>,
-    /// Worker threads per circuit host.
-    workers_per_circuit: usize,
-    /// Job-queue capacity per circuit (backpressure bound).
-    queue_capacity: usize,
+    /// The one job queue every worker pops (backpressure bound).
+    jobs: Arc<Bounded<Job>>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
     /// Resident-circuit cap (`0` = unlimited); inserting past it evicts
-    /// the least-recently-used idle host.
+    /// the least-recently-used idle entry.
     max_circuits: usize,
     /// When `true` (the default), a request that exceeds its deadline
     /// cancels its in-flight computation instead of letting it run on.
@@ -336,74 +282,45 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// Creates an empty registry. `max_circuits == 0` means unlimited;
-    /// `cancel_on_timeout` controls whether a request timeout also stops
-    /// the in-flight computation.
+    /// Creates an empty registry and starts its `workers` shared worker
+    /// threads on one job queue of `queue_capacity`. `max_circuits == 0`
+    /// means unlimited; `cancel_on_timeout` controls whether a request
+    /// timeout also stops the in-flight computation.
     pub fn new(
         metrics: Arc<Metrics>,
-        workers_per_circuit: usize,
+        workers: usize,
         queue_capacity: usize,
         max_circuits: usize,
         cancel_on_timeout: bool,
     ) -> Self {
+        let workers = workers.max(1);
+        let jobs = Arc::new(Bounded::new(queue_capacity.max(1)));
+        let handles = (0..workers)
+            .map(|i| {
+                let jobs = Arc::clone(&jobs);
+                let metrics = Arc::clone(&metrics);
+                std::thread::Builder::new()
+                    .name(format!("serve-worker-{i}"))
+                    .spawn(move || worker_loop(&jobs, &metrics, workers))
+                    .expect("spawn serve worker thread")
+            })
+            .collect();
         Registry {
             entries: Mutex::new(HashMap::new()),
             metrics,
-            workers_per_circuit: workers_per_circuit.max(1),
-            queue_capacity: queue_capacity.max(1),
+            jobs,
+            workers: Mutex::new(handles),
             max_circuits,
             cancel_on_timeout,
             epoch: Instant::now(),
         }
     }
 
-    /// Spawns the host thread for an entry's circuit. Shared by initial
-    /// registration and supervisor respawn.
-    fn spawn_host(
-        &self,
-        name: &str,
-        circuit: Circuit,
-        jobs: Arc<Bounded<Job>>,
-        pool_stats: Arc<Mutex<PoolStats>>,
-        dead: Arc<AtomicBool>,
-        active: Arc<AtomicU64>,
-    ) -> JoinHandle<()> {
-        let workers = self.workers_per_circuit;
-        let metrics = Arc::clone(&self.metrics);
-        std::thread::Builder::new()
-            .name(format!("host-{name}"))
-            .spawn(move || host_loop(circuit, jobs, pool_stats, dead, active, metrics, workers))
-            .expect("spawn circuit host thread")
-    }
-
-    fn spawn_entry(&self, hash: String, circuit: Circuit) -> Arc<Entry> {
-        let jobs = Arc::new(Bounded::new(self.queue_capacity));
-        let pool_stats = Arc::new(Mutex::new(PoolStats::default()));
-        let dead = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicU64::new(0));
-        let entry = Arc::new(Entry {
-            hash,
-            name: circuit.name().to_string(),
-            inputs: circuit.num_inputs(),
-            outputs: circuit.num_outputs(),
-            gates: circuit.num_gates(),
-            jobs: Arc::clone(&jobs),
-            pool_stats: Arc::clone(&pool_stats),
-            host: Mutex::new(None),
-            circuit: circuit.clone(),
-            active: Arc::clone(&active),
-            dead: Arc::clone(&dead),
-            last_used: AtomicU64::new(self.epoch.elapsed().as_millis() as u64),
-        });
-        let handle = self.spawn_host(&entry.name, circuit, jobs, pool_stats, dead, active);
-        *entry.host.lock().unwrap() = Some(handle);
-        entry
-    }
-
-    /// Makes room for one more entry when `max_circuits` is reached:
-    /// gracefully shuts down the least-recently-used *idle* host (empty
-    /// queue, nothing in flight). With every resident circuit busy there
-    /// is nothing safe to evict — the submit is shed with `busy`.
+    /// Makes room for one more entry when `max_circuits` is reached by
+    /// removing the least-recently-used *idle* entry: one only the map
+    /// holds, so no job is queued or running on it and no request is
+    /// about to enqueue one. With every resident circuit busy there is
+    /// nothing safe to evict — the submit is shed with `busy`.
     fn evict_for_capacity(
         &self,
         entries: &mut HashMap<String, Arc<Entry>>,
@@ -413,7 +330,7 @@ impl Registry {
         }
         let victim = entries
             .values()
-            .filter(|e| e.jobs.is_empty() && e.active.load(Ordering::Relaxed) == 0)
+            .filter(|e| Arc::strong_count(e) == 1)
             .min_by_key(|e| e.last_used.load(Ordering::Relaxed))
             .map(|e| e.hash.clone());
         let Some(hash) = victim else {
@@ -425,14 +342,57 @@ impl Registry {
                 ),
             ));
         };
-        let entry = entries.remove(&hash).expect("victim key was just observed");
-        entry.jobs.close();
-        let handle = entry.host.lock().unwrap().take();
-        if let Some(h) = handle {
-            let _ = h.join();
-        }
+        entries.remove(&hash);
         self.metrics.evictions.fetch_add(1, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Registers (or re-finds) the circuit keyed `hash`. The lookup and
+    /// the insert each take the map lock briefly; `build` (parsing) runs
+    /// between them without it. When two submits of one new key race,
+    /// the first insert wins and the loser counts as a cache hit, so
+    /// hits + misses always equals the number of submits.
+    fn submit_with(
+        &self,
+        hash: String,
+        build: impl FnOnce() -> Result<Circuit, WireError>,
+    ) -> Result<SubmitOutcome, WireError> {
+        let hit = |entry: &Arc<Entry>| {
+            self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+            SubmitOutcome {
+                entry: Arc::clone(entry),
+                cached: true,
+            }
+        };
+        if let Some(entry) = self.get(&hash) {
+            return Ok(hit(&entry));
+        }
+        let built = build();
+        let mut entries = self.entries.lock().expect("registry map lock poisoned");
+        if let Some(entry) = entries.get(&hash) {
+            return Ok(hit(entry));
+        }
+        self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+        let circuit = built?;
+        self.evict_for_capacity(&mut entries)?;
+        let entry = Arc::new(Entry {
+            hash: hash.clone(),
+            name: circuit.name().to_string(),
+            inputs: circuit.num_inputs(),
+            outputs: circuit.num_outputs(),
+            gates: circuit.num_gates(),
+            circuit: Arc::new(circuit),
+            pool: OnceLock::new(),
+            last_used: AtomicU64::new(self.epoch.elapsed().as_millis() as u64),
+        });
+        entries.insert(hash, Arc::clone(&entry));
+        self.metrics
+            .circuits
+            .store(entries.len() as u64, Ordering::Relaxed);
+        Ok(SubmitOutcome {
+            entry,
+            cached: false,
+        })
     }
 
     /// Registers (or re-finds) a netlist given by text. The hash is
@@ -444,72 +404,28 @@ impl Registry {
         name: Option<&str>,
         text: &str,
     ) -> Result<SubmitOutcome, WireError> {
-        let hash = content_hash(format, text);
-        let mut entries = self.entries.lock().unwrap();
-        if let Some(entry) = entries.get(&hash) {
-            self.metrics
-                .cache_hits
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            return Ok(SubmitOutcome {
-                entry: Arc::clone(entry),
-                cached: true,
-            });
-        }
-        self.metrics
-            .cache_misses
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let name = name.unwrap_or("circuit");
-        let circuit = match format {
-            "pdl" => parse_pdl(name, text),
-            _ => parse_bench(name, text),
-        }
-        .map_err(|e| WireError::new(ErrorKind::Netlist, e.to_string()))?;
-        self.evict_for_capacity(&mut entries)?;
-        let entry = self.spawn_entry(hash.clone(), circuit);
-        entries.insert(hash, Arc::clone(&entry));
-        self.metrics
-            .circuits
-            .store(entries.len() as u64, std::sync::atomic::Ordering::Relaxed);
-        Ok(SubmitOutcome {
-            entry,
-            cached: false,
+        self.submit_with(content_hash(format, text), || {
+            let name = name.unwrap_or("circuit");
+            match format {
+                "pdl" => parse_pdl(name, text),
+                _ => parse_bench(name, text),
+            }
+            .map_err(|e| WireError::new(ErrorKind::Netlist, e.to_string()))
         })
     }
 
     /// Registers (or re-finds) a built-in circuit, keyed `builtin:<name>`.
     pub fn submit_builtin(&self, name: &str) -> Result<SubmitOutcome, WireError> {
-        let hash = format!("builtin:{name}");
-        let mut entries = self.entries.lock().unwrap();
-        if let Some(entry) = entries.get(&hash) {
-            self.metrics
-                .cache_hits
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            return Ok(SubmitOutcome {
-                entry: Arc::clone(entry),
-                cached: true,
-            });
-        }
-        self.metrics
-            .cache_misses
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let circuit = protest_circuits::by_name(name).ok_or_else(|| {
-            WireError::new(
-                ErrorKind::NotFound,
-                format!(
-                    "unknown builtin `{name}` (known: {})",
-                    protest_circuits::BUILTIN_NAMES.join(", ")
-                ),
-            )
-        })?;
-        self.evict_for_capacity(&mut entries)?;
-        let entry = self.spawn_entry(hash.clone(), circuit);
-        entries.insert(hash, Arc::clone(&entry));
-        self.metrics
-            .circuits
-            .store(entries.len() as u64, std::sync::atomic::Ordering::Relaxed);
-        Ok(SubmitOutcome {
-            entry,
-            cached: false,
+        self.submit_with(format!("builtin:{name}"), || {
+            protest_circuits::by_name(name).ok_or_else(|| {
+                WireError::new(
+                    ErrorKind::NotFound,
+                    format!(
+                        "unknown builtin `{name}` (known: {})",
+                        protest_circuits::BUILTIN_NAMES.join(", ")
+                    ),
+                )
+            })
         })
     }
 
@@ -545,18 +461,22 @@ impl Registry {
         };
         let (tx, rx) = mpsc::sync_channel(1);
         let job = Job {
+            entry,
             ops,
             reply: tx,
             cancel: cancel.clone(),
             enqueued_ns: protest_telemetry::now_ns(),
         };
-        match entry.jobs.try_push(job) {
+        match self.jobs.try_push(job) {
             Ok(()) => {}
-            Err(PushError::Full(_)) => {
+            Err(PushError::Full(job)) => {
                 self.metrics.busy.fetch_add(1, Relaxed);
                 return Err(WireError::new(
                     ErrorKind::Busy,
-                    format!("circuit `{}` job queue is full, retry later", entry.name),
+                    format!(
+                        "job queue is full, retry circuit `{}` later",
+                        job.entry.name
+                    ),
                 ));
             }
             Err(PushError::Closed(_)) => {
@@ -579,50 +499,14 @@ impl Registry {
                     format!("request exceeded the {:.1}s limit", timeout.as_secs_f64()),
                 ))
             }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // The reply sender was dropped without an answer: the
-                // host crashed mid-job (thread death, not a contained
-                // panic). Say so instead of blaming the clock.
-                Err(WireError::new(
-                    ErrorKind::Internal,
-                    "circuit host crashed while executing the request; \
-                     the supervisor will restart it"
-                        .to_string(),
-                ))
-            }
+            // The reply sender was dropped without an answer: a worker
+            // thread died outside its `catch_unwind`. Say so instead of
+            // blaming the clock.
+            Err(mpsc::RecvTimeoutError::Disconnected) => Err(WireError::new(
+                ErrorKind::Internal,
+                "worker dropped the request unanswered".to_string(),
+            )),
         }
-    }
-
-    /// One supervisor pass: respawns the host thread of every circuit
-    /// whose thread has exited while its job queue is still open (a
-    /// crash — a panic that escaped a worker scope, or the
-    /// `serve.host.exit` failpoint). Queued jobs survive and drain on
-    /// the fresh host. Returns the number of hosts restarted.
-    pub fn supervise(&self) -> usize {
-        let entries = self.entries.lock().unwrap();
-        let mut restarted = 0;
-        for entry in entries.values() {
-            let mut host = entry.host.lock().unwrap();
-            let finished = host.as_ref().is_some_and(JoinHandle::is_finished);
-            if !finished || entry.jobs.is_closed() {
-                continue;
-            }
-            if let Some(h) = host.take() {
-                let _ = h.join();
-            }
-            entry.dead.store(false, Ordering::Relaxed);
-            *host = Some(self.spawn_host(
-                &entry.name,
-                entry.circuit.clone(),
-                Arc::clone(&entry.jobs),
-                Arc::clone(&entry.pool_stats),
-                Arc::clone(&entry.dead),
-                Arc::clone(&entry.active),
-            ));
-            self.metrics.host_restarts.fetch_add(1, Ordering::Relaxed);
-            restarted += 1;
-        }
-        restarted
     }
 
     /// Refreshes the cross-circuit gauges (queue depth, session pool
@@ -630,18 +514,21 @@ impl Registry {
     pub fn refresh_gauges(&self) {
         use std::sync::atomic::Ordering::Relaxed;
         let entries = self.entries.lock().unwrap();
-        let mut depth = 0u64;
         let mut agg = PoolStats::default();
-        for entry in entries.values() {
-            depth += entry.jobs.len() as u64;
-            let s = *entry.pool_stats.lock().unwrap();
+        for pool in entries
+            .values()
+            .filter_map(|e| e.pool.get().and_then(|p| p.as_ref().ok()))
+        {
+            let s = pool.stats();
             agg.warm_hits += s.warm_hits;
             agg.cold_clones += s.cold_clones;
             agg.live += s.live;
             agg.idle += s.idle;
             agg.discarded += s.discarded;
         }
-        self.metrics.queue_depth.store(depth, Relaxed);
+        self.metrics
+            .queue_depth
+            .store(self.jobs.len() as u64, Relaxed);
         self.metrics.sessions_live.store(agg.live, Relaxed);
         self.metrics.sessions_idle.store(agg.idle, Relaxed);
         self.metrics.session_warm_hits.store(agg.warm_hits, Relaxed);
@@ -653,24 +540,14 @@ impl Registry {
             .store(agg.discarded, Relaxed);
     }
 
-    /// Closes every job queue and joins every host thread. Queued jobs
-    /// drain first (close-then-drain queue semantics); nothing accepted
-    /// is dropped.
+    /// Closes the job queue and joins every worker. Queued jobs drain
+    /// first (close-then-drain queue semantics); nothing accepted is
+    /// dropped.
     pub fn shutdown(&self) {
-        let handles: Vec<(Arc<Entry>, Option<JoinHandle<()>>)> = {
-            let entries = self.entries.lock().unwrap();
-            entries
-                .values()
-                .map(|e| {
-                    e.jobs.close();
-                    (Arc::clone(e), e.host.lock().unwrap().take())
-                })
-                .collect()
-        };
-        for (_, handle) in handles {
-            if let Some(h) = handle {
-                let _ = h.join();
-            }
+        self.jobs.close();
+        let handles = std::mem::take(&mut *self.workers.lock().expect("worker list lock poisoned"));
+        for h in handles {
+            let _ = h.join();
         }
     }
 }
@@ -711,12 +588,36 @@ mod tests {
         let second = reg.submit_text("bench", Some("t"), text).unwrap();
         assert!(second.cached);
         assert!(Arc::ptr_eq(&first.entry, &second.entry));
-        assert_eq!(
-            metrics
-                .cache_hits
-                .load(std::sync::atomic::Ordering::Relaxed),
-            1
-        );
+        assert_eq!(metrics.cache_hits.load(Ordering::Relaxed), 1);
+        reg.shutdown();
+    }
+
+    #[test]
+    fn concurrent_submits_of_one_new_text_share_one_entry() {
+        let metrics = Arc::new(Metrics::default());
+        let reg = Registry::new(Arc::clone(&metrics), 1, 8, 0, true);
+        let text = "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = OR(a, b)\n";
+        let entries: Vec<Arc<Entry>> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        (0..25)
+                            .map(|_| reg.submit_text("bench", None, text).unwrap().entry)
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .flat_map(|t| t.join().unwrap())
+                .collect()
+        });
+        assert_eq!(entries.len(), 50);
+        assert!(entries.iter().all(|e| Arc::ptr_eq(e, &entries[0])));
+        let hits = metrics.cache_hits.load(Ordering::Relaxed);
+        let misses = metrics.cache_misses.load(Ordering::Relaxed);
+        assert_eq!(misses, 1, "the first insert wins; a racing loser is a hit");
+        assert_eq!(hits + misses, 50);
         reg.shutdown();
     }
 

@@ -11,11 +11,10 @@
 //!   cap with discard-to-newline recovery), parse, route. A handler owns
 //!   its connection for the connection's lifetime; short read timeouts
 //!   let it notice shutdown between requests.
-//! * **per-circuit hosts** — see [`crate::registry`]; handlers talk to
-//!   them through bounded job queues with a per-request timeout.
-//! * **supervisor thread** — periodically respawns any circuit host
-//!   whose thread died with its queue still open, so one crashed host
-//!   never takes the daemon's warm state down with it.
+//! * **M shared workers** — see [`crate::registry`]; handlers hand them
+//!   jobs for any circuit through one bounded job queue with a
+//!   per-request timeout. The thread count is independent of how many
+//!   circuits are resident.
 //! * **optional stats logger** — a periodic one-line metrics report.
 //!
 //! Malformed JSON, unknown ops, oversized lines, full queues and analysis
@@ -45,9 +44,9 @@ pub struct ServeConfig {
     pub addr: String,
     /// Request handler threads.
     pub handlers: usize,
-    /// Analysis worker threads per registered circuit.
-    pub workers_per_circuit: usize,
-    /// Job-queue capacity per circuit (beyond it requests get `busy`).
+    /// Analysis worker threads, shared by all circuits.
+    pub workers: usize,
+    /// Capacity of the shared job queue (beyond it requests get `busy`).
     pub queue_capacity: usize,
     /// Per-request wall-clock limit.
     pub request_timeout: Duration,
@@ -56,8 +55,8 @@ pub struct ServeConfig {
     /// Emit a one-line stats report this often (`None` = never).
     pub log_every: Option<Duration>,
     /// Resident-circuit cap (`0` = unlimited). Submitting past it evicts
-    /// the least-recently-used idle circuit host; with every host busy
-    /// the submit is shed with a typed `busy` reply.
+    /// the least-recently-used idle circuit; with every circuit busy the
+    /// submit is shed with a typed `busy` reply.
     pub max_circuits: usize,
     /// When `true` (the default), a request that exceeds
     /// [`request_timeout`](Self::request_timeout) also cancels its
@@ -71,7 +70,7 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             handlers: 4,
-            workers_per_circuit: 2,
+            workers: 2,
             queue_capacity: 64,
             request_timeout: Duration::from_secs(120),
             max_line_bytes: 4 << 20,
@@ -339,7 +338,7 @@ impl ServerHandle {
     }
 
     /// Waits until the server has fully drained: accept loop stopped,
-    /// in-flight requests answered, circuit hosts joined. Returns
+    /// in-flight requests answered, workers joined. Returns
     /// immediately on a second call.
     pub fn wait(&self) {
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.threads.lock().unwrap());
@@ -361,7 +360,7 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
     let metrics = Arc::new(Metrics::default());
     let registry = Registry::new(
         Arc::clone(&metrics),
-        config.workers_per_circuit,
+        config.workers,
         config.queue_capacity,
         config.max_circuits,
         config.cancel_on_timeout,
@@ -418,21 +417,6 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
                 .spawn(move || {
                     while let Some(stream) = conns.pop() {
                         handle_conn(&shared, stream);
-                    }
-                })?,
-        );
-    }
-
-    // Supervisor: restart crashed circuit hosts until the drain begins.
-    {
-        let shared = Arc::clone(&shared);
-        threads.push(
-            std::thread::Builder::new()
-                .name("serve-supervisor".to_string())
-                .spawn(move || {
-                    while !shared.shutdown.load(Ordering::SeqCst) {
-                        shared.registry.supervise();
-                        std::thread::sleep(Duration::from_millis(50));
                     }
                 })?,
         );

@@ -186,7 +186,7 @@ fn full_queue_sheds_load_with_busy() {
     // One worker, queue capacity 1: the third concurrent request must be
     // shed with `busy` while the first still runs.
     let handle = serve(ServeConfig {
-        workers_per_circuit: 1,
+        workers: 1,
         queue_capacity: 1,
         handlers: 4,
         ..ServeConfig::default()

@@ -83,10 +83,11 @@
 //! ```text
 //! --addr HOST:PORT  bind address (default 127.0.0.1:3585; port 0 = auto)
 //! --handlers N      request handler threads (default 4)
-//! --workers N       analysis workers per registered circuit (default 2)
-//! --queue N         per-circuit job queue capacity (default 64)
+//! --workers N       analysis workers, shared by all circuits (default 2)
+//! --queue N         shared job queue capacity (default 64)
 //! --timeout-secs S  per-request wall-clock limit (default 120)
-//! --max-circuits N  resident-circuit cap, LRU-evict idle hosts (0 = off)
+//! --max-circuits N  resident-circuit cap, evict idle circuits LRU-first
+//!                   (0 = off)
 //! --log-secs S      stats log-line interval, 0 = off (default 30)
 //! --self-test       bind an ephemeral port, run a client round-trip
 //!                   against every endpoint, drain, and exit
@@ -100,6 +101,7 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use protest::prelude::*;
 use protest_core::optimize::{HillClimber, OptimizeParams};
@@ -247,7 +249,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
         .ok_or_else(|| CliError::Usage("missing circuit file".to_string()))?
         .clone();
     let opts = parse_options(it).map_err(CliError::Usage)?;
-    let circuit = load_circuit(&path).map_err(CliError::Circuit)?;
+    let circuit = Arc::new(load_circuit(&path).map_err(CliError::Circuit)?);
     // Telemetry arms only on request: `--trace FILE` records a Chrome
     // trace of the run; `stats --probe` appends the phase tree. With
     // neither, every span site stays a single relaxed atomic load.
@@ -408,7 +410,7 @@ fn load_circuit(path: &str) -> Result<Circuit, String> {
     }
 }
 
-fn cmd_stats(circuit: &Circuit, opts: &Options) -> Result<String, String> {
+fn cmd_stats(circuit: &Arc<Circuit>, opts: &Options) -> Result<String, String> {
     let mut out = format!("{}\n", CircuitStats::of(circuit));
     let analyzer = analyzer_for(circuit, opts);
     // The probe runs first so that the footprint below includes the
@@ -462,7 +464,7 @@ fn cmd_stats(circuit: &Circuit, opts: &Options) -> Result<String, String> {
 
 /// The `stats --probe` report: opens an incremental session, nudges input
 /// 0 and counts the work the session re-did and reused.
-fn probe_report(circuit: &Circuit, analyzer: &Analyzer<'_>) -> Result<String, String> {
+fn probe_report(circuit: &Circuit, analyzer: &Analyzer) -> Result<String, String> {
     if circuit.num_inputs() == 0 {
         return Err("--probe needs at least one primary input".to_string());
     }
@@ -519,10 +521,11 @@ fn cmd_check(circuit: &Circuit, opts: &Options) -> Result<String, String> {
     }
 }
 
-/// Analyzer honoring the CLI's `--threads` (0 = auto).
-fn analyzer_for<'c>(circuit: &'c Circuit, opts: &Options) -> Analyzer<'c> {
+/// Analyzer honoring the CLI's `--threads` (0 = auto), sharing the
+/// loaded circuit.
+fn analyzer_for(circuit: &Arc<Circuit>, opts: &Options) -> Analyzer {
     Analyzer::with_params(
-        circuit,
+        Arc::clone(circuit),
         AnalyzerParams {
             num_threads: opts.threads,
             ..AnalyzerParams::default()
@@ -530,7 +533,7 @@ fn analyzer_for<'c>(circuit: &'c Circuit, opts: &Options) -> Analyzer<'c> {
     )
 }
 
-fn cmd_analyze(circuit: &Circuit, opts: &Options) -> Result<String, String> {
+fn cmd_analyze(circuit: &Arc<Circuit>, opts: &Options) -> Result<String, String> {
     let analyzer = analyzer_for(circuit, opts);
     let probs = InputProbs::constant(circuit.num_inputs(), opts.prob).map_err(|e| e.to_string())?;
     let analysis = analyzer.run(&probs).map_err(|e| e.to_string())?;
@@ -538,7 +541,7 @@ fn cmd_analyze(circuit: &Circuit, opts: &Options) -> Result<String, String> {
     Ok(format!("{report}\n"))
 }
 
-fn cmd_optimize(circuit: &Circuit, opts: &Options) -> Result<String, String> {
+fn cmd_optimize(circuit: &Arc<Circuit>, opts: &Options) -> Result<String, String> {
     let analyzer = analyzer_for(circuit, opts);
     let params = OptimizeParams {
         n_target: opts.n_target,
@@ -717,7 +720,7 @@ fn cmd_tpi(circuit: &Circuit, opts: &Options) -> Result<String, String> {
     Ok(out)
 }
 
-fn cmd_patterns(circuit: &Circuit, opts: &Options) -> Result<String, String> {
+fn cmd_patterns(circuit: &Arc<Circuit>, opts: &Options) -> Result<String, String> {
     let names: Vec<String> = circuit
         .inputs()
         .iter()
@@ -742,7 +745,7 @@ fn cmd_patterns(circuit: &Circuit, opts: &Options) -> Result<String, String> {
     Ok(set.to_text())
 }
 
-fn cmd_simulate(circuit: &Circuit, opts: &Options) -> Result<String, String> {
+fn cmd_simulate(circuit: &Arc<Circuit>, opts: &Options) -> Result<String, String> {
     let file = opts
         .patterns_file
         .as_ref()
@@ -756,7 +759,7 @@ fn cmd_simulate(circuit: &Circuit, opts: &Options) -> Result<String, String> {
             circuit.num_inputs()
         ));
     }
-    let analyzer = Analyzer::new(circuit);
+    let analyzer = Analyzer::new(Arc::clone(circuit));
     let mut src = ReplaySource::new(&set);
     let curve = coverage_run(circuit, analyzer.faults(), &mut src, &[set.len() as u64]);
     Ok(format!(
@@ -793,7 +796,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
             "--addr" => config.addr = value("--addr")?.clone(),
             "--handlers" => config.handlers = num("--handlers", value("--handlers")?)?,
             "--workers" => {
-                config.workers_per_circuit = num("--workers", value("--workers")?)?;
+                config.workers = num("--workers", value("--workers")?)?;
             }
             "--queue" => config.queue_capacity = num("--queue", value("--queue")?)?,
             "--max-circuits" => {

@@ -16,7 +16,7 @@ const INPUTS: usize = 6;
 /// An analyzer pinned to an explicit thread count (overrides
 /// `PROTEST_THREADS`, so the differential runs below cover the serial and
 /// the parallel wavefront paths no matter how the suite is invoked).
-fn analyzer_with_threads(circuit: &Circuit, threads: usize) -> Analyzer<'_> {
+fn analyzer_with_threads(circuit: &Circuit, threads: usize) -> Analyzer {
     Analyzer::with_params(
         circuit,
         AnalyzerParams {
@@ -29,8 +29,9 @@ fn analyzer_with_threads(circuit: &Circuit, threads: usize) -> Analyzer<'_> {
 /// Asserts the session's observabilities (stems *and* pin values) are
 /// `to_bits`-identical to an independent from-scratch reverse sweep over
 /// the session's own signal probabilities.
-fn assert_obs_matches_full_sweep(session: &mut AnalysisSession<'_, '_>) {
-    let circuit = session.circuit();
+fn assert_obs_matches_full_sweep(session: &mut AnalysisSession) {
+    let analyzer = session.analyzer().clone();
+    let circuit = analyzer.circuit();
     let params = *session.analyzer().params();
     let probs = session.signal_probs().to_vec();
     let fresh = compute_observability(circuit, &probs, &params);
@@ -56,8 +57,9 @@ fn assert_obs_matches_full_sweep(session: &mut AnalysisSession<'_, '_>) {
 
 /// Asserts two sessions (e.g. serial vs 4-thread) hold bit-identical
 /// observability state.
-fn assert_obs_sessions_agree(a: &mut AnalysisSession<'_, '_>, b: &mut AnalysisSession<'_, '_>) {
-    let circuit = a.circuit();
+fn assert_obs_sessions_agree(a: &mut AnalysisSession, b: &mut AnalysisSession) {
+    let analyzer = a.analyzer().clone();
+    let circuit = analyzer.circuit();
     assert_eq!(a.input_probs(), b.input_probs());
     // Borrow one result at a time: copy A's values out first.
     let stems_a: Vec<u64> = {
@@ -89,11 +91,7 @@ fn build(seed: u64) -> Circuit {
 /// Asserts that the session agrees with a fresh from-scratch analysis at
 /// `probs` on signal probabilities, observabilities and fault detection
 /// probabilities (panics on mismatch, like the `prop_assert!` shim).
-fn assert_matches_fresh(
-    session: &mut AnalysisSession<'_, '_>,
-    analyzer: &Analyzer<'_>,
-    probs: &[f64],
-) {
+fn assert_matches_fresh(session: &mut AnalysisSession, analyzer: &Analyzer, probs: &[f64]) {
     let fresh = analyzer
         .run(&InputProbs::from_slice(probs).unwrap())
         .unwrap();
