@@ -52,6 +52,9 @@ struct Shared {
     faults: Vec<Fault>,
     /// Expanded member count per analyzed class, aligned with `faults`.
     class_sizes: Vec<u32>,
+    /// Heap bytes of the collapsed classes `faults` and `class_sizes`
+    /// were read from (members, offsets, representatives).
+    class_bytes: usize,
     uncollapsed: usize,
     /// Fault classes dropped by the redundancy prover
     /// (`params.prune_redundant`).
@@ -94,9 +97,11 @@ impl Analyzer {
     /// dropped wholesale.
     pub fn with_params(circuit: impl Into<Arc<Circuit>>, params: AnalyzerParams) -> Self {
         let circuit = circuit.into();
+        let collapse_span = protest_telemetry::span(protest_telemetry::Site::AnalyzerCollapse);
         let universe = FaultUniverse::all(&circuit);
         let uncollapsed = universe.len();
         let mut collapsed = collapse_universe(&circuit, &universe);
+        drop(universe);
         let mut pruned_classes = 0;
         let mut pruned_faults = 0;
         if params.prune_redundant {
@@ -125,13 +130,18 @@ impl Analyzer {
             collapsed = dominance_collapse(&circuit, &collapsed);
         }
         let class_sizes = collapsed.classes().iter().map(|c| c.len() as u32).collect();
+        let class_bytes = collapsed.storage_bytes();
+        let faults = collapsed.representatives().to_vec();
+        drop(collapsed);
+        drop(collapse_span);
         let exec = Exec::new(params.num_threads);
         let inner = Arc::new(Shared {
             circuit,
             params,
             estimator: OnceLock::new(),
-            faults: collapsed.representatives().to_vec(),
+            faults,
             class_sizes,
+            class_bytes,
             uncollapsed,
             pruned_classes,
             pruned_faults,
@@ -170,6 +180,14 @@ impl Analyzer {
     /// lengths.
     pub fn class_sizes(&self) -> &[u32] {
         &self.inner.class_sizes
+    }
+
+    /// Heap bytes of the collapsed fault classes (flat members, class
+    /// offsets and representatives) the fault list was read from — a
+    /// memory-footprint counter for `stats` reports. The analyzer keeps
+    /// only the representatives and class sizes.
+    pub fn fault_class_bytes(&self) -> usize {
+        self.inner.class_bytes
     }
 
     /// Size of the uncollapsed fault universe.

@@ -351,6 +351,7 @@ fn coalesce_cap(
 pub(crate) fn build_fault_deps(analyzer: &Analyzer) -> FaultDeps {
     let circuit = analyzer.circuit();
     let engine = analyzer.obs_engine();
+    let _span = protest_telemetry::span(protest_telemetry::Site::FaultDeps);
     let fanouts = engine.fanouts();
     let n = circuit.num_nodes();
     let faults = analyzer.faults();

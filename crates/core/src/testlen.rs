@@ -9,6 +9,30 @@
 //!
 //! All computation happens in log space so the paper's extreme regimes
 //! (`N ≈ 3·10⁸` at `p_f ≈ 10⁻⁸`, Table 3) remain numerically stable.
+//!
+//! The search for the minimal `N` probes the same lengths as a plain
+//! exponential-then-bisection search that sums every fault's term
+//! `ln(1 − (1 − p_f)^N)` at every probe, and it returns bit-identical
+//! `patterns` and `confidence`. It does less work per probe for two
+//! reasons, both exact in floating point:
+//!
+//! * **Dead terms are skipped.** With `t = N·ln(1 − p_f) < −40`,
+//!   `e^t < 4.3·10⁻¹⁸` is below half an ulp of 1.0, so `−expm1(t)` rounds
+//!   to exactly 1.0 and the term is `ln 1.0 = +0.0`. Adding `+0.0` to the
+//!   running sum (which is `+0.0` or negative) changes no bit. Since `t`
+//!   only falls as `N` grows, a term dead at a failed probe is dead at
+//!   every later, longer probe and leaves the search for good; the
+//!   bisection in `(hi/2, hi]` visits only the terms alive at `hi/2`, in
+//!   fault order.
+//! * **Failing probes stop early.** Every term is `≤ 0`, and rounded
+//!   addition is monotone, so once the running sum falls below
+//!   `ln confidence` no later term can lift it back: the probe's verdict
+//!   is already the full sum's verdict.
+//!
+//! So every probe gives the full sum's verdict — `N` is the same even
+//! where the rounded sum is not monotone in `N` — and the successful
+//! probe at `N` adds the same nonzero terms in the same order, so the
+//! reported confidence has the same bits.
 
 /// A computed test length.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,6 +123,12 @@ pub fn required_test_length_weighted(
     counts: &[u32],
     confidence: f64,
 ) -> Option<TestLength> {
+    let _span = protest_telemetry::span(protest_telemetry::Site::TestLength);
+    weighted_length(ps, counts, confidence)
+}
+
+/// [`required_test_length_weighted`] without its span.
+fn weighted_length(ps: &[f64], counts: &[u32], confidence: f64) -> Option<TestLength> {
     assert!(
         confidence > 0.0 && confidence < 1.0,
         "confidence must be in (0, 1)"
@@ -116,7 +146,7 @@ pub fn required_test_length_weighted(
             .filter(|&(_, &c)| c > 0)
             .map(|(&p, &c)| (p, c as f64)),
     )?;
-    search_length(&terms, confidence)
+    search_length(terms, confidence)
 }
 
 /// The weighted `d`-fraction variant: drops the hardest `(1 − d)`-fraction
@@ -133,6 +163,7 @@ pub fn required_test_length_fraction_weighted(
     d: f64,
     e: f64,
 ) -> Option<TestLength> {
+    let _span = protest_telemetry::span(protest_telemetry::Site::TestLength);
     assert!(d > 0.0 && d <= 1.0, "fraction d must be in (0, 1]");
     assert_eq!(ps.len(), counts.len(), "one count per probability");
     let total: u64 = counts.iter().map(|&c| c as u64).sum();
@@ -157,7 +188,7 @@ pub fn required_test_length_fraction_weighted(
             keep -= take as u64;
         }
     }
-    required_test_length_weighted(&kept_ps, &kept_counts, e)
+    weighted_length(&kept_ps, &kept_counts, e)
 }
 
 /// `ln Σ_f (1 − p_f)^N` — the log of the *expected number of undetected
@@ -207,6 +238,12 @@ pub fn ln_expected_undetected(ps: &[f64], n: u64) -> f64 {
 ///
 /// Panics if `confidence` is not within `(0, 1)`.
 pub fn required_test_length(ps: &[f64], confidence: f64) -> Option<TestLength> {
+    let _span = protest_telemetry::span(protest_telemetry::Site::TestLength);
+    unweighted_length(ps, confidence)
+}
+
+/// [`required_test_length`] without its span.
+fn unweighted_length(ps: &[f64], confidence: f64) -> Option<TestLength> {
     assert!(
         confidence > 0.0 && confidence < 1.0,
         "confidence must be in (0, 1)"
@@ -218,7 +255,7 @@ pub fn required_test_length(ps: &[f64], confidence: f64) -> Option<TestLength> {
         });
     }
     let terms = miss_terms(ps.iter().map(|&p| (p, 1.0)))?;
-    search_length(&terms, confidence)
+    search_length(terms, confidence)
 }
 
 /// The per-fault `(ln(1 − p), multiplicity)` terms of a test-length
@@ -227,7 +264,7 @@ pub fn required_test_length(ps: &[f64], confidence: f64) -> Option<TestLength> {
 /// dropped. `None` when a fault is undetectable (`p ≤ 0`): no length
 /// reaches any confidence then.
 fn miss_terms(faults: impl Iterator<Item = (f64, f64)>) -> Option<Vec<(f64, f64)>> {
-    let mut terms = Vec::new();
+    let mut terms = Vec::with_capacity(faults.size_hint().0);
     for (p, count) in faults {
         if p <= 0.0 {
             return None;
@@ -239,42 +276,77 @@ fn miss_terms(faults: impl Iterator<Item = (f64, f64)>) -> Option<Vec<(f64, f64)
     Some(terms)
 }
 
-/// `ln P_F(N)` over [`miss_terms`] for `N ≥ 1`, summed in fault order
-/// exactly as [`ln_set_detection_probability_weighted`] sums it.
-fn ln_detection_at(terms: &[(f64, f64)], n: u64) -> f64 {
+/// Below this exponent `t = N·ln(1 − p)` a fault's miss term is exactly
+/// `+0.0`: `e^t < 4.3·10⁻¹⁸` is under half an ulp of 1.0, so
+/// `−expm1(t)` rounds to 1.0 and its log is `+0.0`.
+const DEAD_EXPONENT: f64 = -40.0;
+
+/// One probe of the test-length search: whether `ln P_F(n) ≥ target`,
+/// summing `alive` in order as [`ln_set_detection_probability_weighted`]
+/// sums every fault, but skipping dead terms and stopping at the first
+/// shortfall — both exact, see the module docs.
+///
+/// A failed probe also narrows `alive` to the terms still alive at `n`
+/// (its unexamined tail kept as is), with `scratch` as the second
+/// buffer; every later probe is longer, so no dropped term revives.
+/// Returns the full sum when the probe succeeds.
+fn probe(
+    alive: &mut Vec<(f64, f64)>,
+    scratch: &mut Vec<(f64, f64)>,
+    n: u64,
+    target: f64,
+) -> Option<f64> {
+    scratch.clear();
     let mut total = 0.0f64;
-    for &(ln_miss, count) in terms {
+    for i in 0..alive.len() {
+        let (ln_miss, count) = alive[i];
         // t = ln (1-p)^N;  term = ln(1 − e^t) = ln(−expm1(t)).
         let t = n as f64 * ln_miss;
+        if t < DEAD_EXPONENT {
+            continue;
+        }
+        scratch.push((ln_miss, count));
         total += count * (-t.exp_m1()).ln();
+        if total < target {
+            if scratch.len() <= i {
+                scratch.extend_from_slice(&alive[i + 1..]);
+                std::mem::swap(alive, scratch);
+            }
+            return None;
+        }
     }
-    total
+    Some(total)
 }
 
 /// The minimal `N ≥ 1` with `ln P_F(N) ≥ ln confidence`: exponential
-/// search for an upper bound, then bisection in `(hi/2, hi]`.
-fn search_length(terms: &[(f64, f64)], confidence: f64) -> Option<TestLength> {
+/// search for an upper bound, then bisection in `(hi/2, hi]`. The probe
+/// lengths and verdicts are those of a full-sum search (module docs), so
+/// the bisection only needs the terms alive at its last failure.
+fn search_length(mut alive: Vec<(f64, f64)>, confidence: f64) -> Option<TestLength> {
     let target = confidence.ln();
-    let reaches = |n: u64| ln_detection_at(terms, n) >= target;
+    let mut scratch = Vec::with_capacity(alive.len());
+    let mut reaches = |n: u64| probe(&mut alive, &mut scratch, n, target);
     let mut hi = 1u64;
-    while !reaches(hi) {
+    let mut at_hi = loop {
+        if let Some(sum) = reaches(hi) {
+            break sum;
+        }
         if hi >= MAX_PATTERNS {
             return None;
         }
         hi = (hi * 2).min(MAX_PATTERNS);
-    }
+    };
     let mut lo = hi / 2; // reaches(lo) is false (or lo == 0)
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        if reaches(mid) {
-            hi = mid;
-        } else {
-            lo = mid;
+        match reaches(mid) {
+            Some(sum) => (hi, at_hi) = (mid, sum),
+            None => lo = mid,
         }
     }
     Some(TestLength {
         patterns: hi,
-        confidence: ln_detection_at(terms, hi).exp(),
+        confidence: at_hi.exp(),
     })
 }
 
@@ -286,12 +358,13 @@ fn search_length(terms: &[(f64, f64)], confidence: f64) -> Option<TestLength> {
 ///
 /// Panics if `d` is not within `(0, 1]` or `e` not within `(0, 1)`.
 pub fn required_test_length_fraction(ps: &[f64], d: f64, e: f64) -> Option<TestLength> {
+    let _span = protest_telemetry::span(protest_telemetry::Site::TestLength);
     assert!(d > 0.0 && d <= 1.0, "fraction d must be in (0, 1]");
     let mut sorted: Vec<f64> = ps.to_vec();
     // Highest first; the kept set is the easiest d·100 %.
     sorted.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
     let keep = ((d * ps.len() as f64).round() as usize).min(ps.len());
-    required_test_length(&sorted[..keep], e)
+    unweighted_length(&sorted[..keep], e)
 }
 
 #[cfg(test)]

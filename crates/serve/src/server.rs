@@ -3,10 +3,11 @@
 //!
 //! Thread model (all `std`, no async runtime):
 //!
-//! * **accept thread** — non-blocking accept loop polling the shutdown
-//!   flag; accepted connections go to a bounded queue (its `push_blocking`
-//!   is the accept-side backpressure: when every handler is busy, new
-//!   connections wait in the OS backlog).
+//! * **accept thread** — blocking accept loop; accepted connections go
+//!   to a bounded queue (its `push_blocking` is the accept-side
+//!   backpressure: when every handler is busy, new connections wait in
+//!   the OS backlog). Whatever starts a drain wakes it with a loopback
+//!   connection to the listener, after which it sees the shutdown flag.
 //! * **N handler threads** — pop connections, frame request lines (size
 //!   cap with discard-to-newline recovery), parse, route. A handler owns
 //!   its connection for the connection's lifetime; short read timeouts
@@ -23,7 +24,7 @@
 //! the next newline).
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -86,11 +87,23 @@ struct Shared {
     metrics: Arc<Metrics>,
     registry: Registry,
     shutdown: AtomicBool,
+    /// Where a connect reaches the listener (the bound address, with an
+    /// unspecified IP replaced by loopback) — how a drain wakes the
+    /// blocked accept thread.
+    wake_addr: SocketAddr,
     request_timeout: Duration,
     max_line_bytes: usize,
 }
 
 impl Shared {
+    /// Sets the shutdown flag, then wakes the accept thread out of its
+    /// blocking `accept` so it notices. A failed wake connect is harmless
+    /// when the acceptor has already stopped.
+    fn begin_drain(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+    }
+
     /// Routes one parsed request, returning the reply line.
     fn handle_request(&self, req: Request) -> (bool, String) {
         let Request { id, op, timing } = req;
@@ -198,7 +211,7 @@ impl Shared {
                 (true, ok_line(&id, self.metrics.snapshot()))
             }
             Op::Shutdown => {
-                self.shutdown.store(true, Ordering::SeqCst);
+                self.begin_drain();
                 (
                     true,
                     ok_line(&id, Json::obj(vec![("draining", Json::Bool(true))])),
@@ -333,7 +346,7 @@ impl ServerHandle {
 
     /// Requests a graceful drain and waits for it to finish.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.begin_drain();
         self.wait();
     }
 
@@ -354,8 +367,14 @@ impl ServerHandle {
 /// (or a `shutdown` request followed by [`ServerHandle::wait`]).
 pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
+    let mut wake_addr = addr;
+    if addr.ip().is_unspecified() {
+        wake_addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
 
     let metrics = Arc::new(Metrics::default());
     let registry = Registry::new(
@@ -369,6 +388,7 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
         metrics,
         registry,
         shutdown: AtomicBool::new(false),
+        wake_addr,
         request_timeout: config.request_timeout,
         max_line_bytes: config.max_line_bytes,
     });
@@ -377,8 +397,9 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
     let conns: Arc<Bounded<TcpStream>> = Arc::new(Bounded::new(handlers * 2));
     let mut threads = Vec::with_capacity(handlers + 2);
 
-    // Accept thread: poll accept + shutdown flag; close the connection
-    // queue on exit so handlers drain and stop.
+    // Accept thread: blocking accept, checking the shutdown flag after
+    // every return (a drain's wake connection is dropped unserved); close
+    // the connection queue on exit so handlers drain and stop.
     {
         let shared = Arc::clone(&shared);
         let conns = Arc::clone(&conns);
@@ -387,18 +408,18 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
                 .name("serve-accept".to_string())
                 .spawn(move || {
                     loop {
+                        let accepted = listener.accept();
                         if shared.shutdown.load(Ordering::SeqCst) {
                             break;
                         }
-                        match listener.accept() {
+                        match accepted {
                             Ok((stream, _)) => {
                                 if conns.push_blocking(stream).is_err() {
                                     break;
                                 }
                             }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(20));
-                            }
+                            // Transient failures (e.g. out of descriptors):
+                            // back off instead of spinning.
                             Err(_) => std::thread::sleep(Duration::from_millis(20)),
                         }
                     }
@@ -567,5 +588,43 @@ mod tests {
 
         drop(stream);
         handle.shutdown();
+    }
+
+    /// Each new connection is accepted as soon as it arrives. Sequential
+    /// connect → request → close cycles used to land right after the
+    /// acceptor's last `accept` and wait out its whole poll sleep.
+    #[test]
+    fn new_connections_are_accepted_without_a_polling_delay() {
+        let handle = serve(ServeConfig::default()).unwrap();
+        let mut waits: Vec<Duration> = (0..15)
+            .map(|_| {
+                let start = Instant::now();
+                let (mut stream, mut reader) = connect(&handle);
+                let r = roundtrip(&mut stream, &mut reader, r#"{"op":"stats"}"#);
+                assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
+                start.elapsed()
+            })
+            .collect();
+        waits.sort();
+        assert!(
+            waits[waits.len() / 2] < Duration::from_millis(10),
+            "median connect-to-reply {:?}",
+            waits[waits.len() / 2]
+        );
+        handle.shutdown();
+    }
+
+    /// A `shutdown` request wakes the blocked acceptor: `wait` returns
+    /// without any other connection arriving.
+    #[test]
+    fn wire_shutdown_wakes_the_blocking_acceptor() {
+        let handle = serve(ServeConfig::default()).unwrap();
+        let (mut stream, mut reader) = connect(&handle);
+        let r = roundtrip(&mut stream, &mut reader, r#"{"op":"shutdown"}"#);
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
+        drop(stream);
+        let start = Instant::now();
+        handle.wait();
+        assert!(start.elapsed() < Duration::from_secs(5));
     }
 }

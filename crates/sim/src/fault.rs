@@ -203,10 +203,16 @@ impl FaultUniverse {
 /// detecting the representative also detects every member, but not
 /// necessarily vice versa — the representative is the *hardest* member and
 /// a test set covering all representatives covers the whole universe).
+///
+/// The classes are stored flat (CSR): every class's members back to back
+/// in one array, plus one offset per class boundary.
 #[derive(Debug, Clone)]
 pub struct CollapsedUniverse {
     representatives: Vec<Fault>,
-    classes: Vec<Vec<Fault>>,
+    /// The members of every class, class after class, each class sorted.
+    members: Vec<Fault>,
+    /// Class `i` is `members[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
 }
 
 impl CollapsedUniverse {
@@ -221,8 +227,11 @@ impl CollapsedUniverse {
 
     /// The full class for each representative (same index order, members
     /// sorted).
-    pub fn classes(&self) -> &[Vec<Fault>] {
-        &self.classes
+    pub fn classes(&self) -> FaultClasses<'_> {
+        FaultClasses {
+            members: &self.members,
+            offsets: &self.offsets,
+        }
     }
 
     /// Number of classes.
@@ -237,7 +246,14 @@ impl CollapsedUniverse {
 
     /// Total fault count across all classes (the covered universe size).
     pub fn expanded_len(&self) -> usize {
-        self.classes.iter().map(Vec::len).sum()
+        self.members.len()
+    }
+
+    /// Heap bytes of the representatives, members and offsets arrays.
+    pub fn storage_bytes(&self) -> usize {
+        std::mem::size_of_val(self.representatives.as_slice())
+            + std::mem::size_of_val(self.members.as_slice())
+            + std::mem::size_of_val(self.offsets.as_slice())
     }
 
     /// A copy with only the classes whose index is flagged in `keep` —
@@ -248,23 +264,198 @@ impl CollapsedUniverse {
     /// Panics if `keep.len()` differs from [`len`](Self::len).
     pub fn filtered(&self, keep: &[bool]) -> CollapsedUniverse {
         assert_eq!(keep.len(), self.len(), "one keep flag per class");
-        let representatives = self
+        let mut kept = CollapsedUniverse {
+            representatives: Vec::new(),
+            members: Vec::new(),
+            offsets: vec![0],
+        };
+        for ((&rep, class), _) in self
             .representatives
             .iter()
+            .zip(self.classes())
             .zip(keep)
             .filter(|(_, &k)| k)
-            .map(|(&r, _)| r)
-            .collect();
-        let classes = self
-            .classes
-            .iter()
-            .zip(keep)
-            .filter(|(_, &k)| k)
-            .map(|(c, _)| c.clone())
-            .collect();
+        {
+            kept.representatives.push(rep);
+            kept.members.extend_from_slice(class);
+            kept.offsets.push(kept.members.len() as u32);
+        }
+        kept
+    }
+
+    /// Lays classes out flat from their sizes. `place` must hand every
+    /// member to its sink as `(class, fault)` in `Fault` order; members
+    /// then land sorted within each class.
+    fn lay_out(
+        representatives: Vec<Fault>,
+        sizes: &[u32],
+        place: impl FnOnce(&mut dyn FnMut(u32, Fault)),
+    ) -> CollapsedUniverse {
+        let mut offsets = Vec::with_capacity(sizes.len() + 1);
+        offsets.push(0u32);
+        for &size in sizes {
+            offsets.push(offsets[offsets.len() - 1] + size);
+        }
+        let mut cursor = offsets[..sizes.len()].to_vec();
+        let filler = Fault::output(NodeId::from_index(0), StuckAt::Zero);
+        let mut members = vec![filler; offsets[sizes.len()] as usize];
+        place(&mut |class, fault| {
+            let at = &mut cursor[class as usize];
+            members[*at as usize] = fault;
+            *at += 1;
+        });
         CollapsedUniverse {
             representatives,
-            classes,
+            members,
+            offsets,
+        }
+    }
+}
+
+/// The classes of a [`CollapsedUniverse`]: a borrowed view over its flat
+/// arrays that indexes and iterates like a slice of classes.
+#[derive(Debug, Clone, Copy)]
+pub struct FaultClasses<'a> {
+    members: &'a [Fault],
+    offsets: &'a [u32],
+}
+
+impl<'a> FaultClasses<'a> {
+    /// Number of classes.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether there are no classes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The classes in order, each as its sorted members.
+    pub fn iter(&self) -> FaultClassIter<'a> {
+        FaultClassIter {
+            members: self.members,
+            bounds: self.offsets.windows(2),
+        }
+    }
+}
+
+impl std::ops::Index<usize> for FaultClasses<'_> {
+    type Output = [Fault];
+
+    fn index(&self, class: usize) -> &[Fault] {
+        &self.members[self.offsets[class] as usize..self.offsets[class + 1] as usize]
+    }
+}
+
+impl<'a> IntoIterator for FaultClasses<'a> {
+    type Item = &'a [Fault];
+    type IntoIter = FaultClassIter<'a>;
+
+    fn into_iter(self) -> FaultClassIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over the classes of a [`FaultClasses`] view.
+#[derive(Debug, Clone)]
+pub struct FaultClassIter<'a> {
+    members: &'a [Fault],
+    bounds: std::slice::Windows<'a, u32>,
+}
+
+impl<'a> Iterator for FaultClassIter<'a> {
+    type Item = &'a [Fault];
+
+    fn next(&mut self) -> Option<&'a [Fault]> {
+        let bounds = self.bounds.next()?;
+        Some(&self.members[bounds[0] as usize..bounds[1] as usize])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.bounds.size_hint()
+    }
+}
+
+impl ExactSizeIterator for FaultClassIter<'_> {}
+
+/// A hash-free map from faults to `u32` values by position.
+///
+/// Node `n` owns the slots `base[n]..base[n + 1]`: its output pair first,
+/// then one pair per input pin, `sa0` before `sa1` — the order in which
+/// [`FaultUniverse::all`] enumerates a node's faults. Every fault the
+/// enumeration can produce therefore has a fixed slot, and a lookup is
+/// two array reads.
+struct FaultSlots {
+    base: Vec<u32>,
+    value: Vec<u32>,
+}
+
+impl FaultSlots {
+    const EMPTY: u32 = u32::MAX;
+
+    fn new(circuit: &Circuit) -> Self {
+        let mut base = Vec::with_capacity(circuit.num_nodes() + 1);
+        let mut end = 0u32;
+        base.push(end);
+        for node in circuit.nodes() {
+            end += 2 * (1 + node.fanins().len() as u32);
+            base.push(end);
+        }
+        FaultSlots {
+            base,
+            value: vec![Self::EMPTY; end as usize],
+        }
+    }
+
+    fn slot(&self, fault: Fault) -> usize {
+        let pair = match fault.site {
+            FaultSite::Output(_) => 0,
+            FaultSite::InputPin { pin, .. } => 1 + pin as usize,
+        };
+        self.base[fault.site.affected().index()] as usize + 2 * pair + fault.polarity as usize
+    }
+
+    fn insert(&mut self, fault: Fault, value: u32) {
+        let slot = self.slot(fault);
+        self.value[slot] = value;
+    }
+
+    fn get(&self, fault: Fault) -> Option<u32> {
+        let value = self.value[self.slot(fault)];
+        (value != Self::EMPTY).then_some(value)
+    }
+
+    /// Visits every stored `(fault, value)` in `Fault` order. The derived
+    /// `Ord` puts every output site before every input-pin site, and slot
+    /// order is node order within each kind, so one sweep over the output
+    /// pairs and one over the pin pairs visit the faults sorted.
+    fn for_each_sorted(&self, mut visit: impl FnMut(Fault, u32)) {
+        let nodes = self.base.len() - 1;
+        let mut stored = |n: usize, local: usize| {
+            let value = self.value[self.base[n] as usize + local];
+            if value == Self::EMPTY {
+                return;
+            }
+            let id = NodeId::from_index(n);
+            let site = match local / 2 {
+                0 => FaultSite::Output(id),
+                pair => FaultSite::InputPin {
+                    gate: id,
+                    pin: (pair - 1) as u8,
+                },
+            };
+            let polarity = [StuckAt::Zero, StuckAt::One][local % 2];
+            visit(Fault { site, polarity }, value);
+        };
+        for n in 0..nodes {
+            stored(n, 0);
+            stored(n, 1);
+        }
+        for n in 0..nodes {
+            for local in 2..(self.base[n + 1] - self.base[n]) as usize {
+                stored(n, local);
+            }
         }
     }
 }
@@ -300,10 +491,15 @@ impl CollapsedUniverse {
 ///
 /// The representative of each class is its smallest member (site order,
 /// then polarity), and `classes()[i][0] == representatives()[i]`.
+///
+/// The work is linear and hash-free: a positional slot table gives each
+/// fault its universe index, a union-find runs over those indices, and
+/// the classes are numbered and laid out by two sweeps in `Fault` order.
 pub fn collapse_universe(circuit: &Circuit, universe: &FaultUniverse) -> CollapsedUniverse {
-    use std::collections::HashMap;
-
-    let index: HashMap<Fault, usize> = universe.iter().enumerate().map(|(i, f)| (f, i)).collect();
+    let mut index = FaultSlots::new(circuit);
+    for (i, f) in universe.iter().enumerate() {
+        index.insert(f, i as u32);
+    }
     let mut dsu = Dsu::new(universe.len());
 
     for (id, node) in circuit.iter() {
@@ -329,15 +525,15 @@ pub fn collapse_universe(circuit: &Circuit, universe: &FaultUniverse) -> Collaps
                     // the driver net is not itself directly observed as a
                     // primary output (a PO net's fault is detectable at the
                     // PO even when the gate's output fault is not).
-                    let a = index.get(&pin_fault).or_else(|| {
+                    let a = index.get(pin_fault).or_else(|| {
                         if circuit.is_output(driver) {
                             None
                         } else {
-                            index.get(&in_fault)
+                            index.get(in_fault)
                         }
                     });
-                    if let (Some(&a), Some(&b)) = (a, index.get(&out_fault)) {
-                        dsu.union(a, b);
+                    if let (Some(a), Some(b)) = (a, index.get(out_fault)) {
+                        dsu.union(a as usize, b as usize);
                     }
                 }
                 continue;
@@ -345,7 +541,7 @@ pub fn collapse_universe(circuit: &Circuit, universe: &FaultUniverse) -> Collaps
             _ => continue,
         };
         let out_fault = Fault::output(id, out_pol);
-        let Some(&out_idx) = index.get(&out_fault) else {
+        let Some(out_idx) = index.get(out_fault) else {
             continue;
         };
         for (pin, &f) in node.fanins().iter().enumerate() {
@@ -356,33 +552,36 @@ pub fn collapse_universe(circuit: &Circuit, universe: &FaultUniverse) -> Collaps
             // fanout-free nets (`all()` enumerates pin faults exactly when
             // the driver is a stem, so absence implies fanout-free) that
             // are not observed directly as primary outputs.
-            let a = index.get(&pin_fault).or_else(|| {
+            let a = index.get(pin_fault).or_else(|| {
                 if circuit.is_output(f) {
                     None
                 } else {
-                    index.get(&in_fault)
+                    index.get(in_fault)
                 }
             });
-            if let Some(&a) = a {
-                dsu.union(a, out_idx);
+            if let Some(a) = a {
+                dsu.union(a as usize, out_idx as usize);
             }
         }
     }
 
-    let mut groups: HashMap<usize, Vec<Fault>> = HashMap::new();
-    for (i, f) in universe.iter().enumerate() {
-        groups.entry(dsu.find(i)).or_default().push(f);
-    }
-    let mut classes: Vec<Vec<Fault>> = groups.into_values().collect();
-    for class in &mut classes {
-        class.sort();
-    }
-    classes.sort_by_key(|c| c[0]);
-    let representatives = classes.iter().map(|c| c[0]).collect();
-    CollapsedUniverse {
-        representatives,
-        classes,
-    }
+    // Number the classes in the order their smallest members appear in
+    // the sorted sweep, which sorts the classes by representative.
+    let mut class_of_root = vec![u32::MAX; universe.len()];
+    let mut representatives = Vec::new();
+    let mut sizes: Vec<u32> = Vec::new();
+    index.for_each_sorted(|f, i| {
+        let root = dsu.find(i as usize);
+        if class_of_root[root] == u32::MAX {
+            class_of_root[root] = sizes.len() as u32;
+            representatives.push(f);
+            sizes.push(0);
+        }
+        sizes[class_of_root[root] as usize] += 1;
+    });
+    CollapsedUniverse::lay_out(representatives, &sizes, |sink| {
+        index.for_each_sorted(|f, i| sink(class_of_root[dsu.find(i as usize)], f));
+    })
 }
 
 /// Extends an equivalence-collapsed universe with classic *dominance*
@@ -413,11 +612,12 @@ pub fn collapse_universe(circuit: &Circuit, universe: &FaultUniverse) -> Collaps
 /// conservative. One incoming edge per class keeps this sound; merging all
 /// mutually-dominating inputs of a gate (as equivalence does) would create
 /// classes in which no single member implies all others.
+///
+/// Merged classes are ordered by representative, members sorted; like
+/// [`collapse_universe`], the pass is hash-free.
 pub fn dominance_collapse(circuit: &Circuit, equiv: &CollapsedUniverse) -> CollapsedUniverse {
-    use std::collections::HashMap;
-
     // Fault → equivalence-class index.
-    let mut class_of: HashMap<Fault, u32> = HashMap::new();
+    let mut class_of = FaultSlots::new(circuit);
     for (ci, class) in equiv.classes().iter().enumerate() {
         for &f in class {
             class_of.insert(f, ci as u32);
@@ -446,7 +646,7 @@ pub fn dominance_collapse(circuit: &Circuit, equiv: &CollapsedUniverse) -> Colla
             _ => unreachable!(),
         };
         let target = Fault::output(id, out_pol.flipped());
-        let Some(&tc) = class_of.get(&target) else {
+        let Some(tc) = class_of.get(target) else {
             continue; // dead node or pruned class
         };
         if parent[tc as usize].is_some() {
@@ -459,11 +659,11 @@ pub fn dominance_collapse(circuit: &Circuit, equiv: &CollapsedUniverse) -> Colla
             // Same resolution as `collapse_universe`: the branch fault when
             // enumerated, else the driver's output fault on fanout-free
             // nets not directly observed as primary outputs.
-            let sc = class_of.get(&pin_fault).copied().or_else(|| {
+            let sc = class_of.get(pin_fault).or_else(|| {
                 if circuit.is_output(f) {
                     None
                 } else {
-                    class_of.get(&in_fault).copied()
+                    class_of.get(in_fault)
                 }
             });
             let Some(sc) = sc else { continue };
@@ -478,29 +678,26 @@ pub fn dominance_collapse(circuit: &Circuit, equiv: &CollapsedUniverse) -> Colla
         }
     }
 
-    // Group equivalence classes by forest root and emit merged classes.
-    let mut groups: HashMap<u32, Vec<u32>> = HashMap::new();
-    for c in 0..equiv.len() as u32 {
-        groups.entry(root(&parent, c)).or_default().push(c);
+    // Number the merged classes in the order their root representatives
+    // appear in the sorted sweep, which sorts them by representative.
+    // Every representative is a member of its own class, so the sweep
+    // meets each root exactly once.
+    let roots: Vec<u32> = (0..equiv.len() as u32).map(|c| root(&parent, c)).collect();
+    let mut merged_of_root = vec![u32::MAX; equiv.len()];
+    let mut representatives = Vec::new();
+    class_of.for_each_sorted(|f, c| {
+        if roots[c as usize] == c && equiv.representatives()[c as usize] == f {
+            merged_of_root[c as usize] = representatives.len() as u32;
+            representatives.push(f);
+        }
+    });
+    let mut sizes = vec![0u32; representatives.len()];
+    for (c, class) in equiv.classes().iter().enumerate() {
+        sizes[merged_of_root[roots[c] as usize] as usize] += class.len() as u32;
     }
-    let mut merged: Vec<(Fault, Vec<Fault>)> = groups
-        .into_iter()
-        .map(|(r, members)| {
-            let mut faults: Vec<Fault> = members
-                .iter()
-                .flat_map(|&c| equiv.classes()[c as usize].iter().copied())
-                .collect();
-            faults.sort();
-            (equiv.representatives()[r as usize], faults)
-        })
-        .collect();
-    merged.sort_by_key(|&(rep, _)| rep);
-    let representatives = merged.iter().map(|&(rep, _)| rep).collect();
-    let classes = merged.into_iter().map(|(_, c)| c).collect();
-    CollapsedUniverse {
-        representatives,
-        classes,
-    }
+    CollapsedUniverse::lay_out(representatives, &sizes, |sink| {
+        class_of.for_each_sorted(|f, c| sink(merged_of_root[roots[c as usize] as usize], f));
+    })
 }
 
 #[derive(Debug)]
@@ -701,7 +898,7 @@ mod tests {
         let idx = dom
             .classes()
             .iter()
-            .position(|x| std::ptr::eq(x.as_slice(), cl.as_slice()))
+            .position(|x| std::ptr::eq(x, cl))
             .unwrap();
         assert_eq!(
             dom.representatives()[idx],

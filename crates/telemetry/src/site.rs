@@ -29,6 +29,14 @@ pub enum Site {
     FaultEstimate,
     /// The incremental per-fault loop (dirty-interval hits only).
     FaultReestimate,
+    /// Building the per-fault dependency interval sets the sessions'
+    /// incremental fault loop reads.
+    FaultDeps,
+    /// An analyzer's fault list: universe enumeration, equivalence
+    /// collapse, redundancy pruning and dominance merging.
+    AnalyzerCollapse,
+    /// One test-length search for `N(d, e)` (paper Sec. 5).
+    TestLength,
     /// Planning a partitioned run: component extraction + class grouping.
     PartitionExtract,
     /// One partition's isolated analysis pass.
@@ -70,7 +78,7 @@ pub enum Site {
 impl Site {
     /// Every registered site, in declaration order (aligned with the
     /// per-site aggregation arrays).
-    pub const ALL: [Site; 26] = [
+    pub const ALL: [Site; 29] = [
         Site::SessionBuild,
         Site::EstimatorBuild,
         Site::EstimatorSweep,
@@ -79,6 +87,9 @@ impl Site {
         Site::ObsRefresh,
         Site::FaultEstimate,
         Site::FaultReestimate,
+        Site::FaultDeps,
+        Site::AnalyzerCollapse,
+        Site::TestLength,
         Site::PartitionExtract,
         Site::PartitionAnalyze,
         Site::PartitionScatter,
@@ -110,6 +121,9 @@ impl Site {
             Site::ObsRefresh => "observe.refresh",
             Site::FaultEstimate => "faults.estimate",
             Site::FaultReestimate => "faults.reestimate",
+            Site::FaultDeps => "faults.deps",
+            Site::AnalyzerCollapse => "analyzer.collapse",
+            Site::TestLength => "testlen",
             Site::PartitionExtract => "partition.extract",
             Site::PartitionAnalyze => "partition.analyze",
             Site::PartitionScatter => "partition.scatter",

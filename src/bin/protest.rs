@@ -442,6 +442,17 @@ fn cmd_stats(circuit: &Arc<Circuit>, opts: &Options) -> Result<String, String> {
     }
     let _ = writeln!(
         out,
+        "  fault classes:      {} B ({} faults in {} classes, flat members and offsets)",
+        analyzer.fault_class_bytes(),
+        analyzer
+            .class_sizes()
+            .iter()
+            .map(|&n| n as usize)
+            .sum::<usize>(),
+        analyzer.faults().len()
+    );
+    let _ = writeln!(
+        out,
         "  fault dependencies: {} B ({} collapsed faults, interval sets)",
         analyzer.fault_deps_bytes(),
         analyzer.faults().len()
