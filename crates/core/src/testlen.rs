@@ -28,6 +28,13 @@
 //!   addition is monotone, so once the running sum falls below
 //!   `ln confidence` no later term can lift it back: the probe's verdict
 //!   is already the full sum's verdict.
+//! * **Most failing probes take one term.** Dropping terms from the sum
+//!   can only raise it: adding an omitted term `x ≤ 0` never raises the
+//!   rounded running sum, and adding a shared term keeps the order of two
+//!   running sums, since rounding is monotone. So the full sum is at most
+//!   the hardest fault's term alone, and when that term is already below
+//!   `ln confidence` the probe fails without a pass over the others —
+//!   which settles every probe far short of `N`.
 //!
 //! So every probe gives the full sum's verdict — `N` is the same even
 //! where the rounded sum is not monotone in `N` — and the successful
@@ -276,6 +283,14 @@ fn miss_terms(faults: impl Iterator<Item = (f64, f64)>) -> Option<Vec<(f64, f64)
     Some(terms)
 }
 
+/// A fault's term `count · ln(1 − (1 − p)^n)` of `ln P_F(n)`, from
+/// `ln_miss = ln(1 − p)`.
+fn miss_term(n: u64, ln_miss: f64, count: f64) -> f64 {
+    // t = ln (1-p)^N;  term = ln(1 − e^t) = ln(−expm1(t)).
+    let t = n as f64 * ln_miss;
+    count * (-t.exp_m1()).ln()
+}
+
 /// Below this exponent `t = N·ln(1 − p)` a fault's miss term is exactly
 /// `+0.0`: `e^t < 4.3·10⁻¹⁸` is under half an ulp of 1.0, so
 /// `−expm1(t)` rounds to 1.0 and its log is `+0.0`.
@@ -300,13 +315,11 @@ fn probe(
     let mut total = 0.0f64;
     for i in 0..alive.len() {
         let (ln_miss, count) = alive[i];
-        // t = ln (1-p)^N;  term = ln(1 − e^t) = ln(−expm1(t)).
-        let t = n as f64 * ln_miss;
-        if t < DEAD_EXPONENT {
+        if n as f64 * ln_miss < DEAD_EXPONENT {
             continue;
         }
         scratch.push((ln_miss, count));
-        total += count * (-t.exp_m1()).ln();
+        total += miss_term(n, ln_miss, count);
         if total < target {
             if scratch.len() <= i {
                 scratch.extend_from_slice(&alive[i + 1..]);
@@ -320,12 +333,21 @@ fn probe(
 
 /// The minimal `N ≥ 1` with `ln P_F(N) ≥ ln confidence`: exponential
 /// search for an upper bound, then bisection in `(hi/2, hi]`. The probe
-/// lengths and verdicts are those of a full-sum search (module docs), so
-/// the bisection only needs the terms alive at its last failure.
+/// lengths and verdicts are those of a full-sum search (module docs): a
+/// probe fails outright when the hardest fault's term alone misses the
+/// target, and otherwise runs [`probe`]. So the bisection only needs the
+/// terms alive at its last failure.
 fn search_length(mut alive: Vec<(f64, f64)>, confidence: f64) -> Option<TestLength> {
     let target = confidence.ln();
+    // The smallest `p` has the largest `ln(1 − p)`, and the largest term.
+    let hardest = alive.iter().copied().max_by(|a, b| a.0.total_cmp(&b.0));
     let mut scratch = Vec::with_capacity(alive.len());
-    let mut reaches = |n: u64| probe(&mut alive, &mut scratch, n, target);
+    let mut reaches = |n: u64| {
+        if hardest.is_some_and(|(ln_miss, count)| miss_term(n, ln_miss, count) < target) {
+            return None;
+        }
+        probe(&mut alive, &mut scratch, n, target)
+    };
     let mut hi = 1u64;
     let mut at_hi = loop {
         if let Some(sum) = reaches(hi) {
