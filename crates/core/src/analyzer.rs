@@ -261,9 +261,30 @@ impl Analyzer {
         cancel: CancelToken,
     ) -> Result<CircuitAnalysis, CoreError> {
         if let Some(plan) = self.partitioning() {
-            return crate::partition::run_partitioned(self, plan, probs, &cancel);
+            return crate::partition::run_partitioned(self, plan, probs, &cancel).map(|(a, _)| a);
         }
         self.session_with_cancel(probs, cancel)?.try_into_analysis()
+    }
+
+    /// The estimator work of a partitioned one-shot [`run`](Self::run) at
+    /// `probs`: batches, lanes and enumeration passes of its lane-batched
+    /// sweeps (see [`crate::partition`]). Runs the analysis to count
+    /// them; `None` on the monolithic path.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::ProbsLength`] if `probs` does not match the
+    /// circuit's input count.
+    pub fn lane_sweep(
+        &self,
+        probs: &InputProbs,
+    ) -> Result<Option<crate::sigprob::LaneSweep>, CoreError> {
+        self.partitioning()
+            .map(|plan| {
+                crate::partition::run_partitioned(self, plan, probs, &CancelToken::never())
+                    .map(|(_, sweep)| sweep)
+            })
+            .transpose()
     }
 
     /// Number of independent partitions one-shot runs decompose the

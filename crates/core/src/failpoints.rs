@@ -29,7 +29,7 @@
 //!
 //! | site                  | effect when fired                           |
 //! |-----------------------|---------------------------------------------|
-//! | `core.propagate.delay`| delay per propagation wavefront (delay-only)|
+//! | `core.propagate.delay`| delay per propagation wavefront and per lane batch of a partitioned run (delay-only)|
 //! | `core.detect.delay`   | delay per fault-estimation block (delay-only)|
 //! | `serve.worker.panic`  | worker panics mid-job (exercises `catch_unwind`) |
 //! | `serve.worker.delay`  | delay per dispatched job (delay-only)       |

@@ -17,7 +17,7 @@ use crate::params::AnalyzerParams;
 use crate::sigprob::CANCEL_CHECK_NODES;
 
 use super::model::{pin_sensitivity, xor_combine, SensScratch};
-use super::Observability;
+use super::{Observability, PinRows};
 use crate::params::ObservabilityModel;
 
 /// Minimum wavefront width worth fanning out to worker threads.
@@ -114,14 +114,7 @@ impl ObservabilityEngine {
     /// A zeroed [`Observability`] with the right shape for this circuit,
     /// ready for [`compute_into`](Self::compute_into).
     pub fn empty(&self) -> Observability {
-        Observability {
-            node_s: vec![0.0f64; self.circuit.num_nodes()],
-            pin_s: self
-                .circuit
-                .nodes()
-                .map(|n| vec![0.0; n.fanins().len()])
-                .collect(),
-        }
+        Observability::shaped(self.circuit.nodes().map(|n| n.fanins().len()))
     }
 
     /// One reverse-topological pass, allocating the result.
@@ -155,9 +148,8 @@ impl ObservabilityEngine {
         let mut pins_tmp: Vec<f64> = Vec::new();
         for &id in self.levels.order().iter().rev() {
             pins_tmp.clear();
-            let s = self.eval_node(id, node_probs, &obs.pin_s, &mut scratch, &mut pins_tmp);
-            obs.node_s[id.index()] = s;
-            obs.pin_s[id.index()].copy_from_slice(&pins_tmp);
+            let s = self.eval_node(id, node_probs, obs.pin_rows(), &mut scratch, &mut pins_tmp);
+            obs.store(id, s, &pins_tmp);
         }
     }
 
@@ -203,9 +195,8 @@ impl ObservabilityEngine {
                     cancel.check()?;
                 }
                 pins_tmp.clear();
-                let s = self.eval_node(id, node_probs, &obs.pin_s, &mut scratch, &mut pins_tmp);
-                obs.node_s[id.index()] = s;
-                obs.pin_s[id.index()].copy_from_slice(&pins_tmp);
+                let s = self.eval_node(id, node_probs, obs.pin_rows(), &mut scratch, &mut pins_tmp);
+                obs.store(id, s, &pins_tmp);
             }
             return Ok(());
         }
@@ -230,15 +221,19 @@ impl ObservabilityEngine {
                 if batch.len() < MIN_PAR_WAVEFRONT {
                     for &id in batch {
                         pins_tmp.clear();
-                        let s =
-                            self.eval_node(id, node_probs, &obs.pin_s, &mut scratch, &mut pins_tmp);
-                        obs.node_s[id.index()] = s;
-                        obs.pin_s[id.index()].copy_from_slice(&pins_tmp);
+                        let s = self.eval_node(
+                            id,
+                            node_probs,
+                            obs.pin_rows(),
+                            &mut scratch,
+                            &mut pins_tmp,
+                        );
+                        obs.store(id, s, &pins_tmp);
                     }
                     continue;
                 }
                 let chunk = batch.len().div_ceil(threads);
-                let pin_s_read = &obs.pin_s;
+                let pin_s_read = obs.pin_rows();
                 let mut slots: Vec<Option<(Vec<f64>, Vec<f64>)>> = std::iter::repeat_with(|| None)
                     .take(batch.len().div_ceil(chunk))
                     .collect();
@@ -268,10 +263,8 @@ impl ObservabilityEngine {
                     let (ns, ps) = slot.expect("wavefront chunk completed");
                     let mut off = 0usize;
                     for (&id, &s) in ids.iter().zip(ns.iter()) {
-                        obs.node_s[id.index()] = s;
-                        let row = &mut obs.pin_s[id.index()];
-                        let width = row.len();
-                        row.copy_from_slice(&ps[off..off + width]);
+                        let width = self.circuit.node(id).fanins().len();
+                        obs.store(id, s, &ps[off..off + width]);
                         off += width;
                     }
                 }
@@ -291,7 +284,7 @@ impl ObservabilityEngine {
         &self,
         id: NodeId,
         node_probs: &[f64],
-        pin_s: &[Vec<f64>],
+        pin_s: PinRows<'_>,
         scratch: &mut NodeEvalScratch,
         pins_out: &mut Vec<f64>,
     ) -> f64 {
@@ -308,7 +301,7 @@ impl ObservabilityEngine {
         &self,
         id: NodeId,
         node_probs: &[f64],
-        pin_s: &[Vec<f64>],
+        pin_s: PinRows<'_>,
         scratch: &mut NodeEvalScratch,
         pins_out: &mut Vec<f64>,
         adjust: Option<StemAdjust>,
@@ -319,7 +312,7 @@ impl ObservabilityEngine {
             self.fanouts
                 .of(id)
                 .iter()
-                .map(|&(g, pin)| pin_s[g.index()][pin as usize]),
+                .map(|&(g, pin)| pin_s.row(g.index())[pin as usize]),
         );
         if circuit.is_output(id) {
             scratch.branches.push(1.0);

@@ -195,7 +195,7 @@ impl ObservabilityEngine {
                     let s = self.eval_node(
                         id,
                         node_probs,
-                        &obs.pin_s,
+                        obs.pin_rows(),
                         &mut delta.eval,
                         &mut delta.pins_tmp,
                     );
@@ -226,7 +226,7 @@ impl ObservabilityEngine {
             delta.out_pins.resize(total_pins as usize, 0.0);
             let chunk = len.div_ceil(threads);
             {
-                let pin_s_read = &obs.pin_s;
+                let pin_s_read = obs.pin_rows();
                 let pin_off = &delta.pin_off;
                 let mut s_rest: &mut [f64] = &mut delta.out_s;
                 let mut p_rest: &mut [f64] = &mut delta.out_pins;
@@ -300,7 +300,7 @@ impl ObservabilityEngine {
         pins: &[f64],
     ) {
         obs.node_s[id.index()] = stem;
-        let row = &mut obs.pin_s[id.index()];
+        let row = obs.pin_row_mut(id.index());
         debug_assert_eq!(row.len(), pins.len());
         let fanins = self.circuit.node(id).fanins();
         for (pin, (&new, old)) in pins.iter().zip(row.iter_mut()).enumerate() {

@@ -39,16 +39,36 @@
 //! asserts this end to end on paper circuits and on multi-lane generated
 //! meshes, serial and parallel.
 //!
+//! # Lane batches
+//!
+//! The partitions of one structure class share one estimator (paper
+//! Sec. 2: the cones, joining points and shapes depend only on the
+//! circuit) and differ only in their input probabilities. So a class is
+//! swept in **batches** of its parts, one *lane* per part: one serial
+//! pass over the class's AIG evaluates every lane of a node at once
+//! (`SignalProbEstimator::sweep_lanes`). Per conditioned AND the batch
+//! decodes the cone, maps its out-of-cone reads and compiles its nested
+//! programs once; each scoring walk runs every lane; each lane scores and
+//! selects its own joining set `W`; and the enumeration runs once per
+//! group of lanes that selected the same `W`, its tables filled and its
+//! weighted sums taken per lane. Every lane performs exactly the
+//! floating-point sequence of a one-lane pass, so batching never changes
+//! a bit.
+//!
+//! A batch is `ceil(parts in class / threads)` lanes wide, capped at
+//! [`MAX_LANES`], and is one task on the analyzer's executor. As a batch
+//! finishes its sweep, each lane's circuit probabilities and
+//! observabilities are computed and scattered into the full-circuit
+//! arrays, so no per-part result outlives its batch.
+//!
 //! # Parallelism
 //!
 //! Components are independent, so the analyzer's executor fans the
-//! per-partition passes out across its threads (each partition runs the
-//! serial estimator kernel internally) and recombines results in partition
-//! order. Incremental [`AnalysisSession`](crate::AnalysisSession)s stay
-//! monolithic: their dirty-cone propagation already touches only the
-//! affected component.
+//! batches out across its threads. Incremental
+//! [`AnalysisSession`](crate::AnalysisSession)s stay monolithic: their
+//! dirty-cone propagation already touches only the affected component.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use protest_netlist::{Circuit, CircuitBuilder, GateKind, NodeId};
 
@@ -57,9 +77,10 @@ use crate::analyzer::{Analyzer, CircuitAnalysis};
 use crate::cancel::CancelToken;
 use crate::detect;
 use crate::error::CoreError;
+use crate::failpoints;
 use crate::observe::{Observability, ObservabilityEngine};
 use crate::params::{AnalyzerParams, InputProbs};
-use crate::sigprob::{lit_prob_of, SignalProbEstimator};
+use crate::sigprob::{lane_lit, LaneSweep, SignalProbEstimator};
 
 /// One standalone component: the extracted sub-circuit plus the maps back
 /// into the full circuit's node and input spaces.
@@ -303,26 +324,38 @@ struct ClassKit {
     engine: ObservabilityEngine,
 }
 
+/// Most partitions one batch sweeps as lanes. A batch holds its lanes'
+/// probabilities side by side (`lanes ×` the class's AIG nodes) and its
+/// kernel tables `lanes` wide, so the cap bounds that memory; past a few
+/// dozen lanes the enumeration passes saved per lane level off.
+pub const MAX_LANES: usize = 64;
+
+/// The full-circuit arrays the batches scatter their lanes into.
+struct Scatter {
+    node_probs: Vec<f64>,
+    obs: Observability,
+}
+
 /// Runs the full one-shot analysis through the partitioned path: every
 /// partition computes its signal probabilities and observabilities in
-/// isolation (fanned out over the analyzer's executor), the results are
-/// scattered into full-circuit arrays in partition order, and the global
-/// per-fault loop runs unchanged on top.
+/// isolation, the results are scattered into full-circuit arrays, and
+/// the global per-fault loop runs unchanged on top. Also returns the
+/// estimator's [`LaneSweep`] counters.
 ///
-/// The per-partition passes share one [`ClassKit`] per structure class —
-/// on replicated-lane netlists the AIG/joining-point/levelization
-/// construction cost is paid once per distinct lane structure, not once
-/// per lane.
+/// Each structure class's parts are swept in batches, one lane per part
+/// (see the module docs), each batch one task on the analyzer's executor.
+/// The batches share one [`ClassKit`] per class — on replicated-lane
+/// netlists the AIG/joining-point/levelization construction cost is paid
+/// once per distinct lane structure, not once per lane.
 ///
-/// `cancel` is polled between partitions and inside the per-partition
-/// estimation passes; a fired token abandons the run with
-/// [`CoreError::Cancelled`].
+/// `cancel` is polled between batches and inside the batched estimation
+/// passes; a fired token abandons the run with [`CoreError::Cancelled`].
 pub(crate) fn run_partitioned(
     analyzer: &Analyzer,
     plan: &Partitioning,
     probs: &InputProbs,
     cancel: &CancelToken,
-) -> Result<CircuitAnalysis, CoreError> {
+) -> Result<(CircuitAnalysis, LaneSweep), CoreError> {
     let circuit = analyzer.circuit();
     probs.check_len(circuit.num_inputs())?;
     let params = analyzer.params();
@@ -337,44 +370,55 @@ pub(crate) fn run_partitioned(
             engine: ObservabilityEngine::new(Arc::clone(sub), params),
         });
     }
-    let kits = &kits;
-    type PartResult = Result<(Vec<f64>, Observability), CoreError>;
-    let mut results: Vec<Option<PartResult>> = (0..plan.parts.len()).map(|_| None).collect();
+    // Each class's parts in part order, cut into at most one batch per
+    // thread.
+    let mut members: Vec<Vec<u32>> = vec![Vec::new(); kits.len()];
+    for (pi, &class) in plan.classes.iter().enumerate() {
+        members[class as usize].push(pi as u32);
+    }
+    let threads = exec.threads();
+    let batches: Vec<(&ClassKit, &[u32])> = kits
+        .iter()
+        .zip(&members)
+        .flat_map(|(kit, parts)| {
+            let width = parts.len().div_ceil(threads).min(MAX_LANES);
+            parts.chunks(width).map(move |batch| (kit, batch))
+        })
+        .collect();
+    let out = Mutex::new(Scatter {
+        node_probs: vec![0.0f64; circuit.num_nodes()],
+        obs: Observability::zeroed(circuit),
+    });
+    let run =
+        |&(kit, batch): &(&ClassKit, &[u32])| analyze_batch(plan, batch, kit, global, cancel, &out);
+    let mut results: Vec<Option<Result<LaneSweep, CoreError>>> =
+        batches.iter().map(|_| None).collect();
     if exec.parallel() {
         exec.run(|| {
             rayon::scope(|s| {
-                for ((part, &class), slot) in
-                    plan.parts.iter().zip(&plan.classes).zip(results.iter_mut())
-                {
+                for (batch, slot) in batches.iter().zip(results.iter_mut()) {
                     s.spawn(move |_| {
-                        if cancel.is_cancelled() {
-                            return;
+                        if !cancel.is_cancelled() {
+                            *slot = Some(run(batch));
                         }
-                        *slot = Some(analyze_part(part, &kits[class as usize], global, cancel));
                     });
                 }
             });
         });
     } else {
-        for ((part, &class), slot) in plan.parts.iter().zip(&plan.classes).zip(results.iter_mut()) {
+        for (batch, slot) in batches.iter().zip(results.iter_mut()) {
             if cancel.is_cancelled() {
                 break;
             }
-            *slot = Some(analyze_part(part, &kits[class as usize], global, cancel));
+            *slot = Some(run(batch));
         }
     }
     cancel.check()?;
-    let scatter_span = protest_telemetry::span(protest_telemetry::Site::PartitionScatter);
-    let mut node_probs = vec![0.0f64; circuit.num_nodes()];
-    let mut obs = Observability::zeroed(circuit);
-    for (part, result) in plan.parts.iter().zip(results) {
-        let (sub_probs, sub_obs) = result.expect("partition completed without cancellation")?;
-        for (si, &gi) in part.nodes.iter().enumerate() {
-            node_probs[gi as usize] = sub_probs[si];
-        }
-        obs.scatter_from(&sub_obs, &part.nodes);
+    let mut sweep = LaneSweep::default();
+    for result in results {
+        sweep.add(&result.expect("batch completed without cancellation")?);
     }
-    drop(scatter_span);
+    let Scatter { node_probs, obs } = out.into_inner().expect("no batch panicked");
     let faults = analyzer.faults();
     let mut estimates = Vec::with_capacity(faults.len());
     let mut detections = Vec::new();
@@ -388,35 +432,55 @@ pub(crate) fn run_partitioned(
         &mut detections,
         cancel,
     )?;
-    Ok(CircuitAnalysis::from_parts(node_probs, obs, estimates))
+    Ok((
+        CircuitAnalysis::from_parts(node_probs, obs, estimates),
+        sweep,
+    ))
 }
 
-/// One partition's full pass: AIG estimation, AIG→circuit probability
-/// mapping, observability sweep — the exact computation the monolithic
-/// session performs, restricted to this component, driven through its
-/// structure class's shared machinery.
-fn analyze_part(
-    part: &Part,
+/// One batch of a structure class's partitions: one lane-batched
+/// estimation pass over the class's AIG, then per lane the AIG→circuit
+/// probability mapping and the observability sweep — the exact
+/// computation the monolithic session performs, restricted to each
+/// component — each lane scattered into `out` as it finishes.
+fn analyze_batch(
+    plan: &Partitioning,
+    batch: &[u32],
     kit: &ClassKit,
     global_probs: &[f64],
     cancel: &CancelToken,
-) -> Result<(Vec<f64>, Observability), CoreError> {
+    out: &Mutex<Scatter>,
+) -> Result<LaneSweep, CoreError> {
     let _t = protest_telemetry::span(protest_telemetry::Site::PartitionAnalyze);
-    let sub_probs: Vec<f64> = part
-        .inputs
-        .iter()
-        .map(|&p| global_probs[p as usize])
-        .collect();
-    let serial = crate::exec::Exec::new(1);
-    let aig_probs = kit
-        .est
-        .full_estimate_exec_cancellable(&sub_probs, &serial, cancel)?;
+    failpoints::hit("core.propagate.delay");
+    let lanes = batch.len();
+    let parts = || batch.iter().map(|&pi| &plan.parts[pi as usize]);
     let aig = kit.est.aig();
-    let node_probs: Vec<f64> = (0..part.sub.num_nodes())
-        .map(|i| lit_prob_of(&aig_probs, aig.lit_of(NodeId::from_index(i))))
-        .collect();
-    let obs = kit.engine.compute(&node_probs);
-    Ok((node_probs, obs))
+    let mut inputs = vec![0.0f64; aig.num_inputs() * lanes];
+    for (l, part) in parts().enumerate() {
+        for (pos, &g) in part.inputs.iter().enumerate() {
+            inputs[pos * lanes + l] = global_probs[g as usize];
+        }
+    }
+    let (aig_probs, sweep) = kit.est.sweep_lanes(lanes, &inputs, cancel)?;
+    let mut node_probs = vec![0.0f64; plan.parts[batch[0] as usize].sub.num_nodes()];
+    let mut obs = kit.engine.empty();
+    for (l, part) in parts().enumerate() {
+        for (i, p) in node_probs.iter_mut().enumerate() {
+            *p = lane_lit(&aig_probs, aig.lit_of(NodeId::from_index(i)), lanes, l);
+        }
+        {
+            let _t = protest_telemetry::span(protest_telemetry::Site::ObsFull);
+            kit.engine.compute_into(&node_probs, &mut obs);
+        }
+        let _t = protest_telemetry::span(protest_telemetry::Site::PartitionScatter);
+        let mut out = out.lock().expect("no batch panicked");
+        for (si, &gi) in part.nodes.iter().enumerate() {
+            out.node_probs[gi as usize] = node_probs[si];
+        }
+        out.obs.scatter_from(&obs, &part.nodes);
+    }
+    Ok(sweep)
 }
 
 #[cfg(test)]

@@ -51,6 +51,30 @@
 //!
 //! Nothing is cached per node between evaluations, so the scratch stays
 //! cone-sized however many ANDs a worker or session evaluates.
+//!
+//! # Lanes
+//!
+//! The kernel is generic over a lane count ([`Lanes`]): one call
+//! evaluates an AND for several input vectors at once, as the partitioned
+//! analysis does for the same-structure parts of a batch
+//! ([`SignalProbEstimator::sweep_lanes`]). Every value array is stored
+//! `[slot][lane]`, so the one-lane instance — the full pass, the
+//! rank-parallel pass and the incremental session — is the plain scalar
+//! layout and compiles to the scalar loops. Per AND, the cone decode, the
+//! slot map, `fan` and the nested programs are built once for all lanes;
+//! each scoring walk updates every lane; candidate filtering, scores and
+//! the choice of `W` are per lane; and the enumeration's structural work
+//! (union, pins, masks, submask walks) runs once per group of lanes that
+//! chose the same `W`, with the table fills and the weighted sums per
+//! lane.
+//!
+//! Each lane keeps its scalar operation order: every value it computes is
+//! the same expression over the same operands as in a one-lane pass, and
+//! its sums run in the same `v` order with the same `weight <= 0` skips
+//! and `norm <= 0` fallback. A lane's outputs are therefore
+//! `to_bits`-equal to a one-lane pass by construction, not within a
+//! tolerance — which is what lets the partitioned path batch lanes and
+//! stay bit-identical to the monolithic one.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -63,8 +87,9 @@ use crate::exec::Exec;
 use crate::params::AnalyzerParams;
 
 /// How often the serial full pass polls its cancellation token: one poll
-/// per this many AIG nodes keeps the overhead unmeasurable while still
-/// bounding the response latency to a fraction of a pass.
+/// per this many AIG node evaluations (nodes times lanes in a batched
+/// pass) keeps the overhead unmeasurable while still bounding the
+/// response latency to a fraction of a pass.
 pub(crate) const CANCEL_CHECK_NODES: usize = 4096;
 
 /// One AND node's conditioning structure, decoded from the [`ConeArena`]:
@@ -686,6 +711,43 @@ pub struct SweepShape {
     pub shapes: usize,
 }
 
+/// Work counters of lane-batched sweeps (see
+/// [`crate::Analyzer::lane_sweep`]): how many kernel passes ran, over how
+/// many lanes, and how often lanes shared an enumeration.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LaneSweep {
+    /// Batches swept, each one pass over the AIG in all its lanes.
+    pub batches: u64,
+    /// Lanes swept: input vectors, one per partition.
+    pub lanes: u64,
+    /// Conditioned AND evaluations, counted per lane.
+    pub conditioned: u64,
+    /// Enumeration passes run: one per group of a batch's lanes that
+    /// selected the same joining points `W` at an AND.
+    pub passes: u64,
+}
+
+impl LaneSweep {
+    /// Enumeration passes per conditioned lane-AND: the share of the
+    /// enumeration work left after lanes with equal `W` share it (1.0 is
+    /// one pass for every lane and AND, as one-lane sweeps run).
+    pub fn passes_per_conditioned(&self) -> f64 {
+        if self.conditioned == 0 {
+            0.0
+        } else {
+            self.passes as f64 / self.conditioned as f64
+        }
+    }
+
+    /// Adds another sweep's counters.
+    pub fn add(&mut self, other: &LaneSweep) {
+        self.batches += other.batches;
+        self.lanes += other.lanes;
+        self.conditioned += other.conditioned;
+        self.passes += other.passes;
+    }
+}
+
 /// CSR form of the read-dependency fan-out map (see
 /// [`SignalProbEstimator::readers`]): one contiguous edge array instead of
 /// a `Vec` per node.
@@ -824,25 +886,13 @@ impl SignalProbEstimator {
     ///
     /// Panics if `input_probs.len() != aig.num_inputs()`.
     pub fn full_estimate(&self, input_probs: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            input_probs.len(),
-            self.aig.num_inputs(),
-            "one probability per primary input"
-        );
-        let n = self.aig.len();
-        let mut probs = vec![0.0f64; n];
-        // Node 0 is constant TRUE.
-        probs[0] = 1.0;
-        let mut scratch = self.new_scratch();
-        for k in 1..n {
-            let id = AigNodeId::from_index(k);
-            if let Some(pos) = self.aig.input_position(id) {
-                probs[k] = input_probs[pos];
-                continue;
-            }
-            probs[k] = self.and_node_value(&probs, id, &mut scratch);
-        }
-        probs
+        self.sweep(
+            One,
+            input_probs,
+            &mut self.new_scratch(),
+            &CancelToken::never(),
+        )
+        .expect("a disarmed token never fires")
     }
 
     /// Like [`full_estimate`](Self::full_estimate) but spread over the
@@ -864,31 +914,7 @@ impl SignalProbEstimator {
     ) -> Result<Vec<f64>, CoreError> {
         let _t = protest_telemetry::span(protest_telemetry::Site::EstimatorSweep);
         if !exec.parallel() {
-            if !cancel.is_armed() {
-                return Ok(self.full_estimate(input_probs));
-            }
-            assert_eq!(
-                input_probs.len(),
-                self.aig.num_inputs(),
-                "one probability per primary input"
-            );
-            cancel.check()?;
-            let n = self.aig.len();
-            let mut probs = vec![0.0f64; n];
-            probs[0] = 1.0;
-            let mut scratch = self.new_scratch();
-            for k in 1..n {
-                if k % CANCEL_CHECK_NODES == 0 {
-                    cancel.check()?;
-                }
-                let id = AigNodeId::from_index(k);
-                if let Some(pos) = self.aig.input_position(id) {
-                    probs[k] = input_probs[pos];
-                    continue;
-                }
-                probs[k] = self.and_node_value(&probs, id, &mut scratch);
-            }
-            return Ok(probs);
+            return self.sweep(One, input_probs, &mut self.new_scratch(), cancel);
         }
         assert_eq!(
             input_probs.len(),
@@ -943,6 +969,80 @@ impl SignalProbEstimator {
             }
             Ok(())
         })?;
+        Ok(probs)
+    }
+
+    /// One serial pass evaluating `lanes` input vectors at once, as the
+    /// partitioned analysis runs one batch of a structure class's parts
+    /// (one lane per part). `input_probs` holds one value per primary
+    /// input and lane, `[input][lane]`; the result holds one per AIG node
+    /// and lane, `[node][lane]`. Lane `l` of every node is
+    /// `to_bits`-equal to [`full_estimate`](Self::full_estimate) on lane
+    /// `l`'s inputs (see the module docs). Also returns the pass's
+    /// [`LaneSweep`] counters.
+    ///
+    /// `cancel` is polled every [`CANCEL_CHECK_NODES`] lane-node
+    /// evaluations; a fired token abandons the pass with
+    /// [`CoreError::Cancelled`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is 0 or `input_probs` does not hold
+    /// `lanes` values per primary input.
+    pub(crate) fn sweep_lanes(
+        &self,
+        lanes: usize,
+        input_probs: &[f64],
+        cancel: &CancelToken,
+    ) -> Result<(Vec<f64>, LaneSweep), CoreError> {
+        assert!(lanes > 0, "a batch has at least one lane");
+        let _t = protest_telemetry::span(protest_telemetry::Site::EstimatorSweep);
+        let mut scratch = self.new_scratch();
+        let probs = self.sweep(Many(lanes), input_probs, &mut scratch, cancel)?;
+        let work = LaneSweep {
+            batches: 1,
+            lanes: lanes as u64,
+            conditioned: scratch.conditioned,
+            passes: scratch.passes,
+        };
+        Ok((probs, work))
+    }
+
+    /// The one full-pass loop behind [`full_estimate`](Self::full_estimate),
+    /// the serial executor's pass and [`sweep_lanes`](Self::sweep_lanes):
+    /// every node in index order, all lanes at once, with `cancel` polled
+    /// every [`CANCEL_CHECK_NODES`] lane-node evaluations (first before
+    /// node 0).
+    fn sweep<L: Lanes>(
+        &self,
+        lanes: L,
+        input_probs: &[f64],
+        s: &mut Scratch2,
+        cancel: &CancelToken,
+    ) -> Result<Vec<f64>, CoreError> {
+        let w = lanes.n();
+        assert_eq!(
+            input_probs.len(),
+            self.aig.num_inputs() * w,
+            "one probability per primary input"
+        );
+        let step = (CANCEL_CHECK_NODES / w).max(1);
+        let mut probs = vec![0.0f64; self.aig.len() * w];
+        for k in 0..self.aig.len() {
+            if k % step == 0 {
+                cancel.check()?;
+            }
+            let (done, rest) = probs.split_at_mut(k * w);
+            let out = &mut rest[..w];
+            let id = AigNodeId::from_index(k);
+            if k == 0 {
+                out.fill(1.0); // node 0 is constant TRUE
+            } else if let Some(pos) = self.aig.input_position(id) {
+                out.copy_from_slice(&input_probs[pos * w..(pos + 1) * w]);
+            } else {
+                self.and_values(lanes, done, id, s, out);
+            }
+        }
         Ok(probs)
     }
 
@@ -1001,9 +1101,8 @@ impl SignalProbEstimator {
 
     /// Evaluates one AND node given the current per-node probabilities of
     /// everything the node *reads* (its fanins plus its conditioning cone;
-    /// see [`readers`](Self::readers)). This is the per-node kernel
-    /// shared by [`full_estimate`](Self::full_estimate) and the incremental
-    /// session.
+    /// see [`readers`](Self::readers)). This is the one-lane kernel the
+    /// rank-parallel pass and the incremental session run per node.
     ///
     /// # Panics
     ///
@@ -1014,15 +1113,35 @@ impl SignalProbEstimator {
         id: AigNodeId,
         scratch: &mut Scratch2,
     ) -> f64 {
+        let mut value = [0.0];
+        self.and_values(One, probs, id, scratch, &mut value);
+        value[0]
+    }
+
+    /// The per-node kernel: evaluates AND node `id` in every lane of
+    /// `base` (`[node][lane]`, every node below `id` settled) into `out`,
+    /// one value per lane.
+    fn and_values<L: Lanes>(
+        &self,
+        lanes: L,
+        base: &[f64],
+        id: AigNodeId,
+        s: &mut Scratch2,
+        out: &mut [f64],
+    ) {
         let (la, lb) = self
             .aig
             .and_fanins(id)
             .expect("non-input, non-constant AIG node is an AND");
+        let w = lanes.n();
         if !self.arena.is_conditioned(id.index()) {
-            return lit_prob(probs, la) * lit_prob(probs, lb);
+            for (l, o) in out[..w].iter_mut().enumerate() {
+                *o = lane_lit(base, la, w, l) * lane_lit(base, lb, w, l);
+            }
+            return;
         }
         let cone = self.arena.cone(id.index());
-        self.conditioned(probs, la, lb, cone, scratch)
+        self.conditioned(lanes, base, la, lb, cone, s, out);
     }
 
     /// The read-dependency fan-out map: `readers[x]` lists every AND node
@@ -1066,7 +1185,7 @@ impl SignalProbEstimator {
                     readset.push(fb.node().index() as u32);
                 }
                 // Nested conditioning reads x's own cone (and its fanins)
-                // whenever `nested_value` runs for it.
+                // whenever `nested_values` runs for it.
                 if nested {
                     for &y in self.arena.cone(x.index()).inner {
                         readset.push(y.index() as u32);
@@ -1104,110 +1223,200 @@ impl SignalProbEstimator {
         ReaderMap { off, dat }
     }
 
-    /// Case-4 computation (formula (2)): score the joining candidates,
-    /// select `W`, evaluate its `2^|W|` assignments.
+    /// Case-4 computation (formula (2)) in every lane: score the joining
+    /// candidates, select each lane's `W`, evaluate its `2^|W|`
+    /// assignments, writing one value per lane to `out`.
     ///
     /// Everything runs on per-AND dense arrays in `s`, indexed by position
     /// within `cone.inner` plus one slot per out-of-cone fanin read (see
-    /// [`Scratch2::load`]), so the kernel's working set is the cone, not
-    /// the AIG:
+    /// [`Scratch2::load`]), each slot holding one value per lane, so the
+    /// kernel's working set is the cone, not the AIG:
     ///
     /// * **Scoring** ([`score`](Self::score)) pins one candidate at a time
-    ///   and re-evaluates its descendant row over the slots, then restores
-    ///   the row's base values.
-    /// * **Enumeration** ([`enumerate`](Self::enumerate)) evaluates every
+    ///   and re-evaluates its descendant row over the slots in every lane,
+    ///   then restores the row's base values. Each lane scores and selects
+    ///   its own `W` from its values.
+    /// * **Enumeration** ([`enumerate`](Self::enumerate)) runs once per
+    ///   group of lanes that selected the same `W`: it evaluates every
     ///   affected node once per distinct projection of the assignment onto
-    ///   the pins it depends on, in one node-major pass, then sums the
-    ///   chain-rule weights in natural assignment order.
-    fn conditioned(
+    ///   the pins it depends on, in one node-major pass, then sums each
+    ///   lane's chain-rule weights in natural assignment order.
+    #[allow(clippy::too_many_arguments)]
+    fn conditioned<L: Lanes>(
         &self,
+        lanes: L,
         base: &[f64],
         la: AigLit,
         lb: AigLit,
         cone: Cone<'_>,
         s: &mut Scratch2,
-    ) -> f64 {
-        let pa = lit_prob(base, la);
-        let pb = lit_prob(base, lb);
-        let own = s.load(&self.aig, base, cone, la, lb);
+        out: &mut [f64],
+    ) {
+        let w = lanes.n();
+        let own = s.load(lanes, &self.aig, base, cone, la, lb);
+        s.pab.clear();
+        s.pab
+            .extend((0..w).map(|l| [lane_lit(base, la, w, l), lane_lit(base, lb, w, l)]));
         // Score each joining point by |Cov(a,x)·Cov(b,x)| / S(x)². Nested
         // conditioning during scoring sharpens the ranking, but its cost
         // multiplies with the candidate count — restrict it to small sets.
         let nest_scores = cone.joining.len() <= MAX_NESTED_SCORING;
-        let mut scored = std::mem::take(&mut s.scored);
-        scored.clear();
+        let jn = cone.joining.len();
+        s.scores.clear();
+        s.scores.resize(jn * w, 0.0);
+        // A deterministic node carries no correlation.
+        let deterministic = |p: f64| p <= f64::EPSILON || p >= 1.0 - f64::EPSILON;
         for (j, &x) in cone.joining.iter().enumerate() {
-            let px = s.cb[usize::from(x)];
-            if px <= f64::EPSILON || px >= 1.0 - f64::EPSILON {
-                continue; // deterministic node carries no correlation
+            let x = usize::from(x);
+            if s.cb[x * w..(x + 1) * w].iter().all(|&px| deterministic(px)) {
+                continue;
             }
-            let (pa1, pb1) = self.score(base, cone, j, nest_scores, own, s);
-            let cov_a = (pa1 - pa) * px;
-            let cov_b = (pb1 - pb) * px;
-            let score = (cov_a * cov_b).abs() / (px * (1.0 - px));
-            if score > 1e-15 {
-                scored.push((score, j as u32));
+            self.score(lanes, base, cone, j, nest_scores, s);
+            for l in 0..w {
+                let px = s.cb[x * w + l];
+                if deterministic(px) {
+                    continue;
+                }
+                let (pa1, pb1) = (
+                    slot_lit(&s.tab, own[0], w, l),
+                    slot_lit(&s.tab, own[1], w, l),
+                );
+                let [pa, pb] = s.pab[l];
+                let cov_a = (pa1 - pa) * px;
+                let cov_b = (pb1 - pb) * px;
+                s.scores[j * w + l] = (cov_a * cov_b).abs() / (px * (1.0 - px));
             }
+            // The row lies in `x..`; one copy restores it.
+            let len = s.cb.len();
+            s.tab[x * w..len].copy_from_slice(&s.cb[x * w..]);
         }
-        // Keep the `maxvers` best: highest score first, ties in candidate
-        // order (scores are never NaN, so this order is total).
-        let keep = self.maxvers.min(scored.len());
-        if keep < scored.len() {
-            let best_first = |a: &(f64, u32), b: &(f64, u32)| {
-                b.0.partial_cmp(&a.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.1.cmp(&b.1))
-            };
-            if keep > 0 {
-                scored.select_nth_unstable_by(keep - 1, best_first);
-            }
-            scored.truncate(keep);
-        }
-        // Drop joining points whose score is negligible next to the top
-        // one: every kept point doubles the enumeration below.
-        let cutoff = scored.iter().fold(0.0f64, |m, &(sc, _)| m.max(sc)) * 3e-3;
-        // Topological order: chain-rule weights condition each joining
-        // point on the pins of its ancestors (`joining` is ascending, so
-        // sorting the candidate indices sorts the nodes).
-        s.w.clear();
-        s.w.extend(
-            scored
+        self.select(w, jn, s);
+        let sel = std::mem::take(&mut s.w);
+        let sel_off = std::mem::take(&mut s.w_off);
+        // Group the lanes by `W`, each group led by its first lane. A lane
+        // with no correlated candidate (or maxvers = 0) takes the product
+        // rule.
+        let mut lead = std::mem::take(&mut s.lead);
+        let mut group_of = std::mem::take(&mut s.group_of);
+        lead.clear();
+        group_of.clear();
+        for l in 0..w {
+            let wl = &sel[span(&sel_off, l)];
+            group_of.push(if wl.is_empty() {
+                let [pa, pb] = s.pab[l];
+                out[l] = (pa * pb).clamp(0.0, 1.0);
+                NO_GROUP
+            } else if let Some(&r) = lead
                 .iter()
-                .filter(|&&(sc, _)| sc >= cutoff)
-                .map(|&(_, j)| j),
-        );
-        s.w.sort_unstable();
-        s.scored = scored;
-        let value = if s.w.is_empty() {
-            None // no correlated candidate, or maxvers = 0: product rule
-        } else {
-            self.enumerate(base, cone, own, s)
-        };
-        value.unwrap_or_else(|| (pa * pb).clamp(0.0, 1.0))
+                .find(|&&r| sel[span(&sel_off, r as usize)] == *wl)
+            {
+                r
+            } else {
+                lead.push(l as u32);
+                l as u32
+            });
+        }
+        let mut members = std::mem::take(&mut s.members);
+        members.clear();
+        members.extend((0..w as u32).filter(|&l| group_of[l as usize] != NO_GROUP));
+        if lead.len() > 1 {
+            members.sort_by_key(|&l| group_of[l as usize]);
+        }
+        let groups = members.chunk_by(|&a, &b| group_of[a as usize] == group_of[b as usize]);
+        for (g, group) in groups.enumerate() {
+            if g > 0 {
+                s.clear_tables(cone.inner.len(), w);
+            }
+            let w_sel = &sel[span(&sel_off, group[0] as usize)];
+            self.enumerate(lanes, base, cone, own, w_sel, group, lead.len() > 1, s, out);
+        }
+        s.conditioned += w as u64;
+        s.passes += lead.len() as u64;
+        s.w = sel;
+        s.w_off = sel_off;
+        s.lead = lead;
+        s.group_of = group_of;
+        s.members = members;
     }
 
-    /// Scoring walk: pins joining candidate `j` to 1 and returns the
-    /// conditional probabilities of the AND's fanin literals `own`.
+    /// Each lane's `W` from its candidate scores `s.scores` (`jn`
+    /// candidates, `w` lanes): the `maxvers` best, minus those negligible
+    /// next to the top one, in candidate order. Written to `s.w`, CSR by
+    /// lane (`s.w_off`).
+    fn select(&self, w: usize, jn: usize, s: &mut Scratch2) {
+        let Scratch2 {
+            scores,
+            scored,
+            w: sel,
+            w_off,
+            ..
+        } = s;
+        sel.clear();
+        w_off.clear();
+        w_off.push(0);
+        for l in 0..w {
+            scored.clear();
+            scored.extend((0..jn).filter_map(|j| {
+                let score = scores[j * w + l];
+                (score > 1e-15).then_some((score, j as u32))
+            }));
+            // Keep the `maxvers` best: highest score first, ties in
+            // candidate order (scores are never NaN, so this order is
+            // total).
+            let keep = self.maxvers.min(scored.len());
+            if keep < scored.len() {
+                let best_first = |a: &(f64, u32), b: &(f64, u32)| {
+                    b.0.partial_cmp(&a.0)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.1.cmp(&b.1))
+                };
+                if keep > 0 {
+                    scored.select_nth_unstable_by(keep - 1, best_first);
+                }
+                scored.truncate(keep);
+            }
+            // Drop joining points whose score is negligible next to the
+            // top one: every kept point doubles the enumeration.
+            let cutoff = scored.iter().fold(0.0f64, |m, &(sc, _)| m.max(sc)) * 3e-3;
+            // Topological order: chain-rule weights condition each joining
+            // point on the pins of its ancestors (`joining` is ascending,
+            // so sorting the candidate indices sorts the nodes).
+            let start = sel.len();
+            sel.extend(
+                scored
+                    .iter()
+                    .filter(|&&(sc, _)| sc >= cutoff)
+                    .map(|&(_, j)| j),
+            );
+            sel[start..].sort_unstable();
+            w_off.push(sel.len() as u32);
+        }
+    }
+
+    /// Scoring walk: pins joining candidate `j` to 1 in every lane and
+    /// leaves the conditional values of its descendant row in `s.tab`;
+    /// the caller reads the AND's fanin literals and restores the row.
     ///
     /// Only the candidate's descendant row changes: every other slot keeps
     /// its base value, and every row node but the candidate has a fanin in
-    /// the row. So the walk is one product of two slot reads per row node,
-    /// ascending (nested conditioning instead for `nested_ok` nodes when
-    /// `nest`), and the row's base values are restored afterwards. The
-    /// base values already include bounded conditioning, which is why
-    /// nodes off the row must keep them rather than be recomputed.
-    fn score(
+    /// the row. So the walk is one product of two slot reads per row node
+    /// and lane, ascending (nested conditioning instead for `nested_ok`
+    /// nodes when `nest`). The base values already include bounded
+    /// conditioning, which is why nodes off the row must keep them rather
+    /// than be recomputed.
+    fn score<L: Lanes>(
         &self,
+        lanes: L,
         base: &[f64],
         cone: Cone<'_>,
         j: usize,
         nest: bool,
-        own: [u32; 2],
         s: &mut Scratch2,
-    ) -> (f64, f64) {
+    ) {
+        let w = lanes.n();
         let row = cone.desc_row(j);
         let x = usize::from(cone.joining[j]);
-        s.tab[x] = 1.0;
+        s.tab[x * w..(x + 1) * w].fill(1.0);
         for (wi, &word0) in row.iter().enumerate() {
             let mut word = word0;
             if wi == x >> 6 {
@@ -1217,25 +1426,20 @@ impl SignalProbEstimator {
                 let ci = (wi << 6) | word.trailing_zeros() as usize;
                 word &= word - 1;
                 let [fa, fb] = s.fan[ci];
-                let value = if nest && cone.nested_ok[ci] {
-                    let prog = self.nest_prog(base, cone, ci, s);
+                if nest && cone.nested_ok[ci] {
+                    let prog = self.nest_prog(lanes, base, cone, ci, s);
                     let prog = s.progs[prog];
-                    let tab = &s.tab;
-                    nested_value(&prog, s.prog_ops(&prog), [fa, fb], |sl| tab[sl as usize])
+                    lanes.nest(0..w, &prog, [fa, fb], ci, s, |_, sl| sl as usize);
                 } else {
-                    slot_lit(&s.tab, fa) * slot_lit(&s.tab, fb)
-                };
-                s.tab[ci] = value;
+                    product_row(lanes, &mut s.tab, ci, fa, fb);
+                }
             }
         }
-        let out = (slot_lit(&s.tab, own[0]), slot_lit(&s.tab, own[1]));
-        // The row lies in `x..`; one copy restores it.
-        let len = s.cb.len();
-        s.tab[x..len].copy_from_slice(&s.cb[x..]);
-        out
     }
 
-    /// Enumeration of formula (2) over the selected pins `s.w`.
+    /// Enumeration of formula (2) over the pins `sel` (candidate indices,
+    /// ascending) for the lanes of `group`, which all selected `sel`;
+    /// `shared` when other groups enumerate the same AND after it.
     ///
     /// A cone node's value under assignment `v` depends only on `v & dep`,
     /// where `dep` is the set of pins its reads can see: its own pin bit
@@ -1243,29 +1447,39 @@ impl SignalProbEstimator {
     /// conditioning, its nested reads') masks otherwise, and nothing off
     /// the pins' descendant union. One ascending pass over that union
     /// fills each node's table at every submask of its `dep` — each
-    /// distinct value computed once, reading fanin values from the tables
-    /// already filled. A pin's slot then reads as its bit, while its
-    /// pre-pin estimate goes to a separate table for the weights.
+    /// distinct value computed once per lane, reading fanin values from
+    /// the tables already filled. A pin's slot then reads as its bit,
+    /// while its pre-pin estimate goes to a separate table for the
+    /// weights. The union, pins, masks and submask walks are the group's;
+    /// only the table values are per lane.
     ///
-    /// The sum runs over `v` in natural order with the joint chain-rule
-    /// weight `P(A_v)` — pins multiplied in topological order, an
-    /// assignment dropped once its weight reaches 0 — since joining points
-    /// are often correlated (one may even imply another) and a product of
-    /// marginals would weight impossible assignments. Returns `None` when
-    /// every assignment is impossible.
-    fn enumerate(
+    /// Each lane then sums over `v` in natural order with the joint
+    /// chain-rule weight `P(A_v)` — pins multiplied in topological order,
+    /// an assignment dropped once its weight reaches 0 — since joining
+    /// points are often correlated (one may even imply another) and a
+    /// product of marginals would weight impossible assignments. A lane
+    /// whose every assignment is impossible falls back to the product
+    /// rule.
+    #[allow(clippy::too_many_arguments)]
+    fn enumerate<L: Lanes>(
         &self,
+        lanes: L,
         base: &[f64],
         cone: Cone<'_>,
         own: [u32; 2],
+        sel: &[u32],
+        group: &[u32],
+        shared: bool,
         s: &mut Scratch2,
-    ) -> Option<f64> {
+        out: &mut [f64],
+    ) {
+        let w = lanes.n();
         let len = cone.inner.len();
-        let b = s.w.len();
+        let b = sel.len();
         s.aff.clear();
         s.aff.resize(cone.words(), 0);
         s.pins.clear();
-        for &j in &s.w {
+        for &j in sel {
             let row = cone.desc_row(j as usize);
             for (a, &r) in s.aff.iter_mut().zip(row) {
                 *a |= r;
@@ -1276,12 +1490,35 @@ impl SignalProbEstimator {
                 dep: 0,
             });
         }
+        let in_aff = |aff: &[u64], sl: u32| {
+            let sl = sl as usize;
+            sl < len && (aff[sl >> 6] >> (sl & 63)) & 1 == 1
+        };
+        // Affected nodes that fill a table: a fanin in the union.
+        let fills = |s: &Scratch2, ci: usize| {
+            let [fa, fb] = s.fan[ci];
+            in_aff(&s.aff, fa >> 1) || in_aff(&s.aff, fb >> 1)
+        };
+        // With more groups to come, compile the nested programs the fills
+        // run before any table: their constant slots then precede the
+        // tables, which [`Scratch2::clear_tables`] drops.
+        for wi in 0..if shared { s.aff.len() } else { 0 } {
+            let mut word = s.aff[wi];
+            while word != 0 {
+                let ci = (wi << 6) | word.trailing_zeros() as usize;
+                word &= word - 1;
+                if cone.nested_ok[ci] && fills(s, ci) {
+                    self.nest_prog(lanes, base, cone, ci, s);
+                }
+            }
+        }
         // One value table shared by every pin, after the slots: entry
         // `1 << i` reads 1.0 (pin i set), entry 0 reads 0.0.
-        let bits_at = s.tab.len();
-        s.tab.resize(bits_at + (1 << (b - 1)) + 1, 0.0);
+        let bits_at = s.tab.len() / w;
+        s.tab.resize((bits_at + (1 << (b - 1)) + 1) * w, 0.0);
         for i in 0..b {
-            s.tab[bits_at + (1 << i)] = 1.0;
+            let at = (bits_at + (1 << i)) * w;
+            s.tab[at..at + w].fill(1.0);
         }
         let mut next_pin = 0;
         for wi in 0..s.aff.len() {
@@ -1289,15 +1526,10 @@ impl SignalProbEstimator {
             while word != 0 {
                 let ci = (wi << 6) | word.trailing_zeros() as usize;
                 word &= word - 1;
-                let [fa, fb] = s.fan[ci];
-                let in_aff = |sl: u32| {
-                    let sl = sl as usize;
-                    sl < len && (s.aff[sl >> 6] >> (sl & 63)) & 1 == 1
-                };
                 // Pinned nodes without a fanin in the union keep their
                 // base estimate (their own slot) as the pre-pin value.
-                let (at, dep) = if in_aff(fa >> 1) || in_aff(fb >> 1) {
-                    self.fill_table(base, cone, ci, s)
+                let (at, dep) = if fills(s, ci) {
+                    self.fill_table(lanes, base, cone, ci, group, s)
                 } else {
                     (ci as u32, 0)
                 };
@@ -1314,46 +1546,61 @@ impl SignalProbEstimator {
             }
         }
         let (tab, off, dep) = (&s.tab, &s.off, &s.dep);
-        let lit_at = |l: u32, v: u32| {
-            let sl = (l >> 1) as usize;
-            slot_value(tab[(off[sl] + (v & dep[sl])) as usize], l)
-        };
-        let mut total = 0.0f64;
-        let mut norm = 0.0f64;
-        'assignments: for v in 0..1u32 << b {
-            let mut weight = 1.0f64;
-            for (i, pin) in s.pins.iter().enumerate() {
-                let phat = tab[(pin.at + (v & pin.dep)) as usize];
-                weight *= if (v >> i) & 1 == 1 { phat } else { 1.0 - phat };
-                if weight <= 0.0 {
-                    continue 'assignments; // impossible assignment
+        for l in lanes.each(group) {
+            let entry = |e: u32| tab[e as usize * w + l];
+            let lit_at = |lit: u32, v: u32| {
+                let sl = (lit >> 1) as usize;
+                slot_value(entry(off[sl] + (v & dep[sl])), lit)
+            };
+            let mut total = 0.0f64;
+            let mut norm = 0.0f64;
+            'assignments: for v in 0..1u32 << b {
+                let mut weight = 1.0f64;
+                for (i, pin) in s.pins.iter().enumerate() {
+                    let phat = entry(pin.at + (v & pin.dep));
+                    weight *= if (v >> i) & 1 == 1 { phat } else { 1.0 - phat };
+                    if weight <= 0.0 {
+                        continue 'assignments; // impossible assignment
+                    }
                 }
+                total += weight * lit_at(own[0], v) * lit_at(own[1], v);
+                norm += weight;
             }
-            total += weight * lit_at(own[0], v) * lit_at(own[1], v);
-            norm += weight;
+            out[l] = if norm <= 0.0 {
+                let [pa, pb] = s.pab[l];
+                (pa * pb).clamp(0.0, 1.0)
+            } else {
+                (total / norm).clamp(0.0, 1.0)
+            };
         }
-        if norm <= 0.0 {
-            return None;
-        }
-        Some((total / norm).clamp(0.0, 1.0))
     }
 
     /// Appends the value table of affected cone node `ci` to `s.tab`: its
     /// estimate at every submask of its pin-dependency mask, indexed by the
-    /// submask. Returns the table's offset and the mask.
-    fn fill_table(&self, base: &[f64], cone: Cone<'_>, ci: usize, s: &mut Scratch2) -> (u32, u32) {
+    /// submask, in the lanes of `group`. Returns the table's offset (in
+    /// entries) and the mask.
+    fn fill_table<L: Lanes>(
+        &self,
+        lanes: L,
+        base: &[f64],
+        cone: Cone<'_>,
+        ci: usize,
+        group: &[u32],
+        s: &mut Scratch2,
+    ) -> (u32, u32) {
+        let w = lanes.n();
         let [fa, fb] = s.fan[ci];
         let mut dep = s.dep[(fa >> 1) as usize] | s.dep[(fb >> 1) as usize];
         let nested = cone.nested_ok[ci].then(|| {
-            let prog = self.nest_prog(base, cone, ci, s);
+            let prog = self.nest_prog(lanes, base, cone, ci, s);
             let prog = s.progs[prog];
             for sl in prog.outer_slots(s.prog_ops(&prog)) {
                 dep |= s.dep[sl as usize];
             }
             prog
         });
-        let at = s.tab.len();
-        s.tab.resize(at + dep as usize + 1, 0.0);
+        let at = s.tab.len() / w;
+        s.tab.resize((at + dep as usize + 1) * w, 0.0);
         // Submasks of `dep`, ascending.
         let submasks = std::iter::successors(Some(0u32), |&u| {
             (u != dep).then(|| u.wrapping_sub(dep) & dep)
@@ -1361,10 +1608,11 @@ impl SignalProbEstimator {
         match nested {
             Some(prog) => {
                 for u in submasks {
-                    let (tab, off, deps) = (&s.tab, &s.off, &s.dep);
-                    let read = |sl: u32| tab[(off[sl as usize] + (u & deps[sl as usize])) as usize];
-                    let value = nested_value(&prog, s.prog_ops(&prog), [fa, fb], read);
-                    s.tab[at + u as usize] = value;
+                    let entry = |s: &Scratch2, sl: u32| {
+                        (s.off[sl as usize] + (u & s.dep[sl as usize])) as usize
+                    };
+                    let dst = at + u as usize;
+                    lanes.nest(lanes.each(group), &prog, [fa, fb], dst, s, entry);
                 }
             }
             None => {
@@ -1372,9 +1620,11 @@ impl SignalProbEstimator {
                 let [(oa, da), (ob, db)] = [table(fa), table(fb)];
                 let tab = &mut s.tab;
                 for u in submasks {
-                    let va = slot_value(tab[oa + (u & da) as usize], fa);
-                    let vb = slot_value(tab[ob + (u & db) as usize], fb);
-                    tab[at + u as usize] = va * vb;
+                    let (ia, ib) = ((oa + (u & da) as usize) * w, (ob + (u & db) as usize) * w);
+                    let o = (at + u as usize) * w;
+                    for l in lanes.each(group) {
+                        tab[o + l] = slot_value(tab[ia + l], fa) * slot_value(tab[ib + l], fb);
+                    }
                 }
             }
         }
@@ -1383,7 +1633,9 @@ impl SignalProbEstimator {
 
     /// The nested-conditioning program of cone node `ci` (see
     /// [`NestProg`]), compiled once per AND into `s` and shared by the
-    /// scoring walks and the enumeration. Returns its index in `s.progs`.
+    /// scoring walks, every lane and every enumeration group: it depends
+    /// only on cone structure, and its constant slots hold one base value
+    /// per lane. Returns its index in `s.progs`.
     ///
     /// A node with its own joining points carries reconvergence *inside*
     /// the cone that the plain product rule would destroy (its base value
@@ -1397,7 +1649,14 @@ impl SignalProbEstimator {
     /// with its operands resolved: a nested-cone position, or an outer slot
     /// (a cone slot, or a constant slot holding the base value of a node
     /// outside the outer cone).
-    fn nest_prog(&self, base: &[f64], cone: Cone<'_>, ci: usize, s: &mut Scratch2) -> usize {
+    fn nest_prog<L: Lanes>(
+        &self,
+        lanes: L,
+        base: &[f64],
+        cone: Cone<'_>,
+        ci: usize,
+        s: &mut Scratch2,
+    ) -> usize {
         if s.nest_at[ci] != u32::MAX {
             return s.nest_at[ci] as usize;
         }
@@ -1419,7 +1678,7 @@ impl SignalProbEstimator {
         let outer = |s: &mut Scratch2, x: AigNodeId, complement: bool| {
             let slot = match cone.inner.binary_search(&x) {
                 Ok(p) => p as u32,
-                Err(_) => s.push_const(base[x.index()]),
+                Err(_) => s.push_const(lanes, base, x.index()),
             };
             slot << 2 | u32::from(complement)
         };
@@ -1474,52 +1733,90 @@ impl SignalProbEstimator {
     }
 }
 
-/// A nested-conditioning operand (see [`NestProg`]): `index << 2 | local
-/// << 1 | complement`, where `index` is a nested-cone position when
-/// `local` is set and an outer slot otherwise.
-fn operand(loc: &[f64; MAX_NESTED_CONE + 1], read: &impl Fn(u32) -> f64, o: u32) -> f64 {
-    let p = if o & 2 != 0 {
-        loc[(o >> 2) as usize]
-    } else {
-        read(o >> 2)
-    };
-    slot_value(p, o)
-}
+/// Lanes one nested-conditioning run evaluates side by side (see
+/// [`nested_values`]): a batch's lanes run in chunks of this many.
+const NEST_CHUNK: usize = 8;
 
-/// Runs a nested-conditioning program under the outer context `read` (a
-/// slot's current outer value). `fan` is the node's fanins as outer slot
+/// Runs a nested-conditioning program in `C` lanes at once under the
+/// outer context: slot `sl` of lane `lanes[c]` reads
+/// `tab[entry(sl) + lanes[c]]`. `fan` is the node's fanins as outer slot
 /// literals, for the product-rule fallback when every nested assignment
-/// is impossible.
-fn nested_value(prog: &NestProg, ops: &[NestOp], fan: [u32; 2], read: impl Fn(u32) -> f64) -> f64 {
+/// is impossible. Writes lane `c`'s value to `out[c]` for every `c <
+/// out.len()`.
+///
+/// Every lane runs the one-lane sequence: the same products, its own
+/// chain-rule weight, and an assignment dropped from its sums once its
+/// weight reaches 0. The walk over an assignment stops once every lane
+/// has dropped it; values a dropped lane keeps computing are never read.
+fn nested_values<const C: usize>(
+    prog: &NestProg,
+    ops: &[NestOp],
+    fan: [u32; 2],
+    tab: &[f64],
+    entry: impl Fn(u32) -> usize,
+    lanes: [usize; C],
+    out: &mut [f64],
+) {
     // Nested-cone values, plus the constant operand `ONE`.
-    let mut loc = [0.0f64; MAX_NESTED_CONE + 1];
-    loc[MAX_NESTED_CONE] = 1.0;
-    let mut total = 0.0f64;
-    let mut norm = 0.0f64;
+    let mut loc = [[0.0f64; C]; MAX_NESTED_CONE + 1];
+    loc[MAX_NESTED_CONE] = [1.0; C];
+    let outer = |sl: u32| {
+        let e = entry(sl);
+        lanes.map(|l| tab[e + l])
+    };
+    let operand = |loc: &[[f64; C]; MAX_NESTED_CONE + 1], o: u32| {
+        let p = if o & 2 != 0 {
+            loc[(o >> 2) as usize]
+        } else {
+            outer(o >> 2)
+        };
+        p.map(|p| slot_value(p, o))
+    };
+    let mut total = [0.0f64; C];
+    let mut norm = [0.0f64; C];
     'assignments: for v in 0..1u32 << prog.wn {
-        let mut weight = 1.0f64;
+        let mut weight = [1.0f64; C];
+        let mut live = [true; C];
         for op in ops {
-            let phat = operand(&loc, &read, op.a) * operand(&loc, &read, op.b);
+            let (a, b) = (operand(&loc, op.a), operand(&loc, op.b));
+            let mut phat = [0.0f64; C];
+            for c in 0..C {
+                phat[c] = a[c] * b[c];
+            }
             loc[op.q as usize] = if op.pin == NOT_PIN {
                 phat
             } else {
                 let bit = (v >> op.pin) & 1 == 1;
-                weight *= if bit { phat } else { 1.0 - phat };
-                if weight <= 0.0 {
+                for c in 0..C {
+                    if live[c] {
+                        weight[c] *= if bit { phat[c] } else { 1.0 - phat[c] };
+                        if weight[c] <= 0.0 {
+                            live[c] = false; // impossible in this lane
+                        }
+                    }
+                }
+                if !live.contains(&true) {
                     continue 'assignments;
                 }
-                f64::from(bit)
+                [f64::from(bit); C]
             };
         }
-        let va = operand(&loc, &read, prog.own[0]);
-        let vb = operand(&loc, &read, prog.own[1]);
-        total += weight * va * vb;
-        norm += weight;
+        let (va, vb) = (operand(&loc, prog.own[0]), operand(&loc, prog.own[1]));
+        for c in 0..C {
+            if live[c] {
+                total[c] += weight[c] * va[c] * vb[c];
+                norm[c] += weight[c];
+            }
+        }
     }
-    if norm <= 0.0 {
-        return slot_value(read(fan[0] >> 1), fan[0]) * slot_value(read(fan[1] >> 1), fan[1]);
+    for (c, o) in out.iter_mut().enumerate() {
+        *o = if norm[c] <= 0.0 {
+            let [pa, pb] = fan.map(|f| slot_value(outer(f >> 1)[c], f));
+            pa * pb
+        } else {
+            (total[c] / norm[c]).clamp(0.0, 1.0)
+        };
     }
-    (total / norm).clamp(0.0, 1.0)
 }
 
 /// One nested-cone node of a [`NestProg`].
@@ -1588,7 +1885,13 @@ pub(crate) const MIN_PAR_WIDE: usize = 1024;
 
 /// Probability of a literal given per-node probabilities.
 pub(crate) fn lit_prob(probs: &[f64], lit: AigLit) -> f64 {
-    let p = probs[lit.node().index()];
+    lane_lit(probs, lit, 1, 0)
+}
+
+/// Probability of a literal in lane `l` of `[node][lane]` probabilities
+/// with `lanes` lanes.
+pub(crate) fn lane_lit(probs: &[f64], lit: AigLit, lanes: usize, l: usize) -> f64 {
+    let p = probs[lit.node().index() * lanes + l];
     if lit.is_complement() {
         1.0 - p
     } else {
@@ -1598,22 +1901,49 @@ pub(crate) fn lit_prob(probs: &[f64], lit: AigLit) -> f64 {
 
 /// A slot literal's (`slot << 1 | complement`) probability given its
 /// slot's value `p`; only bit 0 is read, so nested operands use it too.
+/// Both values are formed and one selected: complement bits follow the
+/// circuit, not a pattern a branch predictor learns.
 fn slot_value(p: f64, l: u32) -> f64 {
+    let q = 1.0 - p;
     if l & 1 != 0 {
-        1.0 - p
+        q
     } else {
         p
     }
 }
 
-/// The value of a slot literal over `tab`.
-fn slot_lit(tab: &[f64], l: u32) -> f64 {
-    slot_value(tab[(l >> 1) as usize], l)
+/// Sets every lane of slot `ci` in `tab` to the product of slot literals
+/// `fa` and `fb` in that lane. Lanes go in
+/// blocks of four, so wide batches vectorize; one lane is the scalar
+/// product.
+#[inline]
+fn product_row<L: Lanes>(lanes: L, tab: &mut [f64], ci: usize, fa: u32, fb: u32) {
+    const BLOCK: usize = 4;
+    let w = lanes.n();
+    let (ia, ib, o) = ((fa >> 1) as usize * w, (fb >> 1) as usize * w, ci * w);
+    let product = |a: f64, b: f64| slot_value(a, fa) * slot_value(b, fb);
+    let mut l = 0;
+    while l + BLOCK <= w {
+        let a: [f64; BLOCK] = tab[ia + l..ia + l + BLOCK].try_into().expect("one block");
+        let b: [f64; BLOCK] = tab[ib + l..ib + l + BLOCK].try_into().expect("one block");
+        let v: [f64; BLOCK] = std::array::from_fn(|c| product(a[c], b[c]));
+        tab[o + l..o + l + BLOCK].copy_from_slice(&v);
+        l += BLOCK;
+    }
+    for l in l..w {
+        tab[o + l] = product(tab[ia + l], tab[ib + l]);
+    }
+}
+
+/// The value of slot literal `lit` in lane `l` of `tab` (`lanes` values
+/// per slot).
+fn slot_lit(tab: &[f64], lit: u32, lanes: usize, l: usize) -> f64 {
+    slot_value(tab[(lit >> 1) as usize * lanes + l], lit)
 }
 
 /// One selected pin of the enumeration: its cone position and the table
-/// of its pre-pin estimate (offset into [`Scratch2::tab`], dependency
-/// mask).
+/// of its pre-pin estimate (offset into [`Scratch2::tab`] in entries,
+/// dependency mask).
 #[derive(Debug, Clone, Copy)]
 struct Pin {
     pos: u32,
@@ -1621,57 +1951,188 @@ struct Pin {
     dep: u32,
 }
 
+/// [`Scratch2::group_of`] of a lane that takes the product rule.
+const NO_GROUP: u32 = u32::MAX;
+
+/// How many input vectors ("lanes") one kernel call evaluates. The
+/// kernel stores values lane-minor, `[slot][lane]`, so its one-lane
+/// instance is the plain scalar layout and compiles to the scalar loops.
+trait Lanes: Copy {
+    /// The lane count.
+    fn n(self) -> usize;
+    /// The lanes of `group`, a list of lane indices.
+    fn each(self, group: &[u32]) -> impl Iterator<Item = usize> + '_;
+    /// Runs the nested program `prog` of a cone node with fanin slot
+    /// literals `fan` ([`nested_values`]) in the lanes `each`, writing lane
+    /// `l`'s value to entry `at` of `s.tab`. Outer slot `sl` is read at
+    /// entry `entry(s, sl)`.
+    fn nest(
+        self,
+        each: impl Iterator<Item = usize>,
+        prog: &NestProg,
+        fan: [u32; 2],
+        at: usize,
+        s: &mut Scratch2,
+        entry: impl Fn(&Scratch2, u32) -> usize,
+    );
+}
+
+/// The one-lane instance: the full pass, the rank-parallel pass and the
+/// incremental session.
+#[derive(Debug, Clone, Copy)]
+struct One;
+
+impl Lanes for One {
+    #[inline(always)]
+    fn n(self) -> usize {
+        1
+    }
+
+    #[inline(always)]
+    fn each(self, _: &[u32]) -> impl Iterator<Item = usize> + '_ {
+        std::iter::once(0)
+    }
+
+    #[inline(always)]
+    fn nest(
+        self,
+        _: impl Iterator<Item = usize>,
+        prog: &NestProg,
+        fan: [u32; 2],
+        at: usize,
+        s: &mut Scratch2,
+        entry: impl Fn(&Scratch2, u32) -> usize,
+    ) {
+        let mut value = [0.0];
+        let read = |sl: u32| entry(s, sl);
+        nested_values(prog, s.prog_ops(prog), fan, &s.tab, read, [0], &mut value);
+        s.tab[at] = value[0];
+    }
+}
+
+/// A batch of this many lanes (see [`SignalProbEstimator::sweep_lanes`]).
+#[derive(Debug, Clone, Copy)]
+struct Many(usize);
+
+impl Lanes for Many {
+    fn n(self) -> usize {
+        self.0
+    }
+
+    fn each(self, group: &[u32]) -> impl Iterator<Item = usize> + '_ {
+        group.iter().map(|&l| l as usize)
+    }
+
+    /// Runs the lanes in chunks of [`NEST_CHUNK`]; a short chunk's spare
+    /// lanes repeat its first lane, and their values are dropped.
+    fn nest(
+        self,
+        mut each: impl Iterator<Item = usize>,
+        prog: &NestProg,
+        fan: [u32; 2],
+        at: usize,
+        s: &mut Scratch2,
+        entry: impl Fn(&Scratch2, u32) -> usize,
+    ) {
+        let w = self.0;
+        while let Some(first) = each.next() {
+            let mut chunk = [first; NEST_CHUNK];
+            let mut n = 1;
+            while n < NEST_CHUNK {
+                let Some(l) = each.next() else { break };
+                chunk[n] = l;
+                n += 1;
+            }
+            let mut vals = [0.0f64; NEST_CHUNK];
+            let read = |sl: u32| entry(s, sl) * w;
+            nested_values(
+                prog,
+                s.prog_ops(prog),
+                fan,
+                &s.tab,
+                read,
+                chunk,
+                &mut vals[..n],
+            );
+            for (&l, &v) in chunk[..n].iter().zip(&vals[..n]) {
+                s.tab[at * w + l] = v;
+            }
+        }
+    }
+}
+
 /// Evaluation buffers of the conditioned kernel, reused across AND nodes.
 ///
 /// Every buffer is indexed by position within the current AND's cone (or
-/// by its slot, table or candidate), never by AIG node, and is refilled
-/// per AND. So its size follows the largest cone and `2^MAXVERS`, not the
-/// AIG or the number of conditioned ANDs, and a clone (session pools,
-/// hill-climb workers) copies only that. Opaque outside this module;
-/// obtained via [`SignalProbEstimator::new_scratch`].
+/// by its slot, table, candidate or lane), never by AIG node, and is
+/// refilled per AND. Value buffers hold one value per lane, `[slot][lane]`.
+/// So its size follows the largest cone, `2^MAXVERS` and the lane count,
+/// not the AIG or the number of conditioned ANDs, and a clone (session
+/// pools, hill-climb workers) copies only that. Opaque outside this
+/// module; obtained via [`SignalProbEstimator::new_scratch`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Scratch2 {
-    /// Slot values, then the enumeration's tables. Slots `0..len` are the
-    /// cone positions, holding their base values outside a scoring walk;
-    /// `len` is a never-read fanin slot of the cone's inputs; the rest
-    /// hold base values of out-of-cone nodes the cone reads (fanins, and
-    /// nested reads added by [`Scratch2::push_const`]).
+    /// Slot values, then the enumeration's tables, one value per lane
+    /// each. Slots `0..len` are the cone positions, holding their base
+    /// values outside a scoring walk; `len` is a never-read fanin slot of
+    /// the cone's inputs; the rest hold base values of out-of-cone nodes
+    /// the cone reads (fanins, and nested reads added by
+    /// [`Scratch2::push_const`]).
     tab: Vec<f64>,
-    /// Base value per cone position, for restoring a scoring walk.
+    /// Base values per cone position, for restoring a scoring walk.
     cb: Vec<f64>,
     /// Per cone position, its two fanins as slot literals.
     fan: Vec<[u32; 2]>,
-    /// Per slot, the offset of its value in `tab` and its pin-dependency
-    /// mask: the slot itself and 0, until enumeration gives an affected
-    /// node a table.
+    /// Per slot, the offset (in entries) of its value in `tab` and its
+    /// pin-dependency mask: the slot itself and 0, until enumeration
+    /// gives an affected node a table.
     off: Vec<u32>,
     dep: Vec<u32>,
     /// Bitset over cone positions: the pins' descendant union.
     aff: Vec<u64>,
     pins: Vec<Pin>,
-    /// `(score, candidate)` pairs, then the selected candidates.
+    /// Per lane, the probabilities of the AND's two fanin literals.
+    pab: Vec<[f64; 2]>,
+    /// Candidate scores, `[candidate][lane]`; 0.0 where a lane skips the
+    /// candidate.
+    scores: Vec<f64>,
+    /// One lane's `(score, candidate)` pairs.
     scored: Vec<(f64, u32)>,
+    /// Each lane's selected candidates (CSR, `w_off` by lane).
     w: Vec<u32>,
+    w_off: Vec<u32>,
+    /// The first lane of each group of lanes sharing one `W`, each
+    /// lane's group by its first lane ([`NO_GROUP`] for the product
+    /// rule), and the grouped lanes, group by group.
+    lead: Vec<u32>,
+    group_of: Vec<u32>,
+    members: Vec<u32>,
     /// Per cone position, the index of its nested-conditioning program
     /// in `progs` (`u32::MAX` until compiled), and the programs' steps.
     nest_at: Vec<u32>,
     progs: Vec<NestProg>,
     ops: Vec<NestOp>,
+    /// Conditioned AND evaluations so far, counted per lane.
+    conditioned: u64,
+    /// Enumeration passes so far: one per group of lanes sharing a `W`.
+    passes: u64,
 }
 
 impl Scratch2 {
-    /// Loads the cone of the AND being evaluated: base values into the
-    /// cone slots, one slot per out-of-cone fanin read, and every cone
-    /// node's fanins as slot literals. Returns the AND's own fanins
-    /// `la`, `lb` as slot literals.
-    fn load(
+    /// Loads the cone of the AND being evaluated: base values of every
+    /// lane into the cone slots, one slot per out-of-cone fanin read, and
+    /// every cone node's fanins as slot literals. Returns the AND's own
+    /// fanins `la`, `lb` as slot literals.
+    fn load<L: Lanes>(
         &mut self,
+        lanes: L,
         aig: &Aig,
         base: &[f64],
         cone: Cone<'_>,
         la: AigLit,
         lb: AigLit,
     ) -> [u32; 2] {
+        let w = lanes.n();
         let len = cone.inner.len();
         let Scratch2 {
             tab,
@@ -1685,16 +2146,23 @@ impl Scratch2 {
             ..
         } = self;
         tab.clear();
-        tab.extend(cone.inner.iter().map(|x| base[x.index()]));
+        tab.resize(len * w, 0.0);
+        for (dst, &x) in tab.chunks_exact_mut(w).zip(cone.inner) {
+            for (l, d) in dst.iter_mut().enumerate() {
+                *d = base[x.index() * w + l];
+            }
+        }
         cb.clear();
         cb.extend_from_slice(tab);
-        tab.push(0.0);
+        tab.resize(tab.len() + w, 0.0);
         let mut slot = |f: AigLit, ci: u16| -> u32 {
             let sl = match cone_pos(ci) {
                 Some(p) => p as u32,
                 None => {
-                    tab.push(base[f.node().index()]);
-                    (tab.len() - 1) as u32
+                    for l in 0..w {
+                        tab.push(base[f.node().index() * w + l]);
+                    }
+                    (tab.len() / w - 1) as u32
                 }
             };
             sl << 1 | u32::from(f.is_complement())
@@ -1714,10 +2182,11 @@ impl Scratch2 {
                 .map_or(NO_POS, |p| p as u16)
         };
         let own = [slot(la, pos(la)), slot(lb, pos(lb))];
+        let slots = tab.len() / w;
         off.clear();
-        off.extend(0..tab.len() as u32);
+        off.extend(0..slots as u32);
         dep.clear();
-        dep.resize(tab.len(), 0);
+        dep.resize(slots, 0);
         nest_at.clear();
         nest_at.resize(len, u32::MAX);
         progs.clear();
@@ -1725,14 +2194,29 @@ impl Scratch2 {
         own
     }
 
-    /// Appends a constant slot holding `value` (a nested read of a node
-    /// outside the cone) and returns it. Valid in both phases: before the
-    /// enumeration's tables, slot and `tab` index coincide.
-    fn push_const(&mut self, value: f64) -> u32 {
-        self.off.push(self.tab.len() as u32);
+    /// Appends a constant slot holding node `x`'s base value in every
+    /// lane (a nested read of a node outside the cone) and returns it.
+    /// Valid in both phases: before the enumeration's tables, slot and
+    /// `tab` entry coincide.
+    fn push_const<L: Lanes>(&mut self, lanes: L, base: &[f64], x: usize) -> u32 {
+        let w = lanes.n();
+        self.off.push((self.tab.len() / w) as u32);
         self.dep.push(0);
-        self.tab.push(value);
+        for l in 0..w {
+            self.tab.push(base[x * w + l]);
+        }
         (self.off.len() - 1) as u32
+    }
+
+    /// Drops one group's enumeration tables, so the next group of lanes
+    /// starts from the slots again: the cone positions `0..len` read
+    /// their own slots with no pin dependency.
+    fn clear_tables(&mut self, len: usize, lanes: usize) {
+        self.tab.truncate(self.off.len() * lanes);
+        for (ci, (off, dep)) in self.off[..len].iter_mut().zip(&mut self.dep).enumerate() {
+            *off = ci as u32;
+            *dep = 0;
+        }
     }
 
     /// The steps of a compiled nested program.
@@ -1744,13 +2228,20 @@ impl Scratch2 {
     #[cfg(test)]
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.tab.capacity() * size_of::<f64>()
-            + self.cb.capacity() * size_of::<f64>()
+        let words = self.off.capacity()
+            + self.dep.capacity()
+            + self.w.capacity()
+            + self.w_off.capacity()
+            + self.lead.capacity()
+            + self.group_of.capacity()
+            + self.members.capacity()
+            + self.nest_at.capacity();
+        (self.tab.capacity() + self.cb.capacity() + self.scores.capacity()) * size_of::<f64>()
             + self.fan.capacity() * size_of::<[u32; 2]>()
-            + (self.off.capacity() + self.dep.capacity() + self.w.capacity()) * size_of::<u32>()
-            + self.nest_at.capacity() * size_of::<u32>()
+            + words * size_of::<u32>()
             + self.aff.capacity() * size_of::<u64>()
             + self.pins.capacity() * size_of::<Pin>()
+            + self.pab.capacity() * size_of::<[f64; 2]>()
             + self.scored.capacity() * size_of::<(f64, u32)>()
             + self.progs.capacity() * size_of::<NestProg>()
             + self.ops.capacity() * size_of::<NestOp>()
@@ -2150,6 +2641,75 @@ mod tests {
         // Sweeping again grows nothing.
         sweep(&mut scratch);
         assert_eq!(scratch.heap_bytes(), bytes);
+    }
+
+    /// A seeded `k/16` probability (`k` in 1..=15) of global input `i`:
+    /// the per-lane input vectors of the lane-batch tests (the same
+    /// formula as `tests/partition_differential.rs`).
+    fn seeded_prob(seed: u64, i: usize) -> f64 {
+        let mut x = seed ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        x ^= x >> 31;
+        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x ^= x >> 29;
+        ((x % 15) + 1) as f64 / 16.0
+    }
+
+    #[test]
+    fn lane_batches_equal_one_lane_sweeps_and_split_into_w_groups() {
+        // One lane of an uncoupled `multmesh:3x2` mesh, batched eight
+        // wide with lane `l` reading global inputs `l·ni..` of the seeded
+        // vector; lane 6 pins every other input to exactly 0.0, lane 7 to
+        // exactly 1.0 (deterministic candidates, impossible assignments).
+        let lane = protest_circuits::mult_mesh(3, 2, 1, false);
+        let est = SignalProbEstimator::new(Aig::from_circuit(&lane), &AnalyzerParams::default());
+        let (n, ni, lanes) = (est.aig.len(), est.aig.num_inputs(), 8);
+        let vectors: Vec<Vec<f64>> = (0..lanes)
+            .map(|l| {
+                (0..ni)
+                    .map(|p| match l {
+                        6 | 7 if p % 2 == 0 => f64::from(l == 7),
+                        _ => seeded_prob(7, l * ni + p),
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut inputs = vec![0.0; ni * lanes];
+        for (l, v) in vectors.iter().enumerate() {
+            for (p, &x) in v.iter().enumerate() {
+                inputs[p * lanes + l] = x;
+            }
+        }
+        let (probs, work) = est
+            .sweep_lanes(lanes, &inputs, &CancelToken::never())
+            .unwrap();
+        for (l, v) in vectors.iter().enumerate() {
+            let want = est.full_estimate(v);
+            for k in 0..n {
+                assert_eq!(
+                    probs[k * lanes + l].to_bits(),
+                    want[k].to_bits(),
+                    "lane {l}, node {k}"
+                );
+            }
+        }
+        let conditioned = est.sweep_shape().conditioned;
+        assert_eq!(work.conditioned, (conditioned * lanes) as u64);
+        assert_eq!((work.batches, work.lanes), (1, lanes as u64));
+        // Re-evaluate each conditioned AND over the settled lanes and
+        // count its groups of lanes sharing one `W`.
+        let mut s = est.new_scratch();
+        let mut out = vec![0.0; lanes];
+        let mut split = 0;
+        for k in (1..n).filter(|&k| est.arena.is_conditioned(k)) {
+            let id = AigNodeId::from_index(k);
+            est.and_values(Many(lanes), &probs[..k * lanes], id, &mut s, &mut out);
+            assert_eq!(out, probs[k * lanes..(k + 1) * lanes], "node {k}");
+            split += usize::from(s.lead.len() >= 2);
+        }
+        assert!(
+            split * 10 >= conditioned,
+            "{split} of {conditioned} conditioned ANDs split their lanes into ≥ 2 W groups"
+        );
     }
 
     #[test]

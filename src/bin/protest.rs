@@ -469,6 +469,16 @@ fn cmd_stats(circuit: &Arc<Circuit>, opts: &Options) -> Result<String, String> {
         "estimator sweep: {} of {} ANDs conditioned, {:.1} joining candidates and {:.1} cone nodes per conditioned AND",
         shape.conditioned, shape.ands, shape.mean_joining, shape.mean_inner
     );
+    let probs = InputProbs::constant(circuit.num_inputs(), opts.prob).map_err(|e| e.to_string())?;
+    if let Some(sweep) = analyzer.lane_sweep(&probs).map_err(|e| e.to_string())? {
+        let _ = writeln!(
+            out,
+            "lane sweep: {} batches, {} lanes, {:.3} enumeration passes per conditioned lane-AND",
+            sweep.batches,
+            sweep.lanes,
+            sweep.passes_per_conditioned()
+        );
+    }
     out.push_str(&probe);
     Ok(out)
 }
@@ -952,6 +962,18 @@ mod tests {
         assert!(probed.contains("  estimator readers:  "), "{probed}");
         let out = run(&args(&["analyze", p, "--testlen", "1.0,0.95"])).unwrap();
         assert!(out.contains("required random test lengths"), "{out}");
+    }
+
+    #[test]
+    fn stats_reports_the_lane_sweep_of_partitioned_circuits() {
+        let out = run(&args(&["stats", "comp24"])).unwrap();
+        assert!(!out.contains("lane sweep:"), "{out}");
+        // Five identical lanes at one thread: one batch of five lanes.
+        let mesh = "multmesh:2x2x5:uncoupled";
+        let out = run(&args(&["stats", mesh, "--threads", "1"])).unwrap();
+        assert!(out.contains("lane sweep: 1 batches, 5 lanes, "), "{out}");
+        let out = run(&args(&["stats", mesh, "--threads", "2"])).unwrap();
+        assert!(out.contains("lane sweep: 2 batches, 5 lanes, "), "{out}");
     }
 
     #[test]

@@ -2,13 +2,19 @@
 //! tokens stop work with a typed error, disarmed tokens change nothing,
 //! and poisoned sessions are quarantined by the pool.
 
+use std::sync::Mutex;
 use std::time::Duration;
 
 use protest_core::optimize::{HillClimber, OptimizeParams};
 use protest_core::staticanalysis::{self, CheckParams};
 use protest_core::tpi::{self, TpiParams};
-use protest_core::{Analyzer, CancelToken, CoreError, InputProbs, SessionPool};
+use protest_core::{
+    failpoints, Analyzer, AnalyzerParams, CancelToken, CoreError, InputProbs, SessionPool,
+};
 use protest_netlist::CircuitBuilder;
+
+/// Failpoints are process-global: tests that configure them serialize.
+static FAILPOINT_LOCK: Mutex<()> = Mutex::new(());
 
 fn circuit() -> protest_netlist::Circuit {
     let mut b = CircuitBuilder::new("cancel");
@@ -200,4 +206,67 @@ fn clean_cancel_on_full_sweep_is_recoverable() {
     assert!(!session.is_poisoned(), "full-sweep cancel must stay clean");
     session.set_cancel(CancelToken::never());
     session.try_observabilities().expect("retry succeeds");
+}
+
+/// Six uncoupled mesh lanes: one-shot runs take the partitioned path and
+/// sweep the lanes in batches.
+fn lanes() -> protest_netlist::Circuit {
+    protest_circuits::mesh_by_spec("multmesh:3x2x6:uncoupled").unwrap()
+}
+
+fn lanes_analyzer(circuit: &protest_netlist::Circuit, threads: usize) -> Analyzer {
+    let analyzer = Analyzer::with_params(
+        circuit,
+        AnalyzerParams {
+            num_threads: threads,
+            ..AnalyzerParams::default()
+        },
+    );
+    assert_eq!(analyzer.partition_count(), 6);
+    analyzer
+}
+
+fn detection_bits(analysis: &protest_core::CircuitAnalysis) -> Vec<u64> {
+    analysis
+        .detection_probabilities()
+        .iter()
+        .map(|p| p.to_bits())
+        .collect()
+}
+
+#[test]
+fn fired_token_aborts_a_partitioned_run() {
+    let ckt = lanes();
+    let probs = InputProbs::uniform(ckt.num_inputs());
+    for threads in [1, 2] {
+        let err = lanes_analyzer(&ckt, threads)
+            .run_with_cancel(&probs, fired())
+            .expect_err("run must abort");
+        assert!(matches!(err, CoreError::Cancelled), "{threads}t: {err:?}");
+    }
+}
+
+#[test]
+fn deadline_passing_mid_batch_aborts_a_partitioned_run_and_a_calm_rerun_is_unchanged() {
+    let _guard = FAILPOINT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let ckt = lanes();
+    let probs = InputProbs::uniform(ckt.num_inputs());
+    for threads in [1, 2] {
+        let analyzer = lanes_analyzer(&ckt, threads);
+        let calm = detection_bits(&analyzer.run(&probs).unwrap());
+        // Every batch sleeps 50 ms as it starts; the 10 ms deadline
+        // passes during that sleep, so the batch's sweep finds the token
+        // fired at its first poll.
+        failpoints::configure("core.propagate.delay=50ms");
+        let result =
+            analyzer.run_with_cancel(&probs, CancelToken::after(Duration::from_millis(10)));
+        failpoints::reset();
+        let err = result.expect_err("run must abort");
+        assert!(matches!(err, CoreError::Cancelled), "{threads}t: {err:?}");
+        // The same analyzer, disarmed, reproduces the calm run bit for bit.
+        let rerun = analyzer
+            .run_with_cancel(&probs, CancelToken::never())
+            .unwrap();
+        assert_eq!(detection_bits(&rerun), calm, "{threads}t: rerun differs");
+    }
 }

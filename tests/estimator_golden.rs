@@ -8,7 +8,10 @@
 //! [`SignalProbEstimator::full_estimate`] on the paper circuits and a
 //! small coupled mesh, at two fixed `k/16` input vectors and at two
 //! `MAXVERS` settings, plus the per-fault detection probabilities of
-//! [`Analyzer::run`] on div8x8.
+//! [`Analyzer::run`] on div8x8, and the signal and detection
+//! probabilities of a partitioned (lane-batched) run on an uncoupled mesh
+//! whose lanes read different seeded vectors with exact 0.0 and 1.0
+//! inputs.
 //!
 //! The digests change only when the estimator's arithmetic changes. A
 //! change that does so on purpose must say so and re-pin them.
@@ -120,4 +123,58 @@ fn div8x8_detection_bits_match_the_golden_digest() {
         d, GOLDEN_DIV_DETECT,
         "detection bits moved; current digest {d:#018x}"
     );
+}
+
+/// A seeded `k/16` probability (`k` in 1..=15) per input, with every
+/// seventh input (from 0) at exactly 0.0 and every seventh from 3 at
+/// exactly 1.0: each lane of a mesh reads its own vector.
+fn lane_vector(inputs: usize) -> Vec<f64> {
+    (0..inputs)
+        .map(|i| match i % 7 {
+            0 => 0.0,
+            3 => 1.0,
+            _ => {
+                let mut x = 7 ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                x ^= x >> 31;
+                x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                x ^= x >> 29;
+                ((x % 15) + 1) as f64 / 16.0
+            }
+        })
+        .collect()
+}
+
+/// `multmesh:3x2x9:uncoupled` under [`lane_vector`]: digests of
+/// `full_estimate`, and of the signal and detection probabilities of a
+/// partitioned `Analyzer::run` (the same at every thread count).
+const GOLDEN_LANES: (u64, u64, u64) = (0x80a9602a8d6a7fa3, 0xc5a82c79263ae5e0, 0x4b2809f5302881e9);
+
+#[test]
+fn partitioned_lane_bits_match_the_golden_digests() {
+    let circuit = mesh_by_spec("multmesh:3x2x9:uncoupled").unwrap();
+    let probs = lane_vector(circuit.num_inputs());
+    let est = SignalProbEstimator::new(Aig::from_circuit(&circuit), &AnalyzerParams::default());
+    let full = digest(&est.full_estimate(&probs));
+    for threads in [1, 4] {
+        let analyzer = Analyzer::with_params(
+            &circuit,
+            AnalyzerParams {
+                num_threads: threads,
+                ..AnalyzerParams::default()
+            },
+        );
+        assert_eq!(analyzer.partition_count(), 9);
+        let analysis = analyzer
+            .run(&InputProbs::from_slice(&probs).unwrap())
+            .unwrap();
+        let got = (
+            full,
+            digest(analysis.signal_probabilities()),
+            digest(&analysis.detection_probabilities()),
+        );
+        assert_eq!(
+            got, GOLDEN_LANES,
+            "lane bits moved at {threads} threads; current digests {got:#018x?}"
+        );
+    }
 }

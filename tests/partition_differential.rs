@@ -4,10 +4,14 @@
 //! probabilities, observabilities and fault detection estimates to the
 //! monolithic pass — at one thread and at four. Partitioning only
 //! reschedules independent per-component computations; it never changes a
-//! floating-point operation sequence.
+//! floating-point operation sequence. That includes the lane-batched
+//! sweep, which evaluates a batch of same-structure partitions together:
+//! lanes with different inputs (and so different conditioning sets),
+//! exact 0.0/1.0 inputs, and batch widths around the lane cap.
 
 use protest::prelude::*;
 use protest_circuits::{alu_74181, alu_mesh, comp24, mult_mesh};
+use protest_core::partition::MAX_LANES;
 use protest_core::{AnalyzerParams, InputProbs};
 
 fn params(threads: usize, partition: bool) -> AnalyzerParams {
@@ -37,6 +41,17 @@ fn skewed_probs(inputs: usize) -> InputProbs {
 /// Runs the monolithic and the partitioned analyzer on `circuit` at
 /// `threads` threads and asserts every public result is bitwise equal.
 fn assert_partitioned_matches_monolithic(name: &str, circuit: &Circuit, threads: usize) {
+    let probs = skewed_probs(circuit.num_inputs());
+    assert_partitioned_matches_monolithic_at(name, circuit, &probs, threads);
+}
+
+/// [`assert_partitioned_matches_monolithic`] at input vector `probs`.
+fn assert_partitioned_matches_monolithic_at(
+    name: &str,
+    circuit: &Circuit,
+    probs: &InputProbs,
+    threads: usize,
+) {
     let mono = Analyzer::with_params(circuit, params(threads, false));
     let part = Analyzer::with_params(circuit, params(threads, true));
     assert_eq!(
@@ -44,9 +59,8 @@ fn assert_partitioned_matches_monolithic(name: &str, circuit: &Circuit, threads:
         1,
         "{name}: knob off must stay monolithic"
     );
-    let probs = skewed_probs(circuit.num_inputs());
-    let a = mono.run(&probs).unwrap();
-    let b = part.run(&probs).unwrap();
+    let a = mono.run(probs).unwrap();
+    let b = part.run(probs).unwrap();
     assert_bits_eq(
         a.signal_probabilities(),
         b.signal_probabilities(),
@@ -133,4 +147,87 @@ fn partitioned_run_matches_an_incremental_session_reaching_the_same_probs() {
         &b.detection_probabilities(),
         "session vs partitioned: detection probs",
     );
+}
+
+/// A seeded `k/16` probability (`k` in 1..=15) of global input `i` (the
+/// estimator's lane-batch unit test uses the same formula).
+fn seeded_prob(seed: u64, i: usize) -> f64 {
+    let mut x = seed ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    x ^= x >> 31;
+    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x ^= x >> 29;
+    ((x % 15) + 1) as f64 / 16.0
+}
+
+#[test]
+fn lanes_with_their_own_vectors_match_monolithic_bit_for_bit() {
+    // Eight `multmesh:3x2` lanes, each reading its own seeded vector, so
+    // a batch's lanes select different conditioning sets at many ANDs
+    // (the estimator's unit test counts the groups on these vectors).
+    // Lanes 6 and 7 hold every other input at exactly 0.0 and 1.0.
+    let lanes = 8;
+    let circuit = mult_mesh(3, 2, lanes, false);
+    let ni = circuit.num_inputs() / lanes;
+    let probs: Vec<f64> = (0..circuit.num_inputs())
+        .map(|i| match (i / ni, i % ni) {
+            (l @ (6 | 7), p) if p % 2 == 0 => f64::from(l == 7),
+            _ => seeded_prob(7, i),
+        })
+        .collect();
+    let probs = InputProbs::from_slice(&probs).unwrap();
+    assert_eq!(
+        Analyzer::with_params(&circuit, params(1, true)).partition_count(),
+        lanes
+    );
+    for threads in [1, 2, 4] {
+        assert_partitioned_matches_monolithic_at("multmesh:3x2x8", &circuit, &probs, threads);
+    }
+}
+
+/// `a` and `b` side by side in one circuit, sharing no net: `a`'s nodes
+/// and inputs first, then `b`'s.
+fn side_by_side(a: &Circuit, b: &Circuit) -> Circuit {
+    let mut out = CircuitBuilder::new("side_by_side");
+    for c in [a, b] {
+        let mut map: Vec<NodeId> = Vec::with_capacity(c.num_nodes());
+        for i in 0..c.num_nodes() {
+            let node = c.node(NodeId::from_index(i));
+            let fanins: Vec<NodeId> = node.fanins().iter().map(|f| map[f.index()]).collect();
+            map.push(match node.kind() {
+                GateKind::Input => out.input(format!("x{}", out.num_nodes())),
+                GateKind::Lut(t) => {
+                    let t = out.add_table(c.lut(t).clone());
+                    out.lut(t, &fanins)
+                }
+                kind => out.gate(kind, &fanins),
+            });
+        }
+        for &o in c.outputs() {
+            out.output_unnamed(map[o.index()]);
+        }
+    }
+    out.finish().unwrap()
+}
+
+#[test]
+fn batch_widths_around_the_lane_cap_match_monolithic_bit_for_bit() {
+    // One structure class of `count` small lanes beside a class of one
+    // part: at one thread a batch holds up to MAX_LANES lanes, so 1,
+    // MAX_LANES - 1 and MAX_LANES lanes fit one batch and one more lane
+    // opens a second; at 2 and 4 threads the widths split again.
+    let single = mult_mesh(3, 1, 1, false);
+    for count in [1, MAX_LANES - 1, MAX_LANES, MAX_LANES + 1] {
+        let circuit = side_by_side(&mult_mesh(2, 1, count, false), &single);
+        let probs: Vec<f64> = (0..circuit.num_inputs())
+            .map(|i| seeded_prob(11, i))
+            .collect();
+        let probs = InputProbs::from_slice(&probs).unwrap();
+        let part = Analyzer::with_params(&circuit, params(1, true));
+        assert_eq!(part.partition_count(), count + 1);
+        assert_eq!(part.partition_class_count(), 2);
+        for threads in [1, 2, 4] {
+            let name = format!("{count} lanes + 1");
+            assert_partitioned_matches_monolithic_at(&name, &circuit, &probs, threads);
+        }
+    }
 }
