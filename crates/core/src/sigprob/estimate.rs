@@ -1262,8 +1262,10 @@ impl SignalProbEstimator {
         // multiplies with the candidate count — restrict it to small sets.
         let nest_scores = cone.joining.len() <= MAX_NESTED_SCORING;
         let jn = cone.joining.len();
-        s.scores.clear();
-        s.scores.resize(jn * w, 0.0);
+        s.scored.clear();
+        s.scored.resize(jn * w, (0.0, 0));
+        s.counts.clear();
+        s.counts.resize(w, 0);
         // A deterministic node carries no correlation.
         let deterministic = |p: f64| p <= f64::EPSILON || p >= 1.0 - f64::EPSILON;
         for (j, &x) in cone.joining.iter().enumerate() {
@@ -1284,7 +1286,12 @@ impl SignalProbEstimator {
                 let [pa, pb] = s.pab[l];
                 let cov_a = (pa1 - pa) * px;
                 let cov_b = (pb1 - pb) * px;
-                s.scores[j * w + l] = (cov_a * cov_b).abs() / (px * (1.0 - px));
+                let score = (cov_a * cov_b).abs() / (px * (1.0 - px));
+                if score > 1e-15 {
+                    let c = &mut s.counts[l];
+                    s.scored[l * jn + *c as usize] = (score, j as u32);
+                    *c += 1;
+                }
             }
             // The row lies in `x..`; one copy restores it.
             let len = s.cb.len();
@@ -1293,6 +1300,29 @@ impl SignalProbEstimator {
         self.select(w, jn, s);
         let sel = std::mem::take(&mut s.w);
         let sel_off = std::mem::take(&mut s.w_off);
+        let mut members = std::mem::take(&mut s.members);
+        members.clear();
+        let first = &sel[span(&sel_off, 0)];
+        if (1..w).all(|l| sel[span(&sel_off, l)] == *first) {
+            // One `W` for every lane (always so with one lane): one group.
+            s.lead.clear();
+            if first.is_empty() {
+                for (l, o) in out[..w].iter_mut().enumerate() {
+                    let [pa, pb] = s.pab[l];
+                    *o = (pa * pb).clamp(0.0, 1.0);
+                }
+            } else {
+                s.lead.push(0);
+                members.extend(0..w as u32);
+                self.enumerate(lanes, base, cone, own, first, &members, false, s, out);
+                s.passes += 1;
+            }
+            s.conditioned += w as u64;
+            s.w = sel;
+            s.w_off = sel_off;
+            s.members = members;
+            return;
+        }
         // Group the lanes by `W`, each group led by its first lane. A lane
         // with no correlated candidate (or maxvers = 0) takes the product
         // rule.
@@ -1316,8 +1346,6 @@ impl SignalProbEstimator {
                 l as u32
             });
         }
-        let mut members = std::mem::take(&mut s.members);
-        members.clear();
         members.extend((0..w as u32).filter(|&l| group_of[l as usize] != NO_GROUP));
         if lead.len() > 1 {
             members.sort_by_key(|&l| group_of[l as usize]);
@@ -1339,14 +1367,14 @@ impl SignalProbEstimator {
         s.members = members;
     }
 
-    /// Each lane's `W` from its candidate scores `s.scores` (`jn`
-    /// candidates, `w` lanes): the `maxvers` best, minus those negligible
-    /// next to the top one, in candidate order. Written to `s.w`, CSR by
-    /// lane (`s.w_off`).
+    /// Each lane's `W` from its scored candidates (`s.scored`, up to `jn`
+    /// per lane, `s.counts` of them): the `maxvers` best, minus those
+    /// negligible next to the top one, in candidate order. Written to
+    /// `s.w`, CSR by lane (`s.w_off`).
     fn select(&self, w: usize, jn: usize, s: &mut Scratch2) {
         let Scratch2 {
-            scores,
             scored,
+            counts,
             w: sel,
             w_off,
             ..
@@ -1355,36 +1383,29 @@ impl SignalProbEstimator {
         w_off.clear();
         w_off.push(0);
         for l in 0..w {
-            scored.clear();
-            scored.extend((0..jn).filter_map(|j| {
-                let score = scores[j * w + l];
-                (score > 1e-15).then_some((score, j as u32))
-            }));
+            let list = &mut scored[l * jn..l * jn + counts[l] as usize];
             // Keep the `maxvers` best: highest score first, ties in
             // candidate order (scores are never NaN, so this order is
             // total).
-            let keep = self.maxvers.min(scored.len());
-            if keep < scored.len() {
+            let keep = self.maxvers.min(list.len());
+            if keep < list.len() && keep > 0 {
                 let best_first = |a: &(f64, u32), b: &(f64, u32)| {
                     b.0.partial_cmp(&a.0)
                         .unwrap_or(std::cmp::Ordering::Equal)
                         .then(a.1.cmp(&b.1))
                 };
-                if keep > 0 {
-                    scored.select_nth_unstable_by(keep - 1, best_first);
-                }
-                scored.truncate(keep);
+                list.select_nth_unstable_by(keep - 1, best_first);
             }
+            let list = &list[..keep];
             // Drop joining points whose score is negligible next to the
             // top one: every kept point doubles the enumeration.
-            let cutoff = scored.iter().fold(0.0f64, |m, &(sc, _)| m.max(sc)) * 3e-3;
+            let cutoff = list.iter().fold(0.0f64, |m, &(sc, _)| m.max(sc)) * 3e-3;
             // Topological order: chain-rule weights condition each joining
             // point on the pins of its ancestors (`joining` is ascending,
             // so sorting the candidate indices sorts the nodes).
             let start = sel.len();
             sel.extend(
-                scored
-                    .iter()
+                list.iter()
                     .filter(|&&(sc, _)| sc >= cutoff)
                     .map(|&(_, j)| j),
             );
@@ -1901,12 +1922,9 @@ pub(crate) fn lane_lit(probs: &[f64], lit: AigLit, lanes: usize, l: usize) -> f6
 
 /// A slot literal's (`slot << 1 | complement`) probability given its
 /// slot's value `p`; only bit 0 is read, so nested operands use it too.
-/// Both values are formed and one selected: complement bits follow the
-/// circuit, not a pattern a branch predictor learns.
 fn slot_value(p: f64, l: u32) -> f64 {
-    let q = 1.0 - p;
     if l & 1 != 0 {
-        q
+        1.0 - p
     } else {
         p
     }
@@ -1921,7 +1939,13 @@ fn product_row<L: Lanes>(lanes: L, tab: &mut [f64], ci: usize, fa: u32, fb: u32)
     const BLOCK: usize = 4;
     let w = lanes.n();
     let (ia, ib, o) = ((fa >> 1) as usize * w, (fb >> 1) as usize * w, ci * w);
-    let product = |a: f64, b: f64| slot_value(a, fa) * slot_value(b, fb);
+    // Complement bits change from row node to row node with the circuit,
+    // in no pattern a branch predictor learns: pick each literal's value
+    // by indexing the pair `[p, 1 − p]`, which compiles without a branch.
+    let product = |a: f64, b: f64| {
+        let [va, vb] = [(a, fa), (b, fb)].map(|(p, l)| [p, 1.0 - p][(l & 1) as usize]);
+        va * vb
+    };
     let mut l = 0;
     while l + BLOCK <= w {
         let a: [f64; BLOCK] = tab[ia + l..ia + l + BLOCK].try_into().expect("one block");
@@ -2093,11 +2117,10 @@ pub(crate) struct Scratch2 {
     pins: Vec<Pin>,
     /// Per lane, the probabilities of the AND's two fanin literals.
     pab: Vec<[f64; 2]>,
-    /// Candidate scores, `[candidate][lane]`; 0.0 where a lane skips the
-    /// candidate.
-    scores: Vec<f64>,
-    /// One lane's `(score, candidate)` pairs.
+    /// Each lane's `(score, candidate)` pairs, `jn` entries reserved per
+    /// lane, and how many of them each lane filled.
     scored: Vec<(f64, u32)>,
+    counts: Vec<u32>,
     /// Each lane's selected candidates (CSR, `w_off` by lane).
     w: Vec<u32>,
     w_off: Vec<u32>,
@@ -2235,8 +2258,9 @@ impl Scratch2 {
             + self.lead.capacity()
             + self.group_of.capacity()
             + self.members.capacity()
+            + self.counts.capacity()
             + self.nest_at.capacity();
-        (self.tab.capacity() + self.cb.capacity() + self.scores.capacity()) * size_of::<f64>()
+        (self.tab.capacity() + self.cb.capacity()) * size_of::<f64>()
             + self.fan.capacity() * size_of::<[u32; 2]>()
             + words * size_of::<u32>()
             + self.aff.capacity() * size_of::<u64>()
