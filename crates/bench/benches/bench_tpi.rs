@@ -1,6 +1,6 @@
 //! Test-point insertion advisor micro-benchmarks: candidate ranking
-//! throughput and a one-point commit cycle (see the `bench_tpi` binary for
-//! the machine-readable trajectory record, `BENCH_tpi.json`).
+//! throughput and a one-point commit cycle. The committed trajectories
+//! themselves are pinned in `tests/tpi_advisor.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use protest_circuits::{alu_74181, comp24};

@@ -1,7 +1,8 @@
 //! Incremental session re-estimation vs from-scratch estimator passes —
-//! the hot-loop comparison behind the `AnalysisSession` API (see the
-//! `bench_incremental` binary for the machine-readable per-input version
-//! that emits `BENCH_incremental.json`).
+//! the hot-loop comparison behind the `AnalysisSession` API. Bit-identity
+//! with fresh runs is asserted in `tests/session_incremental.rs`;
+//! perfbench's `optimize-div` workload reports `session.propagate_ms` and
+//! `session.and_evals` per layer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use protest_circuits::{alu_74181, div_nonrestoring};

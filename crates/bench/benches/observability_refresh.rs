@@ -1,7 +1,7 @@
 //! Incremental observability refresh vs full reverse sweeps — the
-//! reverse-pass counterpart of `incremental_vs_full` (see the
-//! `bench_observability` binary for the machine-readable per-input version
-//! that emits `BENCH_observability.json`).
+//! reverse-pass counterpart of `incremental_vs_full`. The refresh's work
+//! counters are asserted in `tests/session_incremental.rs`; perfbench's
+//! `optimize-div` workload reports `observe.refresh_ms` per layer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use protest_circuits::{alu_74181, div_nonrestoring};

@@ -199,7 +199,9 @@ enum UndoEntry {
 /// dense mutation exceeds the circuit's node count — the AIG is larger
 /// than the netlist) and the bucketed worklist adds per-node bookkeeping,
 /// so past roughly half the AIG the plain sweep is measurably faster
-/// (`bench_observability` on the div8x8 dividend bits). Correctness is
+/// (measured per input on the div8x8 dividend bits, whose cones span most
+/// of the divider; the `observability_refresh` criterion bench times a
+/// one-input refresh against the full sweep there). Correctness is
 /// unaffected — the full sweep *is* the incremental path's reference.
 const DENSE_OBS_WINDOW_DIVISOR: usize = 2;
 

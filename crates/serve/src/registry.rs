@@ -26,8 +26,7 @@
 //!   [`CancelToken`] armed with the request deadline; when the client-side
 //!   wait gives up, the token is cancelled and the in-flight analysis
 //!   aborts cooperatively at its next poll point (`cancelled_work`
-//!   metric). Disabling [`cancel_on_timeout`](Registry::new) reverts to
-//!   the old fire-and-forget timeout for A/B measurement.
+//!   metric).
 //! * **Worker panics are contained.** Each job runs under
 //!   [`catch_unwind`]; a panic yields a typed `internal` error reply, the
 //!   panicking worker's session is discarded instead of returned to the
@@ -274,9 +273,6 @@ pub struct Registry {
     /// Resident-circuit cap (`0` = unlimited); inserting past it evicts
     /// the least-recently-used idle entry.
     max_circuits: usize,
-    /// When `true` (the default), a request that exceeds its deadline
-    /// cancels its in-flight computation instead of letting it run on.
-    cancel_on_timeout: bool,
     /// The LRU clock origin for `Entry::last_used`.
     epoch: Instant,
 }
@@ -284,14 +280,12 @@ pub struct Registry {
 impl Registry {
     /// Creates an empty registry and starts its `workers` shared worker
     /// threads on one job queue of `queue_capacity`. `max_circuits == 0`
-    /// means unlimited; `cancel_on_timeout` controls whether a request
-    /// timeout also stops the in-flight computation.
+    /// means unlimited.
     pub fn new(
         metrics: Arc<Metrics>,
         workers: usize,
         queue_capacity: usize,
         max_circuits: usize,
-        cancel_on_timeout: bool,
     ) -> Self {
         let workers = workers.max(1);
         let jobs = Arc::new(Bounded::new(queue_capacity.max(1)));
@@ -311,7 +305,6 @@ impl Registry {
             jobs,
             workers: Mutex::new(handles),
             max_circuits,
-            cancel_on_timeout,
             epoch: Instant::now(),
         }
     }
@@ -437,7 +430,7 @@ impl Registry {
     /// Runs `ops` on the circuit `hash` over one session checkout,
     /// waiting at most `timeout` for the reply. The job carries a
     /// [`CancelToken`] armed with the deadline, so giving up on the wait
-    /// also stops the computation (unless `cancel_on_timeout` is off).
+    /// also stops the computation.
     pub fn dispatch(
         &self,
         hash: &str,
@@ -454,11 +447,7 @@ impl Registry {
         entry
             .last_used
             .store(self.epoch.elapsed().as_millis() as u64, Relaxed);
-        let cancel = if self.cancel_on_timeout {
-            CancelToken::after(timeout)
-        } else {
-            CancelToken::never()
-        };
+        let cancel = CancelToken::after(timeout);
         let (tx, rx) = mpsc::sync_channel(1);
         let job = Job {
             entry,
@@ -581,7 +570,7 @@ mod tests {
     #[test]
     fn submit_twice_hits_cache_and_shares_entry() {
         let metrics = Arc::new(Metrics::default());
-        let reg = Registry::new(Arc::clone(&metrics), 2, 8, 0, true);
+        let reg = Registry::new(Arc::clone(&metrics), 2, 8, 0);
         let text = "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(a, b)\n";
         let first = reg.submit_text("bench", Some("t"), text).unwrap();
         assert!(!first.cached);
@@ -595,7 +584,7 @@ mod tests {
     #[test]
     fn concurrent_submits_of_one_new_text_share_one_entry() {
         let metrics = Arc::new(Metrics::default());
-        let reg = Registry::new(Arc::clone(&metrics), 1, 8, 0, true);
+        let reg = Registry::new(Arc::clone(&metrics), 1, 8, 0);
         let text = "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = OR(a, b)\n";
         let entries: Vec<Arc<Entry>> = std::thread::scope(|scope| {
             let threads: Vec<_> = (0..2)
@@ -623,7 +612,7 @@ mod tests {
 
     #[test]
     fn dispatch_runs_ops_and_batches_share_a_session() {
-        let reg = Registry::new(Arc::new(Metrics::default()), 2, 8, 0, true);
+        let reg = Registry::new(Arc::new(Metrics::default()), 2, 8, 0);
         let out = reg.submit_builtin("c17").unwrap();
         let outcome = reg
             .dispatch(&out.entry.hash, vec![analyze_op(), analyze_op()], TIMEOUT)
@@ -637,7 +626,7 @@ mod tests {
 
     #[test]
     fn dispatch_unknown_hash_is_not_found() {
-        let reg = Registry::new(Arc::new(Metrics::default()), 1, 2, 0, true);
+        let reg = Registry::new(Arc::new(Metrics::default()), 1, 2, 0);
         let err = reg
             .dispatch("nope", vec![analyze_op()], TIMEOUT)
             .unwrap_err();
@@ -648,7 +637,7 @@ mod tests {
     #[test]
     fn bad_netlist_is_typed_error_and_not_cached() {
         let metrics = Arc::new(Metrics::default());
-        let reg = Registry::new(Arc::clone(&metrics), 1, 2, 0, true);
+        let reg = Registry::new(Arc::clone(&metrics), 1, 2, 0);
         let err = reg
             .submit_text("bench", None, "this is not a netlist")
             .err()

@@ -49,7 +49,9 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Capacity of the shared job queue (beyond it requests get `busy`).
     pub queue_capacity: usize,
-    /// Per-request wall-clock limit.
+    /// Per-request wall-clock limit. A request that exceeds it also
+    /// cancels its in-flight computation (`cancelled_work` metric)
+    /// instead of letting it run to completion unobserved.
     pub request_timeout: Duration,
     /// Request line size cap in bytes (beyond it: `oversized` reply).
     pub max_line_bytes: usize,
@@ -59,11 +61,6 @@ pub struct ServeConfig {
     /// the least-recently-used idle circuit; with every circuit busy the
     /// submit is shed with a typed `busy` reply.
     pub max_circuits: usize,
-    /// When `true` (the default), a request that exceeds
-    /// [`request_timeout`](Self::request_timeout) also cancels its
-    /// in-flight computation (typed `cancelled` op error, `cancelled_work`
-    /// metric) instead of letting it run to completion unobserved.
-    pub cancel_on_timeout: bool,
 }
 
 impl Default for ServeConfig {
@@ -77,7 +74,6 @@ impl Default for ServeConfig {
             max_line_bytes: 4 << 20,
             log_every: None,
             max_circuits: 0,
-            cancel_on_timeout: true,
         }
     }
 }
@@ -382,7 +378,6 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
         config.workers,
         config.queue_capacity,
         config.max_circuits,
-        config.cancel_on_timeout,
     );
     let shared = Arc::new(Shared {
         metrics,

@@ -168,6 +168,77 @@ fn deadline_exceeded_requests_stop_computing() {
     handle.shutdown();
 }
 
+/// The deadline mix: each client interleaves a doomed `optimize` (every
+/// objective evaluation slowed by `core.detect.delay`, so the climb always
+/// outlives the 150 ms deadline) with a burst of fast `analyze`s. The
+/// deadline must stop the climbs rather than leave them running on the
+/// shared workers, and the fast queries behind them must still be served.
+#[test]
+fn deadline_mix_cancels_doomed_climbs_and_keeps_serving() {
+    let _guard = chaos_lock();
+    failpoints::configure("core.detect.delay=10ms");
+    let handle = serve(ServeConfig {
+        request_timeout: Duration::from_millis(150),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    {
+        let (mut w, mut r) = connect(&handle);
+        let reply = roundtrip(&mut w, &mut r, r#"{"op":"submit","builtin":"c17"}"#);
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+    }
+
+    let (clients, rounds) = (2, 2);
+    std::thread::scope(|scope| {
+        for c in 0..clients {
+            let handle = &handle;
+            scope.spawn(move || {
+                let (mut w, mut r) = connect(handle);
+                for i in 0..rounds {
+                    let slow = format!(
+                        r#"{{"op":"optimize","circuit":"builtin:c17","n_target":2000,"seed":{}}}"#,
+                        c * rounds + i + 1
+                    );
+                    let reply = roundtrip(&mut w, &mut r, &slow);
+                    match error_kind(&reply).as_deref() {
+                        Some("timeout") | Some("busy") | None => {}
+                        Some(kind) => panic!("slow request failed with {kind}"),
+                    }
+                    for j in 0..4 {
+                        let p = 0.20 + 0.05 * ((c + i + j) % 8) as f64;
+                        let fast =
+                            format!(r#"{{"op":"analyze","circuit":"builtin:c17","prob":{p:.2}}}"#);
+                        let reply = roundtrip(&mut w, &mut r, &fast);
+                        match error_kind(&reply).as_deref() {
+                            None | Some("timeout") | Some("busy") => {}
+                            Some(kind) => panic!("fast request failed with {kind}"),
+                        }
+                    }
+                }
+            });
+        }
+    });
+
+    // Workers notice a fired token at their next poll point; give the
+    // last cancellation time to land in the counter.
+    let (mut w, mut r) = connect(&handle);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let cancelled_work = loop {
+        let stats = roundtrip(&mut w, &mut r, r#"{"op":"stats"}"#);
+        let cancelled = robustness_counter(&stats, "cancelled_work");
+        if cancelled >= 1 || Instant::now() >= deadline {
+            break cancelled;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert!(
+        cancelled_work >= 1,
+        "cancel_on_timeout run never stopped a computation"
+    );
+    failpoints::reset();
+    handle.shutdown();
+}
+
 #[test]
 fn capacity_cap_evicts_the_least_recently_used_idle_host() {
     let _guard = chaos_lock();

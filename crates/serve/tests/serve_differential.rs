@@ -5,14 +5,16 @@
 //! served `f64` must survive serialize → parse with `to_bits` equality —
 //! the daemon adds caching and transport, never approximation. These
 //! tests drive N concurrent clients through real TCP connections and
-//! compare against fresh `Analyzer`/`AnalysisSession` runs.
+//! compare against fresh `Analyzer`/`AnalysisSession` runs. The same
+//! clients resubmitting one text must be served from the registry.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
+use protest_circuits::comp24;
 use protest_core::optimize::{HillClimber, OptimizeParams};
 use protest_core::{check, Analyzer, CheckParams, InputProbs};
-use protest_netlist::parse_bench;
+use protest_netlist::{parse_bench, to_bench};
 use protest_serve::{serve, Json, ServeConfig, ServerHandle};
 
 const C17: &str = "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nINPUT(e)\nOUTPUT(z1)\nOUTPUT(z2)\n\
@@ -223,5 +225,47 @@ fn batch_replies_match_singles() {
             "batched op must serve the same bits as the single request"
         );
     }
+    handle.shutdown();
+}
+
+/// The daemon's design-center workload: every client resubmits the same
+/// netlist text and analyzes it. After the first registration each submit
+/// is a registry hit (no parse, no analyzer build).
+#[test]
+fn resubmitting_one_text_is_served_from_the_registry() {
+    let text = to_bench(&comp24());
+    let (clients, rounds) = (2, 10);
+    let handle = serve(ServeConfig::default()).unwrap();
+    std::thread::scope(|scope| {
+        for c in 0..clients {
+            let (handle, text) = (&handle, &text);
+            scope.spawn(move || {
+                let (mut writer, mut reader) = connect(handle);
+                for i in 0..rounds {
+                    let hash = submit_text(&mut writer, &mut reader, text);
+                    // Cycle a few probability points so sessions re-sync.
+                    let p = 0.3 + 0.1 * ((c + i) % 5) as f64;
+                    request(
+                        &mut writer,
+                        &mut reader,
+                        &format!(
+                            "{{\"op\":\"analyze\",\"circuit\":\"{hash}\",\"prob\":{p},\"detect_probs\":false}}"
+                        ),
+                    );
+                }
+            });
+        }
+    });
+
+    let (mut writer, mut reader) = connect(&handle);
+    let stats = request(&mut writer, &mut reader, r#"{"op":"stats"}"#);
+    let cache = stats.get("cache").unwrap();
+    let count = |key| cache.get(key).and_then(Json::as_u64).unwrap();
+    let (hits, misses) = (count("hits"), count("misses"));
+    let hit_rate = hits as f64 / (hits + misses) as f64;
+    assert!(
+        hit_rate > 0.90,
+        "hot workload cache hit rate {hit_rate:.3} must exceed 0.90"
+    );
     handle.shutdown();
 }

@@ -41,7 +41,7 @@ fn netlist(k: usize) -> String {
 #[cfg(target_os = "linux")]
 #[test]
 fn thread_count_does_not_grow_with_resident_circuits() {
-    let reg = Registry::new(Arc::new(Metrics::default()), 2, 8, 0, true);
+    let reg = Registry::new(Arc::new(Metrics::default()), 2, 8, 0);
     submit_and_analyze(&reg, &netlist(0));
     let before = threads();
     for k in 1..=6 {

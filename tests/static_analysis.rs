@@ -6,9 +6,10 @@
 
 use std::collections::HashMap;
 
-use protest_circuits::{c17, comp24, random_circuit, RandomCircuitParams};
+use protest_circuits::{alu_74181, c17, comp24, random_circuit, RandomCircuitParams};
 use protest_core::staticanalysis::redundancy::prove_classes;
 use protest_core::staticanalysis::{FindingKind, Verdict};
+use protest_core::testlen::required_test_length_fraction_weighted;
 use protest_core::{check, Analyzer, AnalyzerParams, CheckParams, FaultCollapse, InputProbs};
 use protest_netlist::{Circuit, CircuitBuilder};
 use protest_sim::{collapse_universe, dominance_collapse, DeductiveSim, Fault, FaultUniverse};
@@ -268,6 +269,76 @@ fn comp24_collapse_counts_are_pinned() {
     assert_eq!(dominance.uncollapsed_fault_count(), 1094);
     let expanded: usize = dominance.class_sizes().iter().map(|&c| c as usize).sum();
     assert_eq!(expanded, 1094);
+}
+
+/// Pinned alu_74181 collapse chain with the prover on: 352 uncollapsed
+/// faults, 223 equivalence classes, all proven testable (none pruned),
+/// 192 dominance classes over 33 dominated stems.
+#[test]
+fn alu_collapse_counts_are_pinned() {
+    let report = check(
+        &alu_74181(),
+        &CheckParams {
+            prove_redundant: true,
+            ..CheckParams::default()
+        },
+    );
+    assert_eq!(report.universe_faults, 352);
+    assert_eq!(report.equivalence_classes, 223);
+    assert_eq!(report.pruned_classes, 223);
+    assert_eq!(report.dominance_classes, 192);
+    assert_eq!(report.dominated_stems, 33);
+    let prover = report.prover.expect("prover ran");
+    assert_eq!((prover.stats.testable, prover.stats.redundant), (223, 0));
+}
+
+/// comp24's prover-corrected test lengths. Per equivalence class the
+/// prover's exact detection probability replaces the estimate, unproven
+/// classes keep the estimate and proven-redundant ones are dropped; every
+/// class is weighted by its member count. The estimator's 6.7e-11 tail
+/// against an exact minimum of 2^-26 makes the estimated `N(1.0, .95)`
+/// ~184x too large; these are the lengths the exact tail implies.
+#[test]
+fn comp24_prover_corrected_test_lengths_are_pinned() {
+    let ckt = comp24();
+    let report = check(
+        &ckt,
+        &CheckParams {
+            prove_redundant: true,
+            ..CheckParams::default()
+        },
+    );
+    let prover = report.prover.expect("prover ran");
+    assert_eq!((prover.stats.testable, prover.stats.redundant), (622, 0));
+    assert_eq!(prover.min_exact_detection, Some(2f64.powi(-26)));
+
+    let analyzer = Analyzer::new(&ckt);
+    let estimates = analyzer
+        .run(&InputProbs::uniform(ckt.num_inputs()))
+        .unwrap()
+        .detection_probabilities();
+    let sizes = analyzer.class_sizes();
+    assert_eq!(
+        prover.verdicts.len(),
+        estimates.len(),
+        "check() and Analyzer must agree on the equivalence classes"
+    );
+    let (mut ps, mut counts) = (Vec::new(), Vec::new());
+    for ((verdict, &estimate), &size) in prover.verdicts.iter().zip(&estimates).zip(sizes) {
+        match verdict {
+            Verdict::Redundant(_) => continue,
+            Verdict::Testable { p_exact } => ps.push(*p_exact),
+            Verdict::Unproven => ps.push(estimate),
+        }
+        counts.push(size);
+    }
+    let corrected = |d, e| {
+        required_test_length_fraction_weighted(&ps, &counts, d, e)
+            .map(|t| t.patterns)
+            .unwrap()
+    };
+    assert_eq!(corrected(1.0, 0.95), 289_715_891);
+    assert_eq!(corrected(0.98, 0.98), 275_773_176);
 }
 
 /// Class-expanded test lengths bound the representative-only ones from

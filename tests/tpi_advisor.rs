@@ -48,6 +48,35 @@ fn assert_trajectory(
     result
 }
 
+/// One committed step as `(kind, node, predicted N, realized N)`.
+type PinnedStep = (&'static str, &'static str, u64, u64);
+
+/// Asserts the exact trajectory the advisor commits with a budget of 4
+/// points out of 96 candidates: the base test length, then every step's
+/// kind, node and predicted vs re-analyzed `N(1.0, .98)`.
+fn assert_pinned_trajectory(circuit: &protest_netlist::Circuit, base: u64, steps: &[PinnedStep]) {
+    let params = TpiParams {
+        budget: 4,
+        max_candidates: 96,
+        ..TpiParams::default()
+    };
+    let result = advise(circuit, &params).expect("advisor runs");
+    let committed: Vec<(&str, &str, u64, u64)> = result
+        .steps
+        .iter()
+        .map(|s| {
+            (
+                s.spec.kind.mnemonic(),
+                s.label.as_str(),
+                s.predicted_patterns.unwrap(),
+                s.realized_patterns.unwrap(),
+            )
+        })
+        .collect();
+    assert_eq!(result.base_patterns, Some(base), "{}", circuit.name());
+    assert_eq!(committed, steps, "{}", circuit.name());
+}
+
 #[test]
 fn advisor_trajectory_on_div8x8() {
     let circuit = div_nonrestoring(8, 8);
@@ -64,6 +93,15 @@ fn advisor_trajectory_on_div8x8() {
         (last as f64) < base as f64 / 2.0,
         "expected a >2x reduction, got {base} -> {last}"
     );
+    assert_pinned_trajectory(
+        &circuit,
+        2576,
+        &[
+            ("c1", "n34", 253, 249),
+            ("c1", "n31", 174, 165),
+            ("c0", "n45", 126, 126),
+        ],
+    );
 }
 
 #[test]
@@ -75,6 +113,16 @@ fn advisor_trajectory_on_alu() {
         ..TpiParams::default()
     };
     assert_trajectory(&circuit, &params);
+    assert_pinned_trajectory(
+        &circuit,
+        277,
+        &[
+            ("obs", "n76", 189, 189),
+            ("obs", "n75", 152, 152),
+            ("obs", "n74", 146, 146),
+            ("c1", "n22", 127, 131),
+        ],
+    );
 }
 
 #[test]
@@ -154,6 +202,16 @@ fn fault_sim_cross_check_on_comp24() {
     // comp24's equality chains leave half the faults uncovered at 10k
     // uniform patterns; observation points recover a large chunk.
     cross_check(&comp24(), 5.0);
+    assert_pinned_trajectory(
+        &comp24(),
+        58_292_325_310,
+        &[
+            ("obs", "n106", 51_553_792_196, 51_553_792_196),
+            ("obs", "n129", 374_546_487, 374_546_487),
+            ("obs", "n160", 240_263_947, 240_263_947),
+            ("obs", "n164", 214_335_205, 217_018_821),
+        ],
+    );
 }
 
 #[test]
