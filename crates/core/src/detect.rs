@@ -79,29 +79,27 @@ pub(crate) fn estimate_fault(
 pub(crate) const MIN_PAR_FAULTS: usize = 512;
 
 /// Session-persistent buffers of the incremental fault loop: the dirty
-/// fault list and the parallel result staging area are reused across
-/// queries instead of reallocated per optimizer trial move.
+/// fault list and the result staging area are reused across queries
+/// instead of reallocated per optimizer trial move.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FaultScratch {
     /// Fault indices to recompute this refresh.
     pub(crate) todo: Vec<u32>,
-    /// Parallel-path staging: one slot per `todo` entry.
+    /// Staging: one slot per `todo` entry.
     updates: Vec<FaultEstimate>,
 }
 
-/// How often the serial fault loops poll their cancellation token (one
-/// poll per this many faults).
-pub(crate) const CANCEL_CHECK_FAULTS: usize = 1024;
+/// How often the fault loops poll their cancellation token (one poll per
+/// this many faults of a chunk).
+const CANCEL_CHECK_FAULTS: usize = 1024;
 
 /// Evaluates every fault from scratch into `estimates`/`detections`
-/// (cleared first, capacity reused). The parallel path chunks the fault
-/// list over the executor's workers and writes each chunk's results in
-/// fault order, so the output is bit-identical to the serial loop.
+/// (cleared first, capacity reused). At least [`MIN_PAR_FAULTS`] faults
+/// fan out over the executor's workers in fault-order chunks, so the
+/// output is bit-identical at every thread count.
 ///
-/// `cancel` is polled between fault blocks (see [`CANCEL_CHECK_FAULTS`]);
-/// in the parallel path each worker skips its remaining chunk once the
-/// token fires and the pass errors after the scope. A fired token leaves
-/// `estimates`/`detections` partially filled.
+/// `cancel` is polled every [`CANCEL_CHECK_FAULTS`] faults of a chunk; a
+/// fired token leaves `estimates`/`detections` partially filled.
 #[allow(clippy::too_many_arguments)] // the session's split borrows: one slot per field
 pub(crate) fn estimate_all_faults_cancellable(
     circuit: &Circuit,
@@ -116,55 +114,35 @@ pub(crate) fn estimate_all_faults_cancellable(
     let _t = protest_telemetry::span(protest_telemetry::Site::FaultEstimate);
     failpoints::hit("core.detect.delay");
     estimates.clear();
+    estimates.extend(faults.iter().map(|&fault| FaultEstimate {
+        fault,
+        activation: 0.0,
+        observability: 0.0,
+        detection: 0.0,
+    }));
     detections.clear();
-    if exec.parallel() && faults.len() >= MIN_PAR_FAULTS {
-        // Placeholder rows first (reusing the buffer's capacity), then
-        // fill disjoint chunks in fault order on the workers.
-        estimates.extend(faults.iter().map(|&fault| FaultEstimate {
-            fault,
-            activation: 0.0,
-            observability: 0.0,
-            detection: 0.0,
-        }));
-        let chunk = faults.len().div_ceil(exec.threads());
-        let out_all: &mut [FaultEstimate] = estimates;
-        exec.run(|| {
-            rayon::scope(|s| {
-                for (fs, out) in faults.chunks(chunk).zip(out_all.chunks_mut(chunk)) {
-                    s.spawn(move |_| {
-                        for (block, (slot, &fault)) in out.iter_mut().zip(fs).enumerate() {
-                            if block % CANCEL_CHECK_FAULTS == 0 && cancel.is_cancelled() {
-                                return;
-                            }
-                            *slot = estimate_fault(circuit, fault, node_probs, obs);
-                        }
-                    });
-                }
-            });
-        });
-        cancel.check()?;
-    } else {
-        for (block, &fault) in faults.iter().enumerate() {
-            if block % CANCEL_CHECK_FAULTS == 0 {
-                cancel.check()?;
-            }
-            estimates.push(estimate_fault(circuit, fault, node_probs, obs));
-        }
-    }
+    exec.fan_out(
+        faults.len() >= MIN_PAR_FAULTS,
+        faults,
+        estimates,
+        &mut Vec::new(),
+        cancel,
+        CANCEL_CHECK_FAULTS,
+        |_: &mut (), &fault| estimate_fault(circuit, fault, node_probs, obs),
+    )?;
     detections.extend(estimates.iter().map(|e| e.detection));
     Ok(())
 }
 
 /// Recomputes only the faults listed in `scratch.todo`, patching
-/// `estimates`/`detections` in place. The parallel path stages results in
+/// `estimates`/`detections` in place. Results are staged in
 /// `scratch.updates` (reused across calls) so a query allocates nothing
 /// after warm-up.
 ///
-/// `cancel` is polled like
-/// [`estimate_all_faults_cancellable`]; a fired token errors *before* any
-/// in-place patching in the parallel path (the staging buffer absorbs the
-/// partial work) but may leave the serial path partially patched — the
-/// caller must poison its state on error.
+/// `cancel` is polled like [`estimate_all_faults_cancellable`]; a fired
+/// token errors before any in-place patching (the staging buffer absorbs
+/// the partial work), but the caller has already consumed its dirty
+/// window, so it must still poison its state on error.
 #[allow(clippy::too_many_arguments)] // the session's split borrows: one slot per field
 pub(crate) fn re_estimate_faults_cancellable(
     circuit: &Circuit,
@@ -183,45 +161,21 @@ pub(crate) fn re_estimate_faults_cancellable(
     }
     let _t = protest_telemetry::span(protest_telemetry::Site::FaultReestimate);
     failpoints::hit("core.detect.delay");
-    if exec.parallel() && todo.len() >= MIN_PAR_FAULTS {
-        // Stale entries as placeholders: every slot is overwritten by its
-        // chunk before the writeback below reads it.
-        updates.clear();
-        updates.extend(todo.iter().map(|&fi| estimates[fi as usize]));
-        let threads = exec.threads();
-        let chunk = todo.len().div_ceil(threads);
-        {
-            let out_all: &mut [FaultEstimate] = updates;
-            exec.run(|| {
-                rayon::scope(|s| {
-                    for (ids, out) in todo.chunks(chunk).zip(out_all.chunks_mut(chunk)) {
-                        s.spawn(move |_| {
-                            for (block, (slot, &fi)) in out.iter_mut().zip(ids).enumerate() {
-                                if block % CANCEL_CHECK_FAULTS == 0 && cancel.is_cancelled() {
-                                    return;
-                                }
-                                *slot =
-                                    estimate_fault(circuit, faults[fi as usize], node_probs, obs);
-                            }
-                        });
-                    }
-                });
-            });
-        }
-        cancel.check()?;
-        for (&fi, &est) in todo.iter().zip(updates.iter()) {
-            estimates[fi as usize] = est;
-            detections[fi as usize] = est.detection;
-        }
-    } else {
-        for (block, &fi) in todo.iter().enumerate() {
-            if block % CANCEL_CHECK_FAULTS == 0 {
-                cancel.check()?;
-            }
-            let est = estimate_fault(circuit, faults[fi as usize], node_probs, obs);
-            estimates[fi as usize] = est;
-            detections[fi as usize] = est.detection;
-        }
+    // Stale rows as placeholders: every slot is overwritten before the
+    // patching below reads it.
+    updates.resize(todo.len(), estimates[todo[0] as usize]);
+    exec.fan_out(
+        todo.len() >= MIN_PAR_FAULTS,
+        todo,
+        updates,
+        &mut Vec::new(),
+        cancel,
+        CANCEL_CHECK_FAULTS,
+        |_: &mut (), &fi| estimate_fault(circuit, faults[fi as usize], node_probs, obs),
+    )?;
+    for (&fi, &est) in todo.iter().zip(updates.iter()) {
+        estimates[fi as usize] = est;
+        detections[fi as usize] = est.detection;
     }
     Ok(())
 }

@@ -10,8 +10,8 @@
 //!    AND/inverter view of the circuit ([`sigprob`]).
 //! 2. **Fault detection probability** (Sec. 3) — the signal-flow
 //!    observability model with the `⊕(t,y) = t + y − 2ty` branch combiner,
-//!    the multi-output OR alternative, single-path sensitization estimates,
-//!    and the exact good/faulty-miter reference ([`observe`], [`detect`]).
+//!    the multi-output OR alternative, and the exact good/faulty-miter
+//!    reference ([`observe`], [`detect`]).
 //! 3. **Test length computation** (Sec. 5, formula (3)) — minimal `N` with
 //!    `P_F(N) = Π_f (1 − (1 − p_f)^N) ≥ e`, in log space ([`testlen`]).
 //! 4. **Input probability optimization** (Sec. 6) — hill climbing over the
@@ -35,22 +35,24 @@
 //!
 //! # Parallelism
 //!
-//! Every embarrassingly-parallel hot loop — the estimator's construction
-//! and fanin-depth ranks, the observability wavefronts, the per-fault
-//! detection loop and the optimizer's trial moves — runs on a worker pool
+//! Every embarrassingly-parallel hot loop — the estimator's fanin-depth
+//! ranks, the observability wavefronts, the per-fault detection loop, the
+//! TPI ranking, the prover's BDD tier and the partition batches — is one
+//! fan-out of independent items, one contiguous chunk per thread of a pool
 //! sized by [`AnalyzerParams::num_threads`] (0 = the `PROTEST_THREADS`
-//! environment variable, else the machine's available parallelism; 1 = the
-//! serial code paths). Parallel execution only reschedules independent per-node
-//! computations and recombines results in node order, so **results are
-//! bit-identical at every thread count** (proven by the differential
-//! proptests in `tests/parallel_differential.rs`).
+//! environment variable, else the machine's available parallelism). One
+//! thread, or a batch too narrow for the pool, is one chunk on the calling
+//! thread through the same loop. Items never read each other's results
+//! and results land in item order, so **results are bit-identical at
+//! every thread count** (proven by the differential proptests in
+//! `tests/parallel_differential.rs`).
 //!
 //! # Cancellation
 //!
 //! Long-running analyses can be cancelled cooperatively: arm a session
 //! with a [`CancelToken`] ([`Analyzer::session_with_cancel`] or
-//! [`AnalysisSession::set_cancel`]) and every hot loop polls it at
-//! rank/wavefront/chunk boundaries, failing fast with
+//! [`AnalysisSession::set_cancel`]) and every hot loop polls it inside
+//! each rank, wavefront and chunk, failing fast with
 //! [`CoreError::Cancelled`] from the `try_*` query variants. A session
 //! cancelled mid-refresh may be left with inconsistent caches — it is
 //! then *poisoned* ([`AnalysisSession::is_poisoned`]) and must be

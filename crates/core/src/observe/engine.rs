@@ -1,10 +1,12 @@
 //! The reverse-sweep engine: levelization, fanout maps, and the full
 //! (cold-start / cross-check) observability passes.
 //!
-//! The per-node evaluation ([`ObservabilityEngine::eval_node`]) is shared
-//! by three schedules: the serial full sweep, the parallel level-wavefront
-//! full sweep, and the [incremental dirty-region sweep](super::incremental)
-//! — so all of them produce bit-identical numbers by construction.
+//! Both the full sweep and the [incremental dirty-region
+//! sweep](super::incremental) evaluate one level wavefront at a time
+//! through [`ObservabilityEngine::eval_wavefront`], which runs the shared
+//! per-node evaluation ([`ObservabilityEngine::eval_node`]) on the
+//! executor — so every schedule produces bit-identical numbers by
+//! construction.
 
 use protest_netlist::analyze::Fanouts;
 use protest_netlist::{Circuit, Levels, NodeId};
@@ -21,7 +23,7 @@ use super::{Observability, PinRows};
 use crate::params::ObservabilityModel;
 
 /// Minimum wavefront width worth fanning out to worker threads.
-pub(super) const MIN_PAR_WAVEFRONT: usize = 16;
+const MIN_PAR_WAVEFRONT: usize = 16;
 
 /// A hypothetical modification applied to one stem during a reverse sweep
 /// — the analytic heart of test-point scoring (see [`crate::tpi`]): the
@@ -48,6 +50,45 @@ pub(crate) struct NodeEvalScratch {
     sens: SensScratch,
 }
 
+/// One worker's share of a wavefront: its evaluation scratch and the pin
+/// rows of its chunk, concatenated in node order.
+#[derive(Debug, Clone, Default)]
+struct ObsWorker {
+    eval: NodeEvalScratch,
+    pins: Vec<f64>,
+}
+
+/// The buffers of one level wavefront's evaluation, reused from wavefront
+/// to wavefront: per-node stems and the per-worker pin rows.
+#[derive(Debug, Clone, Default)]
+pub(super) struct WaveBufs {
+    stems: Vec<f64>,
+    workers: Vec<ObsWorker>,
+}
+
+impl WaveBufs {
+    /// The last evaluated wavefront `batch` in node order: each node with
+    /// its stem observability and pin row. The workers' chunks are
+    /// contiguous and in order, so the rows are read off worker by worker.
+    pub(super) fn rows<'a>(
+        &'a self,
+        circuit: &'a Circuit,
+        batch: &'a [NodeId],
+    ) -> impl Iterator<Item = (NodeId, f64, &'a [f64])> + 'a {
+        let (mut worker, mut off) = (0usize, 0usize);
+        batch.iter().zip(&self.stems).map(move |(&id, &stem)| {
+            let width = circuit.node(id).fanins().len();
+            while off + width > self.workers[worker].pins.len() {
+                worker += 1;
+                off = 0;
+            }
+            let row = &self.workers[worker].pins[off..off + width];
+            off += width;
+            (id, stem, row)
+        })
+    }
+}
+
 /// Reusable observability computation: levelization and the fanout map are
 /// built once at construction, and each pass writes into a caller-owned
 /// [`Observability`] without reallocating.
@@ -63,7 +104,7 @@ pub struct ObservabilityEngine {
     pub(super) params: AnalyzerParams,
     /// `order()[start..end]` ranges of equal level, one per level. The
     /// levelized order is sorted by `(level, id)`, so these are contiguous
-    /// and ascending by node id — the wavefronts of the parallel pass.
+    /// and ascending by node id — the wavefronts of the full sweep.
     pub(super) level_bounds: Vec<(u32, u32)>,
 }
 
@@ -119,7 +160,6 @@ impl ObservabilityEngine {
 
     /// One reverse-topological pass, allocating the result.
     pub fn compute(&self, node_probs: &[f64]) -> Observability {
-        let _t = protest_telemetry::span(protest_telemetry::Site::ObsFull);
         let mut obs = self.empty();
         self.compute_into(node_probs, &mut obs);
         obs
@@ -134,37 +174,17 @@ impl ObservabilityEngine {
     ///
     /// Panics if `node_probs` or `obs` does not match the circuit.
     pub fn compute_into(&self, node_probs: &[f64], obs: &mut Observability) {
-        assert_eq!(
-            node_probs.len(),
-            self.circuit.num_nodes(),
-            "one probability per node"
-        );
-        assert_eq!(
-            obs.node_s.len(),
-            self.circuit.num_nodes(),
-            "mismatched shape"
-        );
-        let mut scratch = NodeEvalScratch::default();
-        let mut pins_tmp: Vec<f64> = Vec::new();
-        for &id in self.levels.order().iter().rev() {
-            pins_tmp.clear();
-            let s = self.eval_node(id, node_probs, obs.pin_rows(), &mut scratch, &mut pins_tmp);
-            obs.store(id, s, &pins_tmp);
-        }
+        self.compute_into_exec_cancellable(node_probs, obs, &Exec::new(1), &CancelToken::never())
+            .expect("a disarmed token never fires");
     }
 
-    /// Like [`compute_into`](Self::compute_into), spread over the
-    /// executor's threads one level wavefront at a time. Nodes at equal
-    /// level read only pin observabilities of strictly deeper levels
-    /// (their consuming gates) plus the immutable `node_probs`, so chunks
-    /// of a wavefront are independent; each chunk's results are written
-    /// back in node order and every per-node computation is the exact
-    /// serial sequence — results are bit-identical to the serial pass.
+    /// Like [`compute_into`](Self::compute_into), one level wavefront at a
+    /// time (see [`eval_wavefront`](Self::eval_wavefront)), deepest first,
+    /// on `exec`; results are bit-identical at every thread count.
     ///
-    /// `cancel` is polled once per level wavefront (serial executors:
-    /// every [`CANCEL_CHECK_NODES`](crate::sigprob::CANCEL_CHECK_NODES)
-    /// nodes); a fired token abandons the sweep with
-    /// [`CoreError::Cancelled`], leaving `obs` partially written.
+    /// `cancel` is polled as each wavefront is evaluated; a fired token
+    /// abandons the sweep with [`CoreError::Cancelled`], leaving `obs`
+    /// partially written.
     pub(crate) fn compute_into_exec_cancellable(
         &self,
         node_probs: &[f64],
@@ -173,33 +193,6 @@ impl ObservabilityEngine {
         cancel: &CancelToken,
     ) -> Result<(), CoreError> {
         let _t = protest_telemetry::span(protest_telemetry::Site::ObsFull);
-        if !exec.parallel() {
-            if !cancel.is_armed() {
-                self.compute_into(node_probs, obs);
-                return Ok(());
-            }
-            assert_eq!(
-                node_probs.len(),
-                self.circuit.num_nodes(),
-                "one probability per node"
-            );
-            assert_eq!(
-                obs.node_s.len(),
-                self.circuit.num_nodes(),
-                "mismatched shape"
-            );
-            let mut scratch = NodeEvalScratch::default();
-            let mut pins_tmp: Vec<f64> = Vec::new();
-            for (done, &id) in self.levels.order().iter().rev().enumerate() {
-                if done % CANCEL_CHECK_NODES == 0 {
-                    cancel.check()?;
-                }
-                pins_tmp.clear();
-                let s = self.eval_node(id, node_probs, obs.pin_rows(), &mut scratch, &mut pins_tmp);
-                obs.store(id, s, &pins_tmp);
-            }
-            return Ok(());
-        }
         assert_eq!(
             node_probs.len(),
             self.circuit.num_nodes(),
@@ -210,67 +203,46 @@ impl ObservabilityEngine {
             self.circuit.num_nodes(),
             "mismatched shape"
         );
-        let threads = exec.threads();
         let order = self.levels.order();
-        let mut scratch = NodeEvalScratch::default();
-        let mut pins_tmp: Vec<f64> = Vec::new();
-        exec.run(|| -> Result<(), CoreError> {
-            for &(start, end) in self.level_bounds.iter().rev() {
-                cancel.check()?;
-                let batch = &order[start as usize..end as usize];
-                if batch.len() < MIN_PAR_WAVEFRONT {
-                    for &id in batch {
-                        pins_tmp.clear();
-                        let s = self.eval_node(
-                            id,
-                            node_probs,
-                            obs.pin_rows(),
-                            &mut scratch,
-                            &mut pins_tmp,
-                        );
-                        obs.store(id, s, &pins_tmp);
-                    }
-                    continue;
-                }
-                let chunk = batch.len().div_ceil(threads);
-                let pin_s_read = obs.pin_rows();
-                let mut slots: Vec<Option<(Vec<f64>, Vec<f64>)>> = std::iter::repeat_with(|| None)
-                    .take(batch.len().div_ceil(chunk))
-                    .collect();
-                rayon::scope(|s| {
-                    for (ids, slot) in batch.chunks(chunk).zip(slots.iter_mut()) {
-                        s.spawn(move |_| {
-                            let mut ns = Vec::with_capacity(ids.len());
-                            let mut ps = Vec::new();
-                            let mut scratch = NodeEvalScratch::default();
-                            for &id in ids {
-                                let stem = self.eval_node(
-                                    id,
-                                    node_probs,
-                                    pin_s_read,
-                                    &mut scratch,
-                                    &mut ps,
-                                );
-                                ns.push(stem);
-                            }
-                            *slot = Some((ns, ps));
-                        });
-                    }
-                });
-                // Write back in node order; each chunk's `ps` concatenates
-                // its nodes' pin rows in order.
-                for (ids, slot) in batch.chunks(chunk).zip(slots) {
-                    let (ns, ps) = slot.expect("wavefront chunk completed");
-                    let mut off = 0usize;
-                    for (&id, &s) in ids.iter().zip(ns.iter()) {
-                        let width = self.circuit.node(id).fanins().len();
-                        obs.store(id, s, &ps[off..off + width]);
-                        off += width;
-                    }
-                }
+        let mut wave = WaveBufs::default();
+        for &(start, end) in self.level_bounds.iter().rev() {
+            let batch = &order[start as usize..end as usize];
+            self.eval_wavefront(batch, node_probs, obs.pin_rows(), &mut wave, exec, cancel)?;
+            for (id, stem, pins) in wave.rows(&self.circuit, batch) {
+                obs.store(id, stem, pins);
             }
-            Ok(())
-        })
+        }
+        Ok(())
+    }
+
+    /// Evaluates one level wavefront into `wave` (read it back with
+    /// [`WaveBufs::rows`]). Nodes at equal level read only the pin
+    /// observabilities of strictly deeper levels (their consuming gates)
+    /// plus the immutable `node_probs`, so the nodes are independent
+    /// items of one [`Exec::fan_out`]; wavefronts of at least
+    /// [`MIN_PAR_WAVEFRONT`] nodes fan out over the executor's threads.
+    pub(super) fn eval_wavefront(
+        &self,
+        batch: &[NodeId],
+        node_probs: &[f64],
+        pin_s: PinRows<'_>,
+        wave: &mut WaveBufs,
+        exec: &Exec,
+        cancel: &CancelToken,
+    ) -> Result<(), CoreError> {
+        for worker in &mut wave.workers {
+            worker.pins.clear();
+        }
+        wave.stems.resize(batch.len(), 0.0);
+        exec.fan_out(
+            batch.len() >= MIN_PAR_WAVEFRONT,
+            batch,
+            &mut wave.stems,
+            &mut wave.workers,
+            cancel,
+            CANCEL_CHECK_NODES,
+            |w, &id| self.eval_node(id, node_probs, pin_s, &mut w.eval, &mut w.pins),
+        )
     }
 
     /// One node of the reverse pass: returns the stem observability and

@@ -25,7 +25,7 @@ use crate::cancel::CancelToken;
 use crate::error::CoreError;
 use crate::exec::Exec;
 
-use super::engine::{NodeEvalScratch, ObservabilityEngine, MIN_PAR_WAVEFRONT};
+use super::engine::{ObservabilityEngine, WaveBufs};
 use super::Observability;
 
 /// Work done by one incremental refresh (feeds the session's
@@ -36,13 +36,6 @@ pub(crate) struct SweepWork {
     pub(crate) levels: u64,
     /// Nodes re-evaluated.
     pub(crate) nodes: u64,
-}
-
-/// Per-worker buffers of the parallel wavefront path.
-#[derive(Debug, Clone, Default)]
-struct ObsWorker {
-    eval: NodeEvalScratch,
-    pins: Vec<f64>,
 }
 
 /// A deduplicated worklist bucketed by circuit level, drained deepest
@@ -56,7 +49,7 @@ struct ObsWorker {
 /// never read each other, so this cannot affect any value.
 #[derive(Debug, Clone)]
 struct LevelFront {
-    buckets: Vec<Vec<u32>>,
+    buckets: Vec<Vec<NodeId>>,
     queued: Vec<bool>,
     /// Highest level with a queued entry (`None` when empty).
     top: Option<u32>,
@@ -71,10 +64,10 @@ impl LevelFront {
         }
     }
 
-    fn push(&mut self, level: u32, index: u32) {
-        if !self.queued[index as usize] {
-            self.queued[index as usize] = true;
-            self.buckets[level as usize].push(index);
+    fn push(&mut self, level: u32, id: NodeId) {
+        if !self.queued[id.index()] {
+            self.queued[id.index()] = true;
+            self.buckets[level as usize].push(id);
             if self.top.is_none_or(|t| level > t) {
                 self.top = Some(level);
             }
@@ -83,15 +76,15 @@ impl LevelFront {
 
     /// Swaps the deepest non-empty bucket into `batch` (replacing its
     /// contents) and returns its level, or `None` when drained.
-    fn pop_batch(&mut self, batch: &mut Vec<u32>) -> Option<u32> {
+    fn pop_batch(&mut self, batch: &mut Vec<NodeId>) -> Option<u32> {
         let mut level = self.top?;
         loop {
             let bucket = &mut self.buckets[level as usize];
             if !bucket.is_empty() {
                 batch.clear();
                 std::mem::swap(bucket, batch);
-                for &k in batch.iter() {
-                    self.queued[k as usize] = false;
+                for &id in batch.iter() {
+                    self.queued[id.index()] = false;
                 }
                 self.top = level.checked_sub(1);
                 return Some(level);
@@ -115,15 +108,9 @@ impl LevelFront {
 pub(crate) struct ObsDelta {
     /// Dirty nodes keyed by circuit level, drained deepest first.
     front: LevelFront,
-    batch: Vec<u32>,
-    eval: NodeEvalScratch,
-    pins_tmp: Vec<f64>,
-    /// Parallel-path buffers: per-node stem results, concatenated pin
-    /// rows, per-node pin offsets, per-worker scratch.
-    out_s: Vec<f64>,
-    out_pins: Vec<f64>,
-    pin_off: Vec<u32>,
-    workers: Vec<ObsWorker>,
+    batch: Vec<NodeId>,
+    /// The wavefront evaluation's stems, pin rows and worker scratch.
+    wave: WaveBufs,
 }
 
 impl ObsDelta {
@@ -135,12 +122,7 @@ impl ObsDelta {
                 engine.levels.depth() as usize + 1,
             ),
             batch: Vec::new(),
-            eval: NodeEvalScratch::default(),
-            pins_tmp: Vec::new(),
-            out_s: Vec::new(),
-            out_pins: Vec::new(),
-            pin_off: Vec::new(),
-            workers: Vec::new(),
+            wave: WaveBufs::default(),
         }
     }
 
@@ -152,22 +134,22 @@ impl ObsDelta {
     /// row.)
     pub(crate) fn seed_readers(&mut self, engine: &ObservabilityEngine, changed: NodeId) {
         for &(gate, _pin) in engine.fanouts.of(changed) {
-            self.front
-                .push(engine.levels.level(gate), gate.index() as u32);
+            self.front.push(engine.levels.level(gate), gate);
         }
     }
 }
 
 impl ObservabilityEngine {
     /// Re-sweeps the dirty reverse region seeded via
-    /// [`ObsDelta::seed_readers`], updating `obs` in place. Wavefronts wide
-    /// enough to beat queueing overhead fan out on the executor exactly
-    /// like the full parallel sweep; narrow ones stay inline. Returns the
-    /// work performed.
+    /// [`ObsDelta::seed_readers`], updating `obs` in place. Each wavefront
+    /// is evaluated exactly like a level of the full sweep
+    /// ([`eval_wavefront`](ObservabilityEngine::eval_wavefront)), then
+    /// applied in pop order. Returns the work performed.
     ///
-    /// `cancel` is polled once per wavefront; a fired token abandons the
-    /// sweep with [`CoreError::Cancelled`], leaving `obs` and the seeded
-    /// worklist partially consumed — the caller must treat the state as
+    /// `cancel` is polled as each wavefront is evaluated; a fired token
+    /// abandons the sweep with [`CoreError::Cancelled`]. The interrupted
+    /// wavefront is not applied, but the earlier ones are and the seeded
+    /// worklist is partially consumed — the caller must treat the state as
     /// poisoned.
     pub(crate) fn refresh_into_exec_cancellable(
         &self,
@@ -179,111 +161,23 @@ impl ObservabilityEngine {
     ) -> Result<SweepWork, CoreError> {
         let _t = protest_telemetry::span(protest_telemetry::Site::ObsRefresh);
         let mut work = SweepWork::default();
-        let mut batch = std::mem::take(&mut delta.batch);
-        while delta.front.pop_batch(&mut batch).is_some() {
-            if cancel.is_cancelled() {
-                delta.batch = batch;
-                return Err(CoreError::Cancelled);
-            }
+        while delta.front.pop_batch(&mut delta.batch).is_some() {
             work.levels += 1;
-            work.nodes += batch.len() as u64;
-            let len = batch.len();
-            if !exec.parallel() || len < MIN_PAR_WAVEFRONT {
-                for &k in batch.iter() {
-                    let id = NodeId::from_index(k as usize);
-                    delta.pins_tmp.clear();
-                    let s = self.eval_node(
-                        id,
-                        node_probs,
-                        obs.pin_rows(),
-                        &mut delta.eval,
-                        &mut delta.pins_tmp,
-                    );
-                    let pins = std::mem::take(&mut delta.pins_tmp);
-                    self.apply_row(obs, &mut delta.front, id, s, &pins);
-                    delta.pins_tmp = pins;
-                }
-                continue;
+            work.nodes += delta.batch.len() as u64;
+            self.eval_wavefront(
+                &delta.batch,
+                node_probs,
+                obs.pin_rows(),
+                &mut delta.wave,
+                exec,
+                cancel,
+            )?;
+            // Compare/apply in pop order: the applied values and the
+            // enqueued continuation set do not depend on the chunking.
+            for (id, stem, pins) in delta.wave.rows(&self.circuit, &delta.batch) {
+                self.apply_row(obs, &mut delta.front, id, stem, pins);
             }
-            // Parallel wavefront: evaluate chunks into flat result buffers
-            // (stems + concatenated pin rows at precomputed offsets), then
-            // compare/apply serially in pop order — the applied values and
-            // the enqueued continuation set match the inline path exactly.
-            delta.pin_off.clear();
-            let mut total_pins = 0u32;
-            for &k in &batch {
-                delta.pin_off.push(total_pins);
-                let id = NodeId::from_index(k as usize);
-                total_pins += self.circuit.node(id).fanins().len() as u32;
-            }
-            let threads = exec.threads();
-            while delta.workers.len() < threads {
-                delta.workers.push(ObsWorker::default());
-            }
-            delta.out_s.clear();
-            delta.out_s.resize(len, 0.0);
-            delta.out_pins.clear();
-            delta.out_pins.resize(total_pins as usize, 0.0);
-            let chunk = len.div_ceil(threads);
-            {
-                let pin_s_read = obs.pin_rows();
-                let pin_off = &delta.pin_off;
-                let mut s_rest: &mut [f64] = &mut delta.out_s;
-                let mut p_rest: &mut [f64] = &mut delta.out_pins;
-                let mut next = 0usize;
-                exec.run(|| {
-                    rayon::scope(|sc| {
-                        for (ids, worker) in batch.chunks(chunk).zip(delta.workers.iter_mut()) {
-                            let (s_chunk, s_tail) =
-                                std::mem::take(&mut s_rest).split_at_mut(ids.len());
-                            s_rest = s_tail;
-                            let start = pin_off[next] as usize;
-                            next += ids.len();
-                            let end = if next < len {
-                                pin_off[next] as usize
-                            } else {
-                                total_pins as usize
-                            };
-                            let (p_chunk, p_tail) =
-                                std::mem::take(&mut p_rest).split_at_mut(end - start);
-                            p_rest = p_tail;
-                            sc.spawn(move |_| {
-                                let mut off = 0usize;
-                                for (slot, &k) in s_chunk.iter_mut().zip(ids) {
-                                    let id = NodeId::from_index(k as usize);
-                                    worker.pins.clear();
-                                    *slot = self.eval_node(
-                                        id,
-                                        node_probs,
-                                        pin_s_read,
-                                        &mut worker.eval,
-                                        &mut worker.pins,
-                                    );
-                                    let width = worker.pins.len();
-                                    p_chunk[off..off + width].copy_from_slice(&worker.pins);
-                                    off += width;
-                                }
-                            });
-                        }
-                    });
-                });
-            }
-            let stems = std::mem::take(&mut delta.out_s);
-            let pins = std::mem::take(&mut delta.out_pins);
-            for (i, (&k, &stem)) in batch.iter().zip(stems.iter()).enumerate() {
-                let id = NodeId::from_index(k as usize);
-                let start = delta.pin_off[i] as usize;
-                let end = if i + 1 < len {
-                    delta.pin_off[i + 1] as usize
-                } else {
-                    total_pins as usize
-                };
-                self.apply_row(obs, &mut delta.front, id, stem, &pins[start..end]);
-            }
-            delta.out_s = stems;
-            delta.out_pins = pins;
         }
-        delta.batch = batch;
         Ok(work)
     }
 
@@ -307,7 +201,7 @@ impl ObservabilityEngine {
             if new.to_bits() != old.to_bits() {
                 *old = new;
                 let fanin = fanins[pin];
-                front.push(self.levels.level(fanin), fanin.index() as u32);
+                front.push(self.levels.level(fanin), fanin);
             }
         }
     }

@@ -22,16 +22,17 @@
 //! * `model` — the pure per-gate math (multilinear extensions, pin
 //!   sensitivities).
 //! * `engine` — [`ObservabilityEngine`]: amortized levelization/fanout
-//!   structure plus the full reverse sweeps (serial and parallel level
-//!   wavefronts). These remain the cold-start and cross-check paths.
+//!   structure, the level-wavefront evaluation (one fan-out of the level's
+//!   nodes over the executor's threads) and the full reverse sweep built
+//!   on it, which remains the cold-start and cross-check path.
 //! * `incremental` — the dirty-region reverse sweep a
 //!   [`crate::AnalysisSession`] runs after a mutation: seeded from the
 //!   changed signal probabilities, pruned wherever a recomputed pin
-//!   observability is bit-identical to the stored one, and spread over
-//!   the executor's threads one wavefront at a time.
+//!   observability is bit-identical to the stored one, and evaluated one
+//!   wavefront at a time like the full sweep.
 //!
-//! All three paths share one per-node evaluation, so they agree bit for
-//! bit by construction.
+//! Both sweeps share one wavefront evaluation and one per-node
+//! evaluation, so they agree bit for bit by construction.
 
 use protest_netlist::{Circuit, NodeId};
 
@@ -40,13 +41,11 @@ use crate::params::AnalyzerParams;
 mod engine;
 mod incremental;
 mod model;
-mod single_path;
 
 pub use engine::ObservabilityEngine;
 pub(crate) use engine::{NodeEvalScratch, StemAdjust};
 pub(crate) use incremental::ObsDelta;
 pub use model::{multilinear, xor_combine};
-pub use single_path::{SinglePathEstimator, SinglePathParams};
 
 /// Observability values for every node output and every gate input pin.
 ///

@@ -343,7 +343,8 @@ struct Scatter {
 /// estimator's [`LaneSweep`] counters.
 ///
 /// Each structure class's parts are swept in batches, one lane per part
-/// (see the module docs), each batch one task on the analyzer's executor.
+/// (see the module docs); the batches fan out over the analyzer's
+/// executor in contiguous chunks, one per thread.
 /// The batches share one [`ClassKit`] per class — on replicated-lane
 /// netlists the AIG/joining-point/levelization construction cost is paid
 /// once per distinct lane structure, not once per lane.
@@ -389,34 +390,19 @@ pub(crate) fn run_partitioned(
         node_probs: vec![0.0f64; circuit.num_nodes()],
         obs: Observability::zeroed(circuit),
     });
-    let run =
-        |&(kit, batch): &(&ClassKit, &[u32])| analyze_batch(plan, batch, kit, global, cancel, &out);
-    let mut results: Vec<Option<Result<LaneSweep, CoreError>>> =
-        batches.iter().map(|_| None).collect();
-    if exec.parallel() {
-        exec.run(|| {
-            rayon::scope(|s| {
-                for (batch, slot) in batches.iter().zip(results.iter_mut()) {
-                    s.spawn(move |_| {
-                        if !cancel.is_cancelled() {
-                            *slot = Some(run(batch));
-                        }
-                    });
-                }
-            });
-        });
-    } else {
-        for (batch, slot) in batches.iter().zip(results.iter_mut()) {
-            if cancel.is_cancelled() {
-                break;
-            }
-            *slot = Some(run(batch));
-        }
-    }
-    cancel.check()?;
+    let mut results = vec![Ok(LaneSweep::default()); batches.len()];
+    exec.fan_out(
+        true,
+        &batches,
+        &mut results,
+        &mut Vec::new(),
+        cancel,
+        1,
+        |_: &mut (), &(kit, batch)| analyze_batch(plan, batch, kit, global, cancel, &out),
+    )?;
     let mut sweep = LaneSweep::default();
     for result in results {
-        sweep.add(&result.expect("batch completed without cancellation")?);
+        sweep.add(&result?);
     }
     let Scatter { node_probs, obs } = out.into_inner().expect("no batch panicked");
     let faults = analyzer.faults();
@@ -469,10 +455,7 @@ fn analyze_batch(
         for (i, p) in node_probs.iter_mut().enumerate() {
             *p = lane_lit(&aig_probs, aig.lit_of(NodeId::from_index(i)), lanes, l);
         }
-        {
-            let _t = protest_telemetry::span(protest_telemetry::Site::ObsFull);
-            kit.engine.compute_into(&node_probs, &mut obs);
-        }
+        kit.engine.compute_into(&node_probs, &mut obs);
         let _t = protest_telemetry::span(protest_telemetry::Site::PartitionScatter);
         let mut out = out.lock().expect("no batch panicked");
         for (si, &gi) in part.nodes.iter().enumerate() {

@@ -52,10 +52,10 @@
 //!   are evaluated concurrently on the analyzer's executor (see
 //!   [`crate::AnalyzerParams::num_threads`]), each worker with its own
 //!   scratch, and the results applied in a deterministic order.
-//! * **Session-persistent scratch** — evaluation buffers, the fault `todo`
-//!   list and the parallel staging areas live in the session and are
-//!   reused across queries; the optimizer's trial moves allocate nothing
-//!   after warm-up.
+//! * **Session-persistent scratch** — the per-worker evaluation buffers,
+//!   the fault `todo` list and the result staging areas live in the
+//!   session and are reused across queries; the optimizer's trial moves
+//!   allocate nothing after warm-up.
 //!
 //! Results are **bit-identical** to a from-scratch pass: a node is
 //! re-evaluated whenever anything it reads changed, with the same per-node
@@ -109,7 +109,7 @@ use crate::error::CoreError;
 use crate::failpoints;
 use crate::observe::{ObsDelta, Observability};
 use crate::params::InputProbs;
-use crate::sigprob::{lit_prob_of, EvalScratch, MIN_PAR_COND, MIN_PAR_WIDE};
+use crate::sigprob::{lit_prob_of, EvalScratch, CANCEL_CHECK_NODES, MIN_PAR_COND, MIN_PAR_WIDE};
 
 /// Counters describing how much work a session has actually done — the
 /// observable evidence that incremental re-estimation is cheaper than
@@ -223,15 +223,15 @@ const DENSE_OBS_WINDOW_DIVISOR: usize = 2;
 /// optimizer clones one session per worker to evaluate trial moves in
 /// parallel. A session holds its own [`Analyzer`] handle, so it outlives
 /// the caller's.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct AnalysisSession {
     analyzer: Analyzer,
     input_probs: Vec<f64>,
     /// Per-AIG-node probabilities, kept equal to a from-scratch pass.
     aig_probs: Vec<f64>,
-    scratch: EvalScratch,
-    /// Per-worker scratches for parallel rank batches, grown on demand.
-    par_scratch: Vec<EvalScratch>,
+    /// Per-worker scratches for rank batches (one per chunk, grown on
+    /// demand; a serial batch uses the first).
+    scratch: Vec<EvalScratch>,
     /// Forward dirty worklist keyed by fanin-depth rank: popping in
     /// ascending order yields whole ranks of mutually independent nodes.
     front: Wavefront,
@@ -291,8 +291,7 @@ impl AnalysisSession {
             analyzer: analyzer.clone(),
             input_probs: probs.as_slice().to_vec(),
             aig_probs,
-            scratch: est.new_scratch(),
-            par_scratch: Vec::new(),
+            scratch: Vec::new(),
             front: Wavefront::new(n),
             batch_ids: Vec::new(),
             batch_vals: Vec::new(),
@@ -666,15 +665,18 @@ impl AnalysisSession {
 
     /// Drains the forward worklist one fanin-depth rank at a time
     /// (ascending rank = dependency order). Nodes within a rank never read
-    /// each other, so wide ranks are evaluated in parallel chunks — each
-    /// worker with its own scratch — and the results applied in node-index
-    /// order; narrow ranks (and serial executors) take the inline path.
-    /// Either way every node sees the same settled lower ranks as the
-    /// serial schedule, so the propagated values are bit-identical.
+    /// each other, so each rank is evaluated by one [`Exec::fan_out`] —
+    /// wide ranks in parallel chunks, each worker with its own scratch —
+    /// and the results applied in node-index order. Every node sees the
+    /// same settled lower ranks as the serial schedule, so the propagated
+    /// values are bit-identical.
     ///
-    /// The cancellation token is polled once per rank; a fired token
-    /// abandons the drain mid-worklist (the popped rank is lost), so the
-    /// session is poisoned and [`CoreError::Cancelled`] returned.
+    /// The cancellation token is polled as each rank is evaluated; a fired
+    /// token abandons the drain mid-worklist (the
+    /// popped rank is lost), so the session is poisoned and
+    /// [`CoreError::Cancelled`] returned.
+    ///
+    /// [`Exec::fan_out`]: crate::exec::Exec::fan_out
     fn propagate(&mut self) -> Result<(), CoreError> {
         let _t = protest_telemetry::span(protest_telemetry::Site::Propagate);
         let analyzer = self.analyzer.clone();
@@ -683,66 +685,34 @@ impl AnalysisSession {
         let mut batch = std::mem::take(&mut self.batch_ids);
         while self.front.pop_batch(&mut batch).is_some() {
             failpoints::hit("core.propagate.delay");
-            if self.cancel.is_cancelled() {
-                self.poisoned = true;
-                self.batch_ids = batch;
-                return Err(CoreError::Cancelled);
-            }
-            let len = batch.len();
             // Fan out only when the rank carries enough conditioned
             // (µs-scale) kernels — or is very wide — mirroring the full
             // pass's thresholds; the choice cannot affect values.
-            let parallel_batch = exec.parallel()
-                && (len >= MIN_PAR_WIDE || {
-                    let mut cond = 0u32;
-                    for &k in &batch {
-                        cond += u32::from(est.is_conditioned(k));
-                        if cond >= MIN_PAR_COND {
-                            break;
-                        }
-                    }
-                    cond >= MIN_PAR_COND
+            let min_cond = MIN_PAR_COND as usize;
+            let wide = exec.parallel()
+                && (batch.len() >= MIN_PAR_WIDE || {
+                    let conditioned = batch.iter().filter(|&&k| est.is_conditioned(k));
+                    conditioned.take(min_cond).count() == min_cond
                 });
-            if !parallel_batch {
-                for &k in batch.iter() {
-                    let id = crate::AigNodeId::from_index(k as usize);
-                    let new = est.and_node_value(&self.aig_probs, id, &mut self.scratch);
-                    self.stats.and_evals += 1;
-                    self.apply_value(k, new);
-                }
-                continue;
+            self.batch_vals.resize(batch.len(), 0.0);
+            let probs = &self.aig_probs;
+            if let Err(e) = exec.fan_out(
+                wide,
+                &batch,
+                &mut self.batch_vals,
+                &mut self.scratch,
+                &self.cancel,
+                CANCEL_CHECK_NODES,
+                |scratch, &k| {
+                    est.and_node_value(probs, crate::AigNodeId::from_index(k as usize), scratch)
+                },
+            ) {
+                self.poisoned = true;
+                return Err(e);
             }
-            let threads = exec.threads();
-            while self.par_scratch.len() < threads {
-                self.par_scratch.push(est.new_scratch());
-            }
-            let mut vals = std::mem::take(&mut self.batch_vals);
-            vals.clear();
-            vals.resize(len, 0.0);
-            let chunk = len.div_ceil(threads);
-            {
-                let probs = &self.aig_probs;
-                let out_all = &mut vals;
-                let scratches = &mut self.par_scratch;
-                exec.run(|| {
-                    rayon::scope(|s| {
-                        for ((ids, out), scratch) in batch
-                            .chunks(chunk)
-                            .zip(out_all.chunks_mut(chunk))
-                            .zip(scratches.iter_mut())
-                        {
-                            s.spawn(move |_| {
-                                for (slot, &k) in out.iter_mut().zip(ids) {
-                                    let id = crate::AigNodeId::from_index(k as usize);
-                                    *slot = est.and_node_value(probs, id, scratch);
-                                }
-                            });
-                        }
-                    });
-                });
-            }
-            self.stats.and_evals += len as u64;
-            for (&k, &v) in batch.iter().zip(vals.iter()) {
+            self.stats.and_evals += batch.len() as u64;
+            let vals = std::mem::take(&mut self.batch_vals);
+            for (&k, &v) in batch.iter().zip(&vals) {
                 self.apply_value(k, v);
             }
             self.batch_vals = vals;
@@ -925,36 +895,5 @@ impl AnalysisSession {
             return Err(e);
         }
         Ok(())
-    }
-}
-
-impl Clone for AnalysisSession {
-    fn clone(&self) -> Self {
-        AnalysisSession {
-            analyzer: self.analyzer.clone(),
-            input_probs: self.input_probs.clone(),
-            aig_probs: self.aig_probs.clone(),
-            scratch: self.scratch.clone(),
-            par_scratch: self.par_scratch.clone(),
-            front: self.front.clone(),
-            batch_ids: self.batch_ids.clone(),
-            batch_vals: self.batch_vals.clone(),
-            undo: self.undo.clone(),
-            dirty: self.dirty.clone(),
-            dirty_nodes: self.dirty_nodes.clone(),
-            obs_seed_words: self.obs_seed_words.clone(),
-            node_probs: self.node_probs.clone(),
-            have_node_probs: self.have_node_probs,
-            obs: self.obs.clone(),
-            obs_delta: self.obs_delta.clone(),
-            have_obs: self.have_obs,
-            estimates: self.estimates.clone(),
-            detections: self.detections.clone(),
-            fault_scratch: self.fault_scratch.clone(),
-            have_estimates: self.have_estimates,
-            stats: self.stats,
-            cancel: self.cancel.clone(),
-            poisoned: self.poisoned,
-        }
     }
 }

@@ -203,6 +203,12 @@ impl ConeArena {
     /// of `exec` once the AIG has at least `min_par_ands` ANDs. The stitch
     /// appends each window's chunks in node order and interns each AND's
     /// shape, so the arena is identical at every thread count.
+    ///
+    /// It keeps its own scope rather than [`Exec::fan_out`]'s contiguous
+    /// chunks: blocks are dealt out interleaved (block `b` to worker
+    /// `b % threads`) so deep and shallow regions of the AIG spread evenly,
+    /// and each worker fills reused chunk buffers in place.
+    #[allow(clippy::disallowed_methods)] // interleaved blocks; see above
     fn build(aig: &Aig, maxlist: usize, exec: &Exec, min_par_ands: usize) -> Self {
         let exec = if aig.num_ands() >= min_par_ands {
             exec.clone()
@@ -898,14 +904,13 @@ impl SignalProbEstimator {
     /// Like [`full_estimate`](Self::full_estimate) but spread over the
     /// executor's threads, one fanin-depth rank at a time: within a rank
     /// every node's read set (fanins + conditioning cones) lies on lower
-    /// ranks, so workers evaluate disjoint chunks against the settled
-    /// prefix and the results are written back in node-index order. Each
-    /// per-node value is produced by the same kernel reading the same
-    /// settled values as the serial pass, so the output is bit-identical.
+    /// ranks, so each rank is one [`Exec::fan_out`] against the settled
+    /// prefix. Every value comes from the same kernel reading the same
+    /// settled values as the node-order pass serial executors run, so the
+    /// output is bit-identical.
     ///
-    /// `cancel` is polled once per rank (serial executors: every
-    /// [`CANCEL_CHECK_NODES`] nodes); a fired token abandons the pass with
-    /// [`CoreError::Cancelled`]. Polls never change the computed values.
+    /// `cancel` is polled every [`CANCEL_CHECK_NODES`] nodes; a fired token
+    /// abandons the pass with [`CoreError::Cancelled`].
     pub(crate) fn full_estimate_exec_cancellable(
         &self,
         input_probs: &[f64],
@@ -928,47 +933,27 @@ impl SignalProbEstimator {
             probs[self.aig.input_node(pos).index()] = p;
         }
         let ranks = self.ranks();
-        let threads = exec.threads();
-        let mut scratches: Vec<Scratch2> = (0..threads).map(|_| self.new_scratch()).collect();
+        let mut scratches: Vec<Scratch2> = Vec::new();
         let mut vals: Vec<f64> = Vec::new();
-        exec.run(|| -> Result<(), CoreError> {
-            for ri in 0..ranks.num_ranks() {
-                let rank = ranks.rank(ri);
-                if rank.is_empty() {
-                    continue;
-                }
-                cancel.check()?;
-                if ranks.cond_per_rank[ri] < MIN_PAR_COND && rank.len() < MIN_PAR_WIDE {
-                    for &k in rank {
-                        let id = AigNodeId::from_index(k as usize);
-                        probs[k as usize] = self.and_node_value(&probs, id, &mut scratches[0]);
-                    }
-                    continue;
-                }
-                vals.clear();
-                vals.resize(rank.len(), 0.0);
-                let chunk = rank.len().div_ceil(threads);
-                let probs_ref = &probs;
-                rayon::scope(|s| {
-                    for ((ids, out), scratch) in rank
-                        .chunks(chunk)
-                        .zip(vals.chunks_mut(chunk))
-                        .zip(scratches.iter_mut())
-                    {
-                        s.spawn(move |_| {
-                            for (slot, &k) in out.iter_mut().zip(ids) {
-                                let id = AigNodeId::from_index(k as usize);
-                                *slot = self.and_node_value(probs_ref, id, scratch);
-                            }
-                        });
-                    }
-                });
-                for (&k, &v) in rank.iter().zip(vals.iter()) {
-                    probs[k as usize] = v;
-                }
+        for ri in 0..ranks.num_ranks() {
+            let rank = ranks.rank(ri);
+            vals.resize(rank.len(), 0.0);
+            let wide = ranks.cond_per_rank[ri] >= MIN_PAR_COND || rank.len() >= MIN_PAR_WIDE;
+            exec.fan_out(
+                wide,
+                rank,
+                &mut vals,
+                &mut scratches,
+                cancel,
+                CANCEL_CHECK_NODES,
+                |scratch, &k| {
+                    self.and_node_value(&probs, AigNodeId::from_index(k as usize), scratch)
+                },
+            )?;
+            for (&k, &v) in rank.iter().zip(&vals) {
+                probs[k as usize] = v;
             }
-            Ok(())
-        })?;
+        }
         Ok(probs)
     }
 

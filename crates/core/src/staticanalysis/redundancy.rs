@@ -236,42 +236,26 @@ pub fn prove_classes_cancellable(
     drop(widen_span);
 
     // Tier 4: exact miter BDDs for whatever is left, fanned out over the
-    // worker pool. Chunks write disjoint slices in class order, so the
-    // result is deterministic at every thread count.
+    // worker pool in class-order chunks, so the result is deterministic at
+    // every thread count.
     let bdd_span = protest_telemetry::span(protest_telemetry::Site::RedundancyBdd);
     let todo: Vec<u32> = (0..equiv.len() as u32)
         .filter(|&ci| verdicts[ci as usize].is_none())
         .collect();
     stats.bdd_calls = todo.len();
     let mut proved: Vec<Verdict> = vec![Verdict::Unproven; todo.len()];
-    if exec.parallel() && todo.len() > 1 {
-        let chunk = todo.len().div_ceil(exec.threads());
-        let out_all: &mut [Verdict] = &mut proved;
-        exec.run(|| {
-            rayon::scope(|s| {
-                for (ids, out) in todo.chunks(chunk).zip(out_all.chunks_mut(chunk)) {
-                    s.spawn(move |_| {
-                        for (slot, &ci) in out.iter_mut().zip(ids) {
-                            // A fired token abandons the chunk; the partial
-                            // verdicts are discarded by the check below.
-                            if cancel.is_cancelled() {
-                                return;
-                            }
-                            let rep = equiv.representatives()[ci as usize];
-                            *slot = prove_by_bdd(circuit, rep, probs, budget);
-                        }
-                    });
-                }
-            });
-        });
-        cancel.check()?;
-    } else {
-        for (slot, &ci) in proved.iter_mut().zip(&todo) {
-            cancel.check()?;
+    exec.fan_out(
+        todo.len() > 1,
+        &todo,
+        &mut proved,
+        &mut Vec::new(),
+        cancel,
+        1,
+        |_: &mut (), &ci| {
             let rep = equiv.representatives()[ci as usize];
-            *slot = prove_by_bdd(circuit, rep, probs, budget);
-        }
-    }
+            prove_by_bdd(circuit, rep, probs, budget)
+        },
+    )?;
     for (&ci, &v) in todo.iter().zip(&proved) {
         if matches!(v, Verdict::Redundant(_)) {
             stats.by_bdd += 1;

@@ -165,42 +165,30 @@ fn rank_on(
     );
     let engine = analyzer.obs_engine();
     let exec = analyzer.exec();
-    let mut scored: Vec<Scored> = Vec::with_capacity(specs.len());
-    if exec.parallel() && specs.len() >= MIN_PAR_CANDIDATES {
-        // Placeholder rows, then disjoint chunks filled in candidate
-        // order on the workers — deterministic at any thread count.
-        scored.extend(specs.iter().map(|&spec| Scored {
+    // Placeholder rows, then chunks filled in candidate order — the
+    // ranking is deterministic at any thread count. Each chunk builds its
+    // scoring scratch on its first candidate.
+    let mut scored: Vec<Scored> = specs
+        .iter()
+        .map(|&spec| Scored {
             spec,
             predicted: None,
             tie: 0.0,
-        }));
-        let chunk = specs.len().div_ceil(exec.threads());
-        let out_all: &mut [Scored] = &mut scored;
-        let base_ref = &base;
-        exec.run(|| {
-            rayon::scope(|s| {
-                for (cands, out) in specs.chunks(chunk).zip(out_all.chunks_mut(chunk)) {
-                    s.spawn(move |_| {
-                        let mut scratch = ScoreScratch::new(base_ref);
-                        for (slot, &spec) in out.iter_mut().zip(cands) {
-                            // Partial rows are discarded by the check below.
-                            if cancel.is_cancelled() {
-                                return;
-                            }
-                            *slot = score_candidate(circuit, engine, base_ref, spec, &mut scratch);
-                        }
-                    });
-                }
-            });
-        });
-        cancel.check()?;
-    } else {
-        let mut scratch = ScoreScratch::new(&base);
-        for &spec in &specs {
-            cancel.check()?;
-            scored.push(score_candidate(circuit, engine, &base, spec, &mut scratch));
-        }
-    }
+        })
+        .collect();
+    let mut scratches: Vec<Option<ScoreScratch>> = Vec::new();
+    exec.fan_out(
+        specs.len() >= MIN_PAR_CANDIDATES,
+        &specs,
+        &mut scored,
+        &mut scratches,
+        cancel,
+        1,
+        |scratch, &spec| {
+            let scratch = scratch.get_or_insert_with(|| ScoreScratch::new(&base));
+            score_candidate(circuit, engine, &base, spec, scratch)
+        },
+    )?;
     scored.sort_by(|a, b| {
         let pa = a.predicted.map_or(u64::MAX, |t| t.patterns);
         let pb = b.predicted.map_or(u64::MAX, |t| t.patterns);
