@@ -59,10 +59,11 @@ struct ObsWorker {
 }
 
 /// The buffers of one level wavefront's evaluation, reused from wavefront
-/// to wavefront: per-node stems and the per-worker pin rows.
+/// to wavefront: each node's stem and pin-row width, and the per-worker
+/// pin rows.
 #[derive(Debug, Clone, Default)]
 pub(super) struct WaveBufs {
-    stems: Vec<f64>,
+    heads: Vec<(f64, u32)>,
     workers: Vec<ObsWorker>,
 }
 
@@ -72,20 +73,22 @@ impl WaveBufs {
     /// contiguous and in order, so the rows are read off worker by worker.
     pub(super) fn rows<'a>(
         &'a self,
-        circuit: &'a Circuit,
         batch: &'a [NodeId],
     ) -> impl Iterator<Item = (NodeId, f64, &'a [f64])> + 'a {
         let (mut worker, mut off) = (0usize, 0usize);
-        batch.iter().zip(&self.stems).map(move |(&id, &stem)| {
-            let width = circuit.node(id).fanins().len();
-            while off + width > self.workers[worker].pins.len() {
-                worker += 1;
-                off = 0;
-            }
-            let row = &self.workers[worker].pins[off..off + width];
-            off += width;
-            (id, stem, row)
-        })
+        batch
+            .iter()
+            .zip(&self.heads)
+            .map(move |(&id, &(stem, width))| {
+                let width = width as usize;
+                while off + width > self.workers[worker].pins.len() {
+                    worker += 1;
+                    off = 0;
+                }
+                let row = &self.workers[worker].pins[off..off + width];
+                off += width;
+                (id, stem, row)
+            })
     }
 }
 
@@ -208,7 +211,7 @@ impl ObservabilityEngine {
         for &(start, end) in self.level_bounds.iter().rev() {
             let batch = &order[start as usize..end as usize];
             self.eval_wavefront(batch, node_probs, obs.pin_rows(), &mut wave, exec, cancel)?;
-            for (id, stem, pins) in wave.rows(&self.circuit, batch) {
+            for (id, stem, pins) in wave.rows(batch) {
                 obs.store(id, stem, pins);
             }
         }
@@ -233,15 +236,19 @@ impl ObservabilityEngine {
         for worker in &mut wave.workers {
             worker.pins.clear();
         }
-        wave.stems.resize(batch.len(), 0.0);
+        wave.heads.resize(batch.len(), (0.0, 0));
         exec.fan_out(
             batch.len() >= MIN_PAR_WAVEFRONT,
             batch,
-            &mut wave.stems,
+            &mut wave.heads,
             &mut wave.workers,
             cancel,
             CANCEL_CHECK_NODES,
-            |w, &id| self.eval_node(id, node_probs, pin_s, &mut w.eval, &mut w.pins),
+            |w, &id| {
+                let start = w.pins.len();
+                let stem = self.eval_node(id, node_probs, pin_s, &mut w.eval, &mut w.pins);
+                (stem, (w.pins.len() - start) as u32)
+            },
         )
     }
 

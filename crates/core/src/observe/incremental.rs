@@ -174,7 +174,7 @@ impl ObservabilityEngine {
             )?;
             // Compare/apply in pop order: the applied values and the
             // enqueued continuation set do not depend on the chunking.
-            for (id, stem, pins) in delta.wave.rows(&self.circuit, &delta.batch) {
+            for (id, stem, pins) in delta.wave.rows(&delta.batch) {
                 self.apply_row(obs, &mut delta.front, id, stem, pins);
             }
         }

@@ -56,15 +56,17 @@
 //! a bit.
 //!
 //! A batch is `ceil(parts in class / threads)` lanes wide, capped at
-//! [`MAX_LANES`], and is one task on the analyzer's executor. As a batch
-//! finishes its sweep, each lane's circuit probabilities and
+//! [`MAX_LANES`], and is one item of the analyzer's executor fan-out. As
+//! a batch finishes its sweep, each lane's circuit probabilities and
 //! observabilities are computed and scattered into the full-circuit
 //! arrays, so no per-part result outlives its batch.
 //!
 //! # Parallelism
 //!
 //! Components are independent, so the analyzer's executor fans the
-//! batches out across its threads. Incremental
+//! batches out across its threads, one contiguous chunk each; the batch
+//! list interleaves the classes, so every chunk holds about one batch of
+//! every class. Incremental
 //! [`AnalysisSession`](crate::AnalysisSession)s stay monolithic: their
 //! dirty-cone propagation already touches only the affected component.
 
@@ -336,6 +338,37 @@ struct Scatter {
     obs: Observability,
 }
 
+/// The batches of a run as `(class, parts)`: each class's parts in part
+/// order, cut into at most one batch per thread of at most [`MAX_LANES`]
+/// lanes, and listed round by round (every class's first batch, then
+/// every class's second, …). A contiguous chunk of the list per thread so
+/// takes about one batch of every class, and a large class's batches land
+/// on different threads.
+fn batch_list(classes: &[u32], num_classes: usize, threads: usize) -> Vec<(u32, Vec<u32>)> {
+    let mut members: Vec<Vec<u32>> = vec![Vec::new(); num_classes];
+    for (pi, &class) in classes.iter().enumerate() {
+        members[class as usize].push(pi as u32);
+    }
+    let per_class: Vec<Vec<&[u32]>> = members
+        .iter()
+        .map(|parts| {
+            let width = parts.len().div_ceil(threads).min(MAX_LANES);
+            parts.chunks(width).collect()
+        })
+        .collect();
+    let rounds = per_class.iter().map(Vec::len).max().unwrap_or(0);
+    (0..rounds)
+        .flat_map(|round| {
+            per_class
+                .iter()
+                .enumerate()
+                .filter_map(move |(class, batches)| {
+                    Some((class as u32, batches.get(round)?.to_vec()))
+                })
+        })
+        .collect()
+}
+
 /// Runs the full one-shot analysis through the partitioned path: every
 /// partition computes its signal probabilities and observabilities in
 /// isolation, the results are scattered into full-circuit arrays, and
@@ -343,8 +376,8 @@ struct Scatter {
 /// estimator's [`LaneSweep`] counters.
 ///
 /// Each structure class's parts are swept in batches, one lane per part
-/// (see the module docs); the batches fan out over the analyzer's
-/// executor in contiguous chunks, one per thread.
+/// (see the module docs); the batches of [`batch_list`] fan out over the
+/// analyzer's executor in contiguous chunks, one per thread.
 /// The batches share one [`ClassKit`] per class — on replicated-lane
 /// netlists the AIG/joining-point/levelization construction cost is paid
 /// once per distinct lane structure, not once per lane.
@@ -371,21 +404,7 @@ pub(crate) fn run_partitioned(
             engine: ObservabilityEngine::new(Arc::clone(sub), params),
         });
     }
-    // Each class's parts in part order, cut into at most one batch per
-    // thread.
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); kits.len()];
-    for (pi, &class) in plan.classes.iter().enumerate() {
-        members[class as usize].push(pi as u32);
-    }
-    let threads = exec.threads();
-    let batches: Vec<(&ClassKit, &[u32])> = kits
-        .iter()
-        .zip(&members)
-        .flat_map(|(kit, parts)| {
-            let width = parts.len().div_ceil(threads).min(MAX_LANES);
-            parts.chunks(width).map(move |batch| (kit, batch))
-        })
-        .collect();
+    let batches = batch_list(&plan.classes, kits.len(), exec.threads());
     let out = Mutex::new(Scatter {
         node_probs: vec![0.0f64; circuit.num_nodes()],
         obs: Observability::zeroed(circuit),
@@ -398,7 +417,9 @@ pub(crate) fn run_partitioned(
         &mut Vec::new(),
         cancel,
         1,
-        |_: &mut (), &(kit, batch)| analyze_batch(plan, batch, kit, global, cancel, &out),
+        |_: &mut (), (class, batch)| {
+            analyze_batch(plan, batch, &kits[*class as usize], global, cancel, &out)
+        },
     )?;
     let mut sweep = LaneSweep::default();
     for result in results {
@@ -485,6 +506,34 @@ mod tests {
         let z = b.not(y);
         b.output(z, "z");
         b.finish().unwrap()
+    }
+
+    #[test]
+    fn batch_lists_interleave_classes_across_thread_chunks() {
+        // Class 0 has 16 parts, class 1 one part (part 5).
+        let classes: Vec<u32> = (0..17).map(|pi| u32::from(pi == 5)).collect();
+        let batches = batch_list(&classes, 2, 2);
+        let class0: Vec<u32> = (0..17).filter(|&pi| pi != 5).collect();
+        assert_eq!(
+            batches,
+            vec![
+                (0, class0[..8].to_vec()),
+                (1, vec![5]),
+                (0, class0[8..].to_vec())
+            ]
+        );
+        // Two threads take contiguous chunks of two: class 0's two
+        // batches run on different threads.
+        let chunks: Vec<Vec<u32>> = batches
+            .chunks(batches.len().div_ceil(2))
+            .map(|chunk| chunk.iter().map(|(class, _)| *class).collect())
+            .collect();
+        assert_eq!(chunks, vec![vec![0, 1], vec![0]]);
+        // Lanes are capped, and one thread takes every batch in order.
+        let wide = batch_list(&vec![0; 2 * MAX_LANES + 1], 1, 1);
+        let widths: Vec<usize> = wide.iter().map(|(_, parts)| parts.len()).collect();
+        assert_eq!(widths, vec![MAX_LANES, MAX_LANES, 1]);
+        assert!(batch_list(&[], 0, 4).is_empty());
     }
 
     #[test]
