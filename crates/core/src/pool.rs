@@ -1,4 +1,4 @@
-//! Warm [`AnalysisSession`] pools: the serving-stack checkout/re-sync
+//! Warm [`AnalysisSession`] pools: the serving stack's checkout/return
 //! primitive.
 //!
 //! A long-running service answers many queries over one circuit. Opening a
@@ -13,21 +13,22 @@
 //!   to per-node state only);
 //! * the returned [`PooledSession`] derefs to the session; the request
 //!   handler mutates and queries it freely;
-//! * on drop the session is **re-synced** to the pool's base probabilities
-//!   ([`AnalysisSession::resync`] — O(dirty cone) of whatever the request
-//!   changed, free when the request never mutated) and pushed back idle.
+//! * on drop the session is disarmed, its undo log is cleared, and it is
+//!   pushed back idle **at whatever point the request left it**.
 //!
-//! A request at the base point therefore costs only its incremental
-//! queries, and a request at custom probabilities costs two cone-local
-//! re-propagations (to the custom point, back to base) instead of three
-//! full passes.
+//! A checked-out session therefore starts at an arbitrary earlier
+//! request's point, and a caller that reads it first moves it to its own
+//! point with [`AnalysisSession::set_all`]. Sessions are confluent — the
+//! same input vector gives the same bits by any route — so that costs one
+//! cone-local re-propagation from the session's last point (nothing when
+//! the point repeats) instead of three full passes.
 //!
 //! The pool is `Sync` and `'static` (it holds an [`Analyzer`] handle, not
 //! a borrow), so a service can keep one per circuit in a plain map:
 //! checkout/return take a mutex around the idle vector only, so
-//! concurrent request workers contend for nanoseconds, not for analysis
-//! time. Counters ([`PoolStats`]) expose warm hits vs cold
-//! clones and the live/idle census for a service's observability endpoint.
+//! concurrent requests contend for nanoseconds, not for analysis time.
+//! Counters ([`PoolStats`]) expose warm hits vs cold clones and the
+//! live/idle census for a service's observability endpoint.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,16 +52,15 @@ pub struct PoolStats {
     /// Sessions currently idle in the pool.
     pub idle: u64,
     /// Sessions dropped instead of returned: poisoned by a mid-refresh
-    /// cancellation, explicitly [`discard`](PooledSession::discard)ed
-    /// after a panic, or failed to re-sync to base.
+    /// cancellation, or explicitly [`discard`](PooledSession::discard)ed
+    /// after a panic.
     pub discarded: u64,
 }
 
-/// A pool of warm [`AnalysisSession`]s over one [`Analyzer`], all based at
-/// one canonical input-probability vector (see the module docs).
+/// A pool of warm [`AnalysisSession`]s over one [`Analyzer`] (see the
+/// module docs).
 #[derive(Debug)]
 pub struct SessionPool {
-    base: InputProbs,
     /// The warm prototype new sessions are cloned from (kept separate from
     /// `idle` so the pool can always grow without re-running the cold
     /// full-pass construction).
@@ -73,8 +73,8 @@ pub struct SessionPool {
 }
 
 impl SessionPool {
-    /// Creates a pool based at `base`. Pays one full session construction
-    /// (the template every later checkout clones or re-syncs to).
+    /// Creates a pool whose template session sits at `base`. Pays one
+    /// full session construction (the template cold checkouts clone).
     ///
     /// # Errors
     ///
@@ -86,7 +86,6 @@ impl SessionPool {
         // checked-out clone then pays only incremental refreshes.
         template.fault_detect_probs();
         Ok(SessionPool {
-            base,
             template,
             idle: Mutex::new(Vec::new()),
             warm_hits: AtomicU64::new(0),
@@ -101,11 +100,6 @@ impl SessionPool {
         self.template.analyzer()
     }
 
-    /// The canonical base probabilities sessions are re-synced to.
-    pub fn base_probs(&self) -> &InputProbs {
-        &self.base
-    }
-
     /// Pre-clones `n` idle sessions so the first `n` concurrent checkouts
     /// are warm hits.
     pub fn warm(&self, n: usize) {
@@ -117,8 +111,8 @@ impl SessionPool {
     }
 
     /// Checks a session out. Warm when an idle session is available, else
-    /// a clone of the template. The guard returns (and re-syncs) the
-    /// session on drop.
+    /// a clone of the template. The session sits at an earlier request's
+    /// point; the guard returns it to the pool on drop.
     pub fn checkout(&self) -> PooledSession<'_> {
         let popped = self.idle.lock().unwrap().pop();
         let session = match popped {
@@ -152,22 +146,17 @@ impl SessionPool {
     fn give_back(&self, mut session: AnalysisSession) {
         self.live.fetch_sub(1, Ordering::Relaxed);
         // A session poisoned by a mid-refresh cancellation has lost dirty
-        // tracking — re-syncing it could return stale values to later
+        // tracking — its caches could return stale values to later
         // checkouts. Drop it; the next cold checkout clones the template.
         if session.is_poisoned() {
             self.discarded.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        // Disarm any request-scoped token before re-syncing: a fired
-        // deadline must not sabotage the return-to-base sweep or leak
-        // into the next request that checks this session out.
+        // Disarm any request-scoped token so a fired deadline cannot leak
+        // into the next request, and clear the undo log, which would
+        // otherwise grow with every request the session serves.
         session.set_cancel(CancelToken::never());
-        // Re-sync to base cannot otherwise fail: the base vector was
-        // validated at construction and its entries are in range.
-        if session.resync(&self.base).is_err() {
-            self.discarded.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
+        session.snapshot();
         self.idle.lock().unwrap().push(session);
     }
 
@@ -178,7 +167,7 @@ impl SessionPool {
 }
 
 /// A checked-out session (see [`SessionPool::checkout`]); derefs to
-/// [`AnalysisSession`] and re-syncs + returns it to the pool on drop.
+/// [`AnalysisSession`] and returns it to the pool on drop.
 #[derive(Debug)]
 pub struct PooledSession<'p> {
     pool: &'p SessionPool,
@@ -214,7 +203,7 @@ impl Drop for PooledSession<'_> {
         if let Some(session) = self.session.take() {
             // Unwinding out of a request handler means the session was
             // abandoned mid-mutation; its caches can be arbitrarily
-            // inconsistent, so never re-sync it back into circulation.
+            // inconsistent, so never return it to circulation.
             if std::thread::panicking() {
                 self.pool.note_discarded();
             } else {
@@ -237,24 +226,36 @@ mod tests {
         b.finish().unwrap()
     }
 
+    fn detect_bits(detect: &[f64]) -> Vec<u64> {
+        detect.iter().map(|p| p.to_bits()).collect()
+    }
+
     #[test]
-    fn checkout_mutate_return_resyncs() {
+    fn returned_session_moves_straight_to_the_next_point() {
         let ckt = circuit();
         let analyzer = Analyzer::new(&ckt);
         let pool = SessionPool::new(&analyzer, InputProbs::uniform(4)).unwrap();
-        let base_detect: Vec<f64> = {
-            let mut s = pool.checkout();
-            s.fault_detect_probs().to_vec()
-        };
+        let a = [0.9375, 0.5, 0.25, 0.5];
+        let b = InputProbs::from_slice(&[0.125, 0.75, 0.25, 0.0625]).unwrap();
         {
             let mut s = pool.checkout();
-            s.set_input_prob(0, 0.9375).unwrap();
-            assert_ne!(s.fault_detect_probs(), &base_detect[..]);
+            s.set_all(&a).unwrap();
+            s.fault_detect_probs();
         }
-        // The mutated session came back re-synced to base.
+        // The session came back at A with an empty undo log.
+        assert_eq!(pool.stats().idle, 1);
         let mut s = pool.checkout();
-        assert_eq!(s.input_probs(), pool.base_probs().as_slice());
-        assert_eq!(s.fault_detect_probs(), &base_detect[..]);
+        assert_eq!(s.input_probs(), &a[..]);
+        assert_eq!(s.undo_len(), 0);
+        s.set_all(b.as_slice()).unwrap();
+        let want = analyzer.run(&b).unwrap();
+        assert_eq!(
+            detect_bits(s.fault_detect_probs()),
+            detect_bits(&want.detection_probabilities())
+        );
+        drop(s);
+        let s = pool.checkout();
+        assert_eq!(s.undo_len(), 0, "a returned session keeps no undo log");
         let stats = pool.stats();
         assert_eq!(stats.warm_hits + stats.cold_clones, 3);
         assert_eq!(stats.live, 1);
@@ -290,16 +291,9 @@ mod tests {
         let mut pooled = pool.checkout();
         pooled.set_all(probs.as_slice()).unwrap();
         let direct = analyzer.run(&probs).unwrap();
-        let got: Vec<u64> = pooled
-            .fault_detect_probs()
-            .iter()
-            .map(|p| p.to_bits())
-            .collect();
-        let want: Vec<u64> = direct
-            .detection_probabilities()
-            .iter()
-            .map(|p| p.to_bits())
-            .collect();
-        assert_eq!(got, want);
+        assert_eq!(
+            detect_bits(pooled.fault_detect_probs()),
+            detect_bits(&direct.detection_probabilities())
+        );
     }
 }

@@ -335,7 +335,7 @@ impl AnalysisSession {
     /// already committed, leaving the query caches unreliable. A poisoned
     /// session refuses further queries and must be dropped;
     /// [`SessionPool`](crate::SessionPool) discards poisoned sessions
-    /// instead of re-syncing them.
+    /// instead of returning them.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
     }
@@ -452,23 +452,10 @@ impl AnalysisSession {
         self.undo.clear();
     }
 
-    /// Re-synchronizes the session to `probs` and makes that state the new
-    /// snapshot point: [`set_all`](Self::set_all) (so only the fan-out
-    /// cones of inputs that actually differ re-propagate) followed by
-    /// [`snapshot`](Self::snapshot). This is the checkout/return primitive
-    /// of [`SessionPool`](crate::SessionPool): a warm session coming back
-    /// from arbitrary mutations is reset in O(dirty cone) instead of being
-    /// rebuilt from scratch — and re-syncing to the probabilities it
-    /// already carries is free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::ProbsLength`] / [`CoreError::ProbRange`] like
-    /// [`set_all`](Self::set_all) (the session is left unchanged).
-    pub fn resync(&mut self, probs: &InputProbs) -> Result<(), CoreError> {
-        self.set_all(probs.as_slice())?;
-        self.snapshot();
-        Ok(())
+    /// Length of the undo log (changes since the last snapshot).
+    #[cfg(test)]
+    pub(crate) fn undo_len(&self) -> usize {
+        self.undo.len()
     }
 
     /// Restores the state at the last [`snapshot`](Self::snapshot) (or at

@@ -13,13 +13,15 @@
 //!   ([`registry`]);
 //! * **warm session pools** — incremental
 //!   [`AnalysisSession`](protest_core::AnalysisSession)s checked out per
-//!   request and re-synced on return, so repeat queries pay only the
-//!   dirty-cone cost ([`protest_core::SessionPool`]);
-//! * a **bounded worker model** — accept thread, N request handlers and
-//!   M analysis workers shared by every circuit behind one bounded job
-//!   queue; overload sheds typed `busy` replies instead of queueing
-//!   unboundedly, and the thread count does not grow with the number of
-//!   resident circuits ([`server`]);
+//!   request and returned as they are, so a query pays only the
+//!   dirty-cone cost of moving from the session's last point to its own
+//!   ([`protest_core::SessionPool`]);
+//! * a **bounded thread model** — an accept thread and N request
+//!   handlers; a handler runs each analysis itself under one of M
+//!   compute permits shared by every circuit, with a bounded line of
+//!   permit waiters. Overload sheds typed `busy` replies instead of
+//!   queueing unboundedly, and the thread count does not grow with the
+//!   number of resident circuits ([`server`]);
 //! * **observability** — per-endpoint p50/p99 latency with a queue-wait
 //!   vs compute phase split, cache hit rates, pool and queue gauges via
 //!   the `stats` endpoint and an optional periodic log line ([`metrics`]);
@@ -27,7 +29,7 @@
 //!   shared `protest_telemetry` crate (read → queue-wait → session
 //!   checkout → compute → serialize), off by default and free when off;
 //! * **robustness** — request deadlines cooperatively cancel in-flight
-//!   analysis, worker panics become typed `internal` replies with the
+//!   analysis, job panics become typed `internal` replies with the
 //!   session discarded, and an optional capacity cap evicts idle
 //!   circuits LRU-first ([`registry`]).
 //!
@@ -46,18 +48,18 @@
 //! Malformed or oversized input never kills the connection (framing
 //! resynchronizes at the next newline) and never takes the daemon down.
 //!
-//! The two robustness kinds deserve a word:
+//! Two robustness kinds deserve a word:
 //!
-//! * **`cancelled`** — the request's deadline elapsed and its in-flight
-//!   analysis was *cooperatively stopped* at the engine's next poll point
-//!   (`cancelled_work` in `stats`). The plain `timeout` kind still
-//!   appears on the outer request when the client-side wait gives up;
-//!   `cancelled` is what an individual op inside a batch reports once the
-//!   cancellation reached the math.
-//! * **`internal`** — the daemon failed, not the request: a worker
+//! * **`timeout`** — the request's deadline elapsed, either while it
+//!   waited for a compute permit or while it computed. In the second
+//!   case the in-flight analysis was *cooperatively stopped* at the
+//!   engine's next poll point (`cancelled_work` in `stats`). The daemon
+//!   answers both with `timeout`; `cancelled` stays a protocol kind but
+//!   is not sent for a stopped request.
+//! * **`internal`** — the daemon failed, not the request: the job
 //!   panicked while executing the request. The panic is caught, the
-//!   worker's warm session is discarded instead of returned to the pool
-//!   (`sessions_discarded`), and the same worker goes on serving every
+//!   job's warm session is discarded instead of returned to the pool
+//!   (`sessions_discarded`), and the handler goes on serving every
 //!   circuit, so a retry succeeds.
 //!
 //! ## Endpoints
@@ -107,8 +109,8 @@
 //!
 //! Any circuit op (or `batch`) may set `"timing": true` to get the
 //! daemon-side phase split of its own request echoed in the success
-//! reply as a sibling `timing` object — microseconds spent waiting in
-//! the shared job queue, checking a session out of the circuit's pool
+//! reply as a sibling `timing` object — microseconds spent waiting for
+//! a compute permit, checking a session out of the circuit's pool
 //! (on its first job, including building the pool), and actually
 //! computing:
 //!
@@ -117,13 +119,13 @@
 //! ← {"id":9,"ok":true,"result":{…},"timing":{"queue_wait_us":41,"checkout_us":3,"compute_us":5120}}
 //! ```
 //!
-//! The flag is ignored on `submit`, `stats` and `shutdown` (they never
-//! reach a worker, so there are no phases to report) and on error
+//! The flag is ignored on `submit`, `stats` and `shutdown` (they take
+//! no compute permit, so there are no phases to report) and on error
 //! replies. Omitting it leaves the reply byte-for-byte what it always
 //! was, so existing clients are unaffected.
 //!
 //! **`stats`** returns the metrics snapshot; **`shutdown`** starts a
-//! graceful drain (in-flight and queued requests still complete):
+//! graceful drain (in-flight and waiting requests still complete):
 //!
 //! ```text
 //! → {"id":7,"op":"stats"}

@@ -1,5 +1,5 @@
 //! Server observability: request counters, per-endpoint latency
-//! histograms (p50/p99), cache and session gauges, queue depth.
+//! histograms (p50/p99), cache and session gauges, permit waiters.
 //!
 //! Everything is lock-free atomics so the hot path records a latency in a
 //! few nanoseconds. Latencies go into the shared log₂-bucketed
@@ -83,8 +83,8 @@ pub struct EndpointMetrics {
     pub errors: AtomicU64,
     /// End-to-end handler latency (parse → reply written).
     pub latency: Histogram,
-    /// Job queue-wait phase (enqueue → worker pop); only requests that
-    /// reached a worker record here.
+    /// Permit-wait phase (dispatch → compute permit); only requests that
+    /// got a permit record here.
     pub queue_wait: Histogram,
     /// Job compute phase (ops executing against a checked-out session).
     pub compute: Histogram,
@@ -104,13 +104,13 @@ pub struct Metrics {
     pub malformed: AtomicU64,
     /// Requests that hit the per-request timeout.
     pub timeouts: AtomicU64,
-    /// Requests shed because a job queue was full.
+    /// Requests shed because every permit waiter slot was taken.
     pub busy: AtomicU64,
     /// Connections accepted / finished.
     pub conns_opened: AtomicU64,
     /// Connections closed.
     pub conns_closed: AtomicU64,
-    /// Jobs currently queued across all circuits.
+    /// Requests currently waiting for a compute permit, all circuits.
     pub queue_depth: AtomicU64,
     /// Live (checked-out) sessions across all pools.
     pub sessions_live: AtomicU64,
@@ -126,7 +126,7 @@ pub struct Metrics {
     /// after the deadline fired (the work actually ceased, not just the
     /// client-side wait).
     pub cancelled_work: AtomicU64,
-    /// Worker panics caught and converted into `internal` error replies.
+    /// Job panics caught and converted into `internal` error replies.
     pub worker_panics: AtomicU64,
     /// Idle circuits evicted to respect the registry capacity cap.
     pub evictions: AtomicU64,
@@ -181,7 +181,7 @@ impl Metrics {
     }
 
     /// Records the phase split of a dispatched job: where its wall-clock
-    /// went between sitting in the job queue and actually computing.
+    /// went between waiting for a compute permit and actually computing.
     pub fn record_phases(&self, e: Endpoint, queue_wait_us: u64, compute_us: u64) {
         let m = self.endpoint(e);
         m.queue_wait.record_us(queue_wait_us);
@@ -213,8 +213,8 @@ impl Metrics {
                 ("p99_us", Json::Num(m.latency.quantile_us(0.99) as f64)),
                 ("mean_us", Json::Num(m.latency.mean_us())),
             ];
-            // Phase split, present only once a job has actually reached a
-            // worker for this endpoint.
+            // Phase split, present only once a job has actually got a
+            // compute permit for this endpoint.
             if m.queue_wait.count() > 0 {
                 fields.push((
                     "queue_wait_p50_us",
@@ -405,7 +405,7 @@ mod tests {
         let analyze = snap.get("endpoints").unwrap().get("analyze").unwrap();
         assert!(
             analyze.get("queue_wait_p50_us").is_none(),
-            "no phase fields before any job reached a worker"
+            "no phase fields before any job got a permit"
         );
         m.record_phases(Endpoint::Analyze, 40, 400);
         let snap = m.snapshot();

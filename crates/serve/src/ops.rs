@@ -1,12 +1,13 @@
 //! Executes [`CircuitOp`]s against a registered circuit.
 //!
-//! Every op runs on a shared worker (see [`crate::registry`]) against a
-//! warm [`AnalysisSession`] checked out from the circuit's
-//! [`SessionPool`](protest_core::SessionPool); the session's
-//! [`Analyzer`] handle carries the circuit, shared by every request. A
-//! `batch` request re-uses ONE checkout for all of its entries, so
-//! consecutive analyses of nearby probability vectors pay only the
-//! dirty-cone cost.
+//! Every op runs on its request's handler thread under a compute permit
+//! (see [`crate::registry`]) against a warm [`AnalysisSession`] checked
+//! out from the circuit's [`SessionPool`](protest_core::SessionPool); the
+//! session's [`Analyzer`] handle carries the circuit, shared by every
+//! request. An op that reads the session first moves it to its own point
+//! with `set_all`. A `batch` request re-uses ONE checkout for all of its
+//! entries, so consecutive analyses of nearby probability vectors pay
+//! only the dirty-cone cost.
 
 use protest_core::optimize::{HillClimber, OptimizeParams};
 use protest_core::staticanalysis;
@@ -23,8 +24,8 @@ use crate::json::Json;
 use crate::protocol::{CircuitOp, ErrorKind, ProbSpec, WireError};
 
 /// Maps a core failure onto the wire: a cooperative cancellation becomes
-/// the typed `cancelled` kind so clients can distinguish "your deadline
-/// stopped the math" from "your parameters were bad".
+/// the typed `cancelled` kind, which the registry turns into the
+/// request's `timeout`, so it is never confused with bad parameters.
 fn analysis_err(e: CoreError) -> WireError {
     match e {
         CoreError::Cancelled => WireError::new(
@@ -347,7 +348,7 @@ fn run_simulate(
 /// Runs one op against the circuit of `session`, the request's (or
 /// batch's) single warm checkout; ops that work on the bare circuit use
 /// only its analyzer. `cancel` is the request's deadline token — the
-/// session is expected to already be armed with it (see the worker loop
+/// session is expected to already be armed with it (see the job runner
 /// in [`crate::registry`]), and ops that build their own analysis state
 /// thread it down explicitly.
 pub fn run_op(

@@ -20,9 +20,11 @@ pub enum ErrorKind {
     Netlist,
     /// The referenced circuit hash is not registered.
     NotFound,
-    /// The circuit's job queue is full — retry later.
+    /// Every compute permit is held and the permit wait line is full —
+    /// retry later.
     Busy,
-    /// The request exceeded the per-request timeout.
+    /// The request exceeded the per-request timeout, waiting for a
+    /// compute permit or computing (the computation is then stopped).
     Timeout,
     /// The request line exceeded the size cap.
     Oversized,
@@ -30,14 +32,13 @@ pub enum ErrorKind {
     Analysis,
     /// The server is draining and no longer accepts work.
     ShuttingDown,
-    /// The request's deadline elapsed and its in-flight computation was
-    /// cooperatively stopped (the cancellation actually reached the
-    /// analysis loops — contrast with [`Timeout`](ErrorKind::Timeout),
-    /// which only means the *client-side wait* gave up).
+    /// An op's computation was cooperatively stopped by the request
+    /// deadline. The daemon answers such a request with
+    /// [`Timeout`](ErrorKind::Timeout), so this kind is not sent for it.
     Cancelled,
-    /// The daemon failed, not the request: a worker panicked mid-job
-    /// (the panicking worker's session is discarded, never returned to
-    /// the pool, and the worker keeps serving every circuit). The
+    /// The daemon failed, not the request: the job panicked mid-run
+    /// (its session is discarded, never returned to the pool, and the
+    /// handler keeps serving every circuit). The
     /// request is answered with this kind rather than left hanging, and
     /// a retry is safe.
     Internal,
@@ -230,10 +231,10 @@ pub struct Request {
     /// The opt-in `"timing": true` request flag: when set on a circuit
     /// op (or `batch`), the success reply carries a sibling `timing`
     /// object — `{"queue_wait_us":…,"checkout_us":…,"compute_us":…}` —
-    /// reporting how long the request waited in the job queue, how long
-    /// the session checkout took, and how long the computation ran.
-    /// Ignored on `submit`/`stats`/`shutdown` (nothing is queued) and on
-    /// error replies.
+    /// reporting how long the request waited for a compute permit, how
+    /// long the session checkout took, and how long the computation ran.
+    /// Ignored on `submit`/`stats`/`shutdown` (they take no permit) and
+    /// on error replies.
     pub timing: bool,
 }
 

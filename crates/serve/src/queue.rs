@@ -1,14 +1,10 @@
 //! A small bounded MPMC queue (mutex + condvars) — the backpressure
-//! primitive between the accept thread, the request handlers and the
-//! shared analysis workers.
+//! primitive between the accept thread and the request handlers.
 //!
 //! `std::sync::mpsc` receivers are single-consumer; the daemon needs many
-//! handler threads popping connections and many circuit workers popping
-//! jobs, so this carries its own ~100-line queue instead. Semantics:
+//! handler threads popping connections, so this carries its own small
+//! queue instead. Semantics:
 //!
-//! * [`try_push`](Bounded::try_push) never blocks — a full queue is the
-//!   caller's signal to shed load (reply `busy`) instead of queueing
-//!   unboundedly;
 //! * [`push_blocking`](Bounded::push_blocking) waits for space — the
 //!   accept thread's form of backpressure (connections wait in the OS
 //!   accept backlog);
@@ -19,15 +15,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-
-/// Why a [`Bounded::try_push`] did not enqueue.
-#[derive(Debug, PartialEq, Eq)]
-pub enum PushError<T> {
-    /// The queue was at capacity; the item is handed back.
-    Full(T),
-    /// The queue was closed; the item is handed back.
-    Closed(T),
-}
 
 struct State<T> {
     items: VecDeque<T>,
@@ -55,21 +42,6 @@ impl<T> Bounded<T> {
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
         }
-    }
-
-    /// Enqueues without blocking.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut state = self.state.lock().unwrap();
-        if state.closed {
-            return Err(PushError::Closed(item));
-        }
-        if state.items.len() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
     }
 
     /// Enqueues, waiting for space; returns the item back if the queue is
@@ -107,16 +79,6 @@ impl<T> Bounded<T> {
         }
     }
 
-    /// Current queue length.
-    pub fn len(&self) -> usize {
-        self.state.lock().unwrap().items.len()
-    }
-
-    /// Whether the queue currently holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Closes the queue: pushes start failing, pops drain the remainder
     /// and then return `None`. All waiters wake.
     pub fn close(&self) {
@@ -134,13 +96,12 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn fifo_and_backpressure() {
+    fn fifo() {
         let q = Bounded::new(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert_eq!(q.try_push(3), Err(PushError::Full(3)));
+        q.push_blocking(1).unwrap();
+        q.push_blocking(2).unwrap();
         assert_eq!(q.pop(), Some(1));
-        q.try_push(3).unwrap();
+        q.push_blocking(3).unwrap();
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), Some(3));
     }
@@ -148,10 +109,10 @@ mod tests {
     #[test]
     fn close_drains_then_ends() {
         let q = Bounded::new(4);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
+        q.push_blocking(1).unwrap();
+        q.push_blocking(2).unwrap();
         q.close();
-        assert_eq!(q.try_push(3), Err(PushError::Closed(3)));
+        assert_eq!(q.push_blocking(3), Err(3));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);

@@ -1,14 +1,15 @@
-//! The content-hash circuit registry and its shared worker pool.
+//! The content-hash circuit registry and its compute permits.
 //!
 //! An [`Analyzer`] owns its circuit, so the registry is a plain map from
 //! content hash to an [`Entry`]: the parsed circuit plus a
-//! [`SessionPool`] built by the first job that reaches it. One pool of
-//! `workers` threads serves every circuit from **one** bounded job queue;
-//! each job carries its entry. [`try_push`](crate::queue::Bounded::try_push)
-//! gives backpressure (full queue → typed `busy` reply, never unbounded
-//! buffering) and a `sync_channel` carries the reply back with a
-//! per-request timeout. The thread count is fixed at construction and
-//! does not grow with the number of resident circuits.
+//! [`SessionPool`] built by the first job that reaches it. A job runs on
+//! the handler thread that read its request, once that thread holds one
+//! of `workers` compute permits; there is no job queue, no worker thread
+//! and no reply channel, so a request crosses no thread boundary. At
+//! most `queue_capacity` requests wait for a permit; the next one gets a
+//! typed `busy` reply instead of unbounded buffering. The registry spawns
+//! no threads, so the thread count does not grow with the number of
+//! resident circuits.
 //!
 //! The registry key is a content hash computed over the *raw netlist
 //! text* (before parsing), so resubmitting an already-known netlist never
@@ -23,15 +24,14 @@
 //! unanswered:
 //!
 //! * **Deadlines stop work.** Every dispatched job carries a
-//!   [`CancelToken`] armed with the request deadline; when the client-side
-//!   wait gives up, the token is cancelled and the in-flight analysis
-//!   aborts cooperatively at its next poll point (`cancelled_work`
-//!   metric).
-//! * **Worker panics are contained.** Each job runs under
-//!   [`catch_unwind`]; a panic yields a typed `internal` error reply, the
-//!   panicking worker's session is discarded instead of returned to the
-//!   pool, and the worker keeps serving every circuit (`worker_panics`
-//!   metric).
+//!   [`CancelToken`] armed with the request deadline. A request still
+//!   waiting for a permit at its deadline gets `timeout`; one whose
+//!   computation the token stopped at its next poll point gets `timeout`
+//!   too and counts as `cancelled_work`.
+//! * **Job panics are contained.** Each job runs under [`catch_unwind`];
+//!   a panic yields a typed `internal` error reply, the job's session is
+//!   discarded instead of returned to the pool, and the handler thread
+//!   keeps serving every circuit (`worker_panics` metric).
 //!
 //! A capacity cap (`max_circuits`) bounds resident warm state: inserting
 //! past the cap removes the least-recently-used *idle* entry (no job or
@@ -42,9 +42,7 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, SyncSender};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use protest_core::{failpoints, Analyzer, CancelToken, InputProbs, PoolStats, SessionPool};
@@ -54,19 +52,18 @@ use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::ops::run_op;
 use crate::protocol::{CircuitOp, ErrorKind, WireError};
-use crate::queue::{Bounded, PushError};
 
 /// Per-op results of one job, in request order.
 type JobReply = Vec<Result<Json, WireError>>;
 
-/// Phase timing of one executed job, in microseconds: how long it sat
-/// in the shared job queue, how long the session checkout took (on a
+/// Phase timing of one executed job, in microseconds: how long it waited
+/// for a compute permit, how long the session checkout took (on a
 /// circuit's first job, including the pool build), and how long the ops
 /// ran. Fed into the per-endpoint phase histograms and — when the
 /// request set the `timing` flag — echoed in the reply.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JobTiming {
-    /// Enqueue → worker pop.
+    /// Dispatch → compute permit acquired.
     pub queue_wait_us: u64,
     /// Session-pool checkout (warm hit or cold clone).
     pub checkout_us: u64,
@@ -94,15 +91,89 @@ pub struct JobOutcome {
     pub timing: JobTiming,
 }
 
-struct Job {
-    entry: Arc<Entry>,
-    ops: Vec<CircuitOp>,
-    reply: SyncSender<JobOutcome>,
-    /// The request's deadline token; armed by `dispatch`, honored by
-    /// every poll point the ops reach.
-    cancel: CancelToken,
-    /// Telemetry clock at enqueue — the queue-wait phase starts here.
-    enqueued_ns: u64,
+#[derive(Default)]
+struct GateState {
+    running: usize,
+    waiting: usize,
+    closed: bool,
+}
+
+/// Counting permits with a bounded number of waiters: at most `permits`
+/// jobs compute at once, at most `max_waiters` requests wait for one.
+struct Gate {
+    state: Mutex<GateState>,
+    freed: Condvar,
+    permits: usize,
+    max_waiters: usize,
+}
+
+/// A held compute permit; dropping it wakes one waiter.
+struct Permit<'g>(&'g Gate);
+
+impl Gate {
+    fn new(permits: usize, max_waiters: usize) -> Self {
+        Gate {
+            state: Mutex::new(GateState::default()),
+            freed: Condvar::new(),
+            permits,
+            max_waiters,
+        }
+    }
+
+    /// Every update of the state is a single counter or flag write, so a
+    /// poisoned lock still guards valid counts.
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Takes a permit, waiting for one until `deadline`; refuses with
+    /// the reply kind `busy`, `timeout` or `shutting_down`. A closed gate
+    /// refuses new arrivals; requests already waiting still get served.
+    fn acquire(&self, deadline: Instant) -> Result<Permit<'_>, ErrorKind> {
+        let mut s = self.lock();
+        if s.closed {
+            return Err(ErrorKind::ShuttingDown);
+        }
+        if s.running >= self.permits {
+            if s.waiting >= self.max_waiters {
+                return Err(ErrorKind::Busy);
+            }
+            s.waiting += 1;
+            // A free permit is taken before the deadline is checked, so a
+            // woken waiter never leaves a released permit unclaimed.
+            while s.running >= self.permits {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    s.waiting -= 1;
+                    return Err(ErrorKind::Timeout);
+                }
+                s = self
+                    .freed
+                    .wait_timeout(s, left)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+            }
+            s.waiting -= 1;
+        }
+        s.running += 1;
+        Ok(Permit(self))
+    }
+
+    /// Requests currently waiting for a permit.
+    fn waiting(&self) -> usize {
+        self.lock().waiting
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.0.lock().running -= 1;
+        self.0.freed.notify_one();
+    }
 }
 
 /// One registered circuit: identity, the circuit, and its warm pool.
@@ -179,97 +250,14 @@ fn content_hash(format: &str, text: &str) -> String {
     format!("{a:016x}{b:016x}")
 }
 
-/// One shared worker: drains the job queue until it is closed and
-/// drained, running each job on its entry's pool.
-fn worker_loop(jobs: &Bounded<Job>, metrics: &Metrics, warm: usize) {
-    while let Some(Job {
-        entry,
-        ops,
-        reply,
-        cancel,
-        enqueued_ns,
-    }) = jobs.pop()
-    {
-        // The queue-wait phase ends at this pop; stamp it for the reply
-        // timing and (when tracing is armed) the trace.
-        let queue_wait_us = protest_telemetry::now_ns().saturating_sub(enqueued_ns) / 1_000;
-        protest_telemetry::record_span(protest_telemetry::Site::ServeQueueWait, enqueued_ns);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let checkout_span = protest_telemetry::span(protest_telemetry::Site::ServeCheckout);
-            let checkout_start = Instant::now();
-            let mut session = entry.pool(warm)?.checkout();
-            session.set_cancel(cancel.clone());
-            let checkout_us = checkout_start.elapsed().as_micros() as u64;
-            drop(checkout_span);
-            failpoints::hit("serve.worker.delay");
-            if failpoints::hit("serve.worker.panic") {
-                // Deliberately after the checkout: the unwind must
-                // exercise the pool's discard-on-panic path.
-                panic!("injected worker panic (failpoint serve.worker.panic)");
-            }
-            let compute_span = protest_telemetry::span(protest_telemetry::Site::ServeCompute);
-            let compute_start = Instant::now();
-            let results = ops
-                .iter()
-                .map(|op| run_op(&mut session, &cancel, op))
-                .collect::<JobReply>();
-            let compute_us = compute_start.elapsed().as_micros() as u64;
-            drop(compute_span);
-            Ok::<_, WireError>((results, checkout_us, compute_us))
-            // The checkout drops here: a clean return disarms and
-            // re-syncs it into the pool; a poisoned session (or a drop
-            // during a panic unwind) is discarded instead.
-        }));
-        let failed = |err: WireError| {
-            (
-                vec![Err(err); ops.len()],
-                JobTiming {
-                    queue_wait_us,
-                    ..JobTiming::default()
-                },
-            )
-        };
-        let (results, timing) = match outcome {
-            Ok(Ok((results, checkout_us, compute_us))) => (
-                results,
-                JobTiming {
-                    queue_wait_us,
-                    checkout_us,
-                    compute_us,
-                },
-            ),
-            // The pool could not be built (degenerate circuit).
-            Ok(Err(err)) => failed(err),
-            Err(_) => {
-                metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-                failed(WireError::new(
-                    ErrorKind::Internal,
-                    "worker panicked while executing the request; \
-                     its session was discarded",
-                ))
-            }
-        };
-        if results
-            .iter()
-            .any(|r| matches!(r, Err(e) if e.kind == ErrorKind::Cancelled))
-        {
-            metrics.cancelled_work.fetch_add(1, Ordering::Relaxed);
-        }
-        // Release the entry before replying: a client holding its answer
-        // never finds the circuit busy for eviction.
-        drop(entry);
-        // A dropped receiver (request timed out) is fine.
-        let _ = reply.send(JobOutcome { results, timing });
-    }
-}
-
 /// The content-hash circuit registry (see the module docs).
 pub struct Registry {
     entries: Mutex<HashMap<String, Arc<Entry>>>,
     metrics: Arc<Metrics>,
-    /// The one job queue every worker pops (backpressure bound).
-    jobs: Arc<Bounded<Job>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    /// The compute permits every dispatch takes (backpressure bound).
+    gate: Gate,
+    /// Idle sessions a circuit's pool is warmed with: one per permit.
+    warm: usize,
     /// Resident-circuit cap (`0` = unlimited); inserting past it evicts
     /// the least-recently-used idle entry.
     max_circuits: usize,
@@ -278,9 +266,9 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// Creates an empty registry and starts its `workers` shared worker
-    /// threads on one job queue of `queue_capacity`. `max_circuits == 0`
-    /// means unlimited.
+    /// Creates an empty registry whose dispatches run at most `workers`
+    /// jobs at once, with at most `queue_capacity` more waiting for a
+    /// permit. `max_circuits == 0` means unlimited.
     pub fn new(
         metrics: Arc<Metrics>,
         workers: usize,
@@ -288,22 +276,11 @@ impl Registry {
         max_circuits: usize,
     ) -> Self {
         let workers = workers.max(1);
-        let jobs = Arc::new(Bounded::new(queue_capacity.max(1)));
-        let handles = (0..workers)
-            .map(|i| {
-                let jobs = Arc::clone(&jobs);
-                let metrics = Arc::clone(&metrics);
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&jobs, &metrics, workers))
-                    .expect("spawn serve worker thread")
-            })
-            .collect();
         Registry {
             entries: Mutex::new(HashMap::new()),
             metrics,
-            jobs,
-            workers: Mutex::new(handles),
+            gate: Gate::new(workers, queue_capacity.max(1)),
+            warm: workers,
             max_circuits,
             epoch: Instant::now(),
         }
@@ -427,10 +404,11 @@ impl Registry {
         self.entries.lock().unwrap().get(hash).cloned()
     }
 
-    /// Runs `ops` on the circuit `hash` over one session checkout,
-    /// waiting at most `timeout` for the reply. The job carries a
-    /// [`CancelToken`] armed with the deadline, so giving up on the wait
-    /// also stops the computation.
+    /// Runs `ops` on the circuit `hash` over one session checkout, on
+    /// the calling thread once it holds a compute permit. The job carries
+    /// a [`CancelToken`] armed with the `timeout` deadline: a request
+    /// that waits past it for a permit, or whose computation it stops,
+    /// gets a typed `timeout`.
     pub fn dispatch(
         &self,
         hash: &str,
@@ -447,58 +425,103 @@ impl Registry {
         entry
             .last_used
             .store(self.epoch.elapsed().as_millis() as u64, Relaxed);
-        let cancel = CancelToken::after(timeout);
-        let (tx, rx) = mpsc::sync_channel(1);
-        let job = Job {
-            entry,
-            ops,
-            reply: tx,
-            cancel: cancel.clone(),
-            enqueued_ns: protest_telemetry::now_ns(),
+        let timed_out = || {
+            self.metrics.timeouts.fetch_add(1, Relaxed);
+            WireError::new(
+                ErrorKind::Timeout,
+                format!("request exceeded the {:.1}s limit", timeout.as_secs_f64()),
+            )
         };
-        match self.jobs.try_push(job) {
-            Ok(()) => {}
-            Err(PushError::Full(job)) => {
+        let deadline = Instant::now() + timeout;
+        let cancel = CancelToken::with_deadline(deadline);
+        let waited_ns = protest_telemetry::now_ns();
+        let permit = self.gate.acquire(deadline).map_err(|kind| match kind {
+            ErrorKind::Timeout => timed_out(),
+            ErrorKind::Busy => {
                 self.metrics.busy.fetch_add(1, Relaxed);
-                return Err(WireError::new(
-                    ErrorKind::Busy,
-                    format!(
-                        "job queue is full, retry circuit `{}` later",
-                        job.entry.name
-                    ),
-                ));
+                let msg = format!(
+                    "compute permits are saturated, retry `{}` later",
+                    entry.name
+                );
+                WireError::new(kind, msg)
             }
-            Err(PushError::Closed(_)) => {
-                return Err(WireError::new(
-                    ErrorKind::ShuttingDown,
-                    "server is draining".to_string(),
-                ));
-            }
+            _ => WireError::new(kind, "server is draining".to_string()),
+        })?;
+        // The queue-wait phase ends with the permit; stamp it for the
+        // reply timing and (when tracing is armed) the trace.
+        let queue_wait_us = protest_telemetry::now_ns().saturating_sub(waited_ns) / 1_000;
+        protest_telemetry::record_span(protest_telemetry::Site::ServeQueueWait, waited_ns);
+        let (results, mut timing) = self.run_job(&entry, &ops, &cancel);
+        drop(permit);
+        timing.queue_wait_us = queue_wait_us;
+        if results
+            .iter()
+            .any(|r| matches!(r, Err(e) if e.kind == ErrorKind::Cancelled))
+        {
+            self.metrics.cancelled_work.fetch_add(1, Relaxed);
+            return Err(timed_out());
         }
-        match rx.recv_timeout(timeout) {
-            Ok(reply) => Ok(reply),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Flip the flag explicitly too: the deadline has passed
-                // on the token's own clock, but this also covers a job
-                // still sitting in the queue.
-                cancel.cancel();
-                self.metrics.timeouts.fetch_add(1, Relaxed);
-                Err(WireError::new(
-                    ErrorKind::Timeout,
-                    format!("request exceeded the {:.1}s limit", timeout.as_secs_f64()),
-                ))
+        Ok(JobOutcome { results, timing })
+    }
+
+    /// Runs `ops` on one session checkout of `entry`'s pool under
+    /// [`catch_unwind`], returning the per-op results and the checkout and
+    /// compute times.
+    fn run_job(
+        &self,
+        entry: &Entry,
+        ops: &[CircuitOp],
+        cancel: &CancelToken,
+    ) -> (JobReply, JobTiming) {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let checkout_span = protest_telemetry::span(protest_telemetry::Site::ServeCheckout);
+            let checkout_start = Instant::now();
+            let mut session = entry.pool(self.warm)?.checkout();
+            session.set_cancel(cancel.clone());
+            let checkout_us = checkout_start.elapsed().as_micros() as u64;
+            drop(checkout_span);
+            failpoints::hit("serve.worker.delay");
+            if failpoints::hit("serve.worker.panic") {
+                // Deliberately after the checkout: the unwind must
+                // exercise the pool's discard-on-panic path.
+                panic!("injected worker panic (failpoint serve.worker.panic)");
             }
-            // The reply sender was dropped without an answer: a worker
-            // thread died outside its `catch_unwind`. Say so instead of
-            // blaming the clock.
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(WireError::new(
-                ErrorKind::Internal,
-                "worker dropped the request unanswered".to_string(),
-            )),
+            let compute_span = protest_telemetry::span(protest_telemetry::Site::ServeCompute);
+            let compute_start = Instant::now();
+            let results = ops
+                .iter()
+                .map(|op| run_op(&mut session, cancel, op))
+                .collect::<JobReply>();
+            let compute_us = compute_start.elapsed().as_micros() as u64;
+            drop(compute_span);
+            Ok::<_, WireError>((
+                results,
+                JobTiming {
+                    queue_wait_us: 0,
+                    checkout_us,
+                    compute_us,
+                },
+            ))
+            // The checkout drops here: a clean return disarms it and puts it
+            // back in the pool; a poisoned session (or a drop during a panic
+            // unwind) is discarded instead.
+        }));
+        match outcome {
+            Ok(Ok(done)) => done,
+            // The pool could not be built (degenerate circuit).
+            Ok(Err(err)) => (vec![Err(err); ops.len()], JobTiming::default()),
+            Err(_) => {
+                self.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
+                let err = WireError::new(
+                    ErrorKind::Internal,
+                    "request panicked while executing; its session was discarded",
+                );
+                (vec![Err(err); ops.len()], JobTiming::default())
+            }
         }
     }
 
-    /// Refreshes the cross-circuit gauges (queue depth, session pool
+    /// Refreshes the cross-circuit gauges (permit waiters, session pool
     /// counters) on the shared metrics hub.
     pub fn refresh_gauges(&self) {
         use std::sync::atomic::Ordering::Relaxed;
@@ -517,7 +540,7 @@ impl Registry {
         }
         self.metrics
             .queue_depth
-            .store(self.jobs.len() as u64, Relaxed);
+            .store(self.gate.waiting() as u64, Relaxed);
         self.metrics.sessions_live.store(agg.live, Relaxed);
         self.metrics.sessions_idle.store(agg.idle, Relaxed);
         self.metrics.session_warm_hits.store(agg.warm_hits, Relaxed);
@@ -529,15 +552,10 @@ impl Registry {
             .store(agg.discarded, Relaxed);
     }
 
-    /// Closes the job queue and joins every worker. Queued jobs drain
-    /// first (close-then-drain queue semantics); nothing accepted is
-    /// dropped.
+    /// Closes the permit gate: later dispatches get `shutting_down`,
+    /// while requests already waiting for a permit still run.
     pub fn shutdown(&self) {
-        self.jobs.close();
-        let handles = std::mem::take(&mut *self.workers.lock().expect("worker list lock poisoned"));
-        for h in handles {
-            let _ = h.join();
-        }
+        self.gate.close();
     }
 }
 
@@ -622,6 +640,38 @@ mod tests {
         let b = outcome.results[1].as_ref().unwrap().to_line();
         assert_eq!(a, b, "same op in one batch must give identical bits");
         reg.shutdown();
+    }
+
+    #[test]
+    fn permit_gate_sheds_busy_times_out_and_wakes_one_waiter() {
+        let metrics = Arc::new(Metrics::default());
+        let reg = Registry::new(Arc::clone(&metrics), 1, 1, 0);
+        let hash = reg.submit_builtin("c17").unwrap().entry.hash.clone();
+        let run = |timeout| reg.dispatch(&hash, vec![analyze_op()], timeout);
+        // Hold the only permit, as a long job would.
+        let held = reg.gate.acquire(Instant::now() + TIMEOUT).unwrap();
+        // A waiter whose deadline passes gets `timeout` and leaves the line.
+        let err = run(Duration::from_millis(20)).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Timeout);
+        assert_eq!(reg.gate.waiting(), 0);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| run(TIMEOUT));
+            while reg.gate.waiting() == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // The permit is held and the one waiter slot taken: a third
+            // concurrent dispatch is shed.
+            assert_eq!(run(TIMEOUT).unwrap_err().kind, ErrorKind::Busy);
+            // Releasing the permit wakes the waiter, which runs its job.
+            drop(held);
+            let outcome = waiter.join().unwrap().unwrap();
+            assert!(outcome.results[0].is_ok());
+        });
+        assert_eq!(reg.gate.waiting(), 0);
+        assert_eq!(metrics.busy.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.timeouts.load(Ordering::Relaxed), 1);
+        reg.shutdown();
+        assert_eq!(run(TIMEOUT).unwrap_err().kind, ErrorKind::ShuttingDown);
     }
 
     #[test]

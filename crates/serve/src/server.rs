@@ -12,10 +12,12 @@
 //!   cap with discard-to-newline recovery), parse, route. A handler owns
 //!   its connection for the connection's lifetime; short read timeouts
 //!   let it notice shutdown between requests.
-//! * **M shared workers** — see [`crate::registry`]; handlers hand them
-//!   jobs for any circuit through one bounded job queue with a
-//!   per-request timeout. The thread count is independent of how many
-//!   circuits are resident.
+//! * **`workers` compute permits** — see [`crate::registry`]; a handler
+//!   runs each circuit request itself once it holds one, so at most
+//!   `workers` analyses run at once and a request never changes threads.
+//!   At most `queue_capacity` requests wait for a permit; past that they
+//!   get `busy`. No thread is tied to a circuit, so the thread count is
+//!   independent of how many circuits are resident.
 //! * **optional stats logger** — a periodic one-line metrics report.
 //!
 //! Malformed JSON, unknown ops, oversized lines, full queues and analysis
@@ -45,9 +47,11 @@ pub struct ServeConfig {
     pub addr: String,
     /// Request handler threads.
     pub handlers: usize,
-    /// Analysis worker threads, shared by all circuits.
+    /// Compute permits: how many requests may analyze at once, on their
+    /// own handler threads, across all circuits.
     pub workers: usize,
-    /// Capacity of the shared job queue (beyond it requests get `busy`).
+    /// How many requests may wait for a compute permit (beyond it
+    /// requests get `busy`).
     pub queue_capacity: usize,
     /// Per-request wall-clock limit. A request that exceeds it also
     /// cancels its in-flight computation (`cancelled_work` metric)
@@ -233,14 +237,10 @@ impl Shared {
             }
             Err((id, e)) => {
                 self.metrics.malformed.fetch_add(1, Ordering::Relaxed);
-                let endpoint = match e.kind {
-                    ErrorKind::Parse => Endpoint::Submit,
-                    _ => Endpoint::Submit,
-                };
                 // Malformed lines have no endpoint; meter them under
                 // submit's error column so they show up in totals.
                 self.metrics
-                    .record(endpoint, false, start.elapsed().as_micros() as u64);
+                    .record(Endpoint::Submit, false, start.elapsed().as_micros() as u64);
                 err_line(&id, &e)
             }
         }
@@ -347,7 +347,7 @@ impl ServerHandle {
     }
 
     /// Waits until the server has fully drained: accept loop stopped,
-    /// in-flight requests answered, workers joined. Returns
+    /// in-flight requests answered, handlers joined. Returns
     /// immediately on a second call.
     pub fn wait(&self) {
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.threads.lock().unwrap());

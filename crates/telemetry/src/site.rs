@@ -65,7 +65,7 @@ pub enum Site {
     RedundancyBdd,
     /// Serve: decoding one request line into a typed envelope.
     ServeRead,
-    /// Serve: time a job spent queued before a worker picked it up.
+    /// Serve: time a request waited for a compute permit.
     ServeQueueWait,
     /// Serve: checking a warm session out of the pool.
     ServeCheckout,

@@ -83,8 +83,9 @@
 //! ```text
 //! --addr HOST:PORT  bind address (default 127.0.0.1:3585; port 0 = auto)
 //! --handlers N      request handler threads (default 4)
-//! --workers N       analysis workers, shared by all circuits (default 2)
-//! --queue N         shared job queue capacity (default 64)
+//! --workers N       compute permits: analyses running at once on the
+//!                   handler threads, across all circuits (default 2)
+//! --queue N         requests that may wait for a permit (default 64)
 //! --timeout-secs S  per-request wall-clock limit (default 120)
 //! --max-circuits N  resident-circuit cap, evict idle circuits LRU-first
 //!                   (0 = off)
@@ -881,21 +882,29 @@ fn serve_self_test(addr: std::net::SocketAddr) -> Result<String, String> {
         Ok(reply)
     };
 
+    let analyze = r#"{"id":2,"op":"analyze","circuit":"builtin:c17","hardest":2}"#;
     roundtrip(r#"{"id":1,"op":"submit","builtin":"c17"}"#, true)?;
-    roundtrip(
-        r#"{"id":2,"op":"analyze","circuit":"builtin:c17","hardest":2}"#,
-        true,
-    )?;
+    let first = roundtrip(analyze, true)?;
     roundtrip(
         r#"{"id":3,"op":"batch","circuit":"builtin:c17","requests":[{"op":"analyze","prob":0.4},{"op":"check"},{"op":"simulate","patterns":256}]}"#,
         true,
     )?;
+    // Pooled sessions come back at the batch's point: the repeat (same
+    // id, so the whole line) must move back and give the same bytes.
+    let again = roundtrip(analyze, true)?;
+    if again != first {
+        return Err(format!(
+            "self-test: repeated analyze differs after the batch:\n{}\n{}",
+            first.trim(),
+            again.trim()
+        ));
+    }
     roundtrip("{not json", false)?;
     roundtrip(r#"{"id":4,"op":"analyze","circuit":"no-such-hash"}"#, false)?;
     let stats = roundtrip(r#"{"id":5,"op":"stats"}"#, true)?;
     roundtrip(r#"{"id":6,"op":"shutdown"}"#, true)?;
     Ok(format!(
-        "protest serve: self-test passed (submit, analyze, batch, error replies, stats, shutdown)\nstats: {stats}"
+        "protest serve: self-test passed (submit, analyze, batch, repeat analyze, error replies, stats, shutdown)\nstats: {stats}"
     ))
 }
 
