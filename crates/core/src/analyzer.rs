@@ -34,7 +34,7 @@ pub struct FaultEstimate {
 ///
 /// An `Analyzer` owns its circuit and is a cheap [`Clone`] handle: clones
 /// share one circuit and one set of lazily built structures (estimator,
-/// observability engine, fault dependencies), so sessions, pools and
+/// observability engine, partitioning), so sessions, pools and
 /// services hold a handle instead of a borrow.
 #[derive(Debug, Clone)]
 pub struct Analyzer {
@@ -65,13 +65,6 @@ struct Shared {
     /// The reverse-sweep structure (levelization, fanouts, wavefront
     /// bounds), built on the first session and shared by all of them.
     obs_engine: OnceLock<ObservabilityEngine>,
-    /// Fault→dependent-nodes interval sets for the sessions' incremental
-    /// fault query cache, built on first use and shared by every session.
-    fault_deps: OnceLock<crate::detect::FaultDeps>,
-    /// For each AIG node, the circuit nodes carrying its probability
-    /// (inverse of `Aig::lit_of`, constants excluded) — translates the
-    /// sessions' AIG-level dirty regions into circuit-level node sets.
-    circ_of_aig: OnceLock<CircOfAig>,
     /// The connected-component decomposition one-shot runs use (`None`
     /// when the circuit is monolithic or partitioning is off), built on
     /// first use. See [`crate::partition`].
@@ -147,8 +140,6 @@ impl Analyzer {
             pruned_faults,
             exec,
             obs_engine: OnceLock::new(),
-            fault_deps: OnceLock::new(),
-            circ_of_aig: OnceLock::new(),
             partitioning: OnceLock::new(),
         });
         Analyzer { inner }
@@ -208,8 +199,8 @@ impl Analyzer {
 
     /// Opens an incremental [`AnalysisSession`] at the given input
     /// probabilities — the API the optimizer hot loop uses: mutate one
-    /// input at a time and re-estimate in O(dirty cone) instead of
-    /// O(circuit).
+    /// input at a time and re-propagate signal probabilities in O(dirty
+    /// cone) instead of O(circuit).
     ///
     /// # Errors
     ///
@@ -339,20 +330,11 @@ impl Analyzer {
         })
     }
 
-    /// The shared fault→dependent-nodes map (crate-internal), built on the
-    /// first incremental fault refresh of any session over this analyzer.
-    pub(crate) fn fault_deps(&self) -> &crate::detect::FaultDeps {
-        self.inner
-            .fault_deps
-            .get_or_init(|| crate::detect::build_fault_deps(self))
-    }
-
-    /// Heap bytes of the fault→dependency interval store (forces its
-    /// construction) — a memory-footprint counter for `stats` reports. The
-    /// interval encoding keeps this O(Σ per-fault interval counts) instead
-    /// of the `faults × nodes / 8` a dense bitset matrix would cost.
+    /// Always 0: sessions keep no per-fault dependency store since fault
+    /// queries recompute every fault. Kept so the `perfbench` harness,
+    /// which reads it, still compiles.
     pub fn fault_deps_bytes(&self) -> usize {
-        self.fault_deps().bytes()
+        0
     }
 
     /// Heap bytes of the monolithic estimator's cone arena (forces its
@@ -386,52 +368,6 @@ impl Analyzer {
     /// cone size and distinct cone shapes, for `stats` reports.
     pub fn estimator_sweep_shape(&self) -> crate::sigprob::SweepShape {
         self.estimator().sweep_shape()
-    }
-
-    /// The AIG→circuit probability-carrier map (crate-internal), shared by
-    /// every incremental query consumer.
-    pub(crate) fn circ_of_aig(&self) -> &CircOfAig {
-        self.inner.circ_of_aig.get_or_init(|| {
-            let aig = self.estimator().aig();
-            let n = aig.len();
-            let mut off = vec![0u32; n + 1];
-            for c in 0..self.circuit().num_nodes() {
-                let lit = aig.lit_of(NodeId::from_index(c));
-                if !lit.is_const() {
-                    off[lit.node().index() + 1] += 1;
-                }
-            }
-            for i in 0..n {
-                off[i + 1] += off[i];
-            }
-            let mut dat = vec![0u32; off[n] as usize];
-            let mut cursor = off.clone();
-            for c in 0..self.circuit().num_nodes() {
-                let lit = aig.lit_of(NodeId::from_index(c));
-                if !lit.is_const() {
-                    let a = lit.node().index();
-                    dat[cursor[a] as usize] = c as u32;
-                    cursor[a] += 1;
-                }
-            }
-            CircOfAig { off, dat }
-        })
-    }
-}
-
-/// Inverse of `Aig::lit_of` in CSR form: for each AIG node, the circuit
-/// nodes whose probability it carries (constants excluded). Flat storage —
-/// two contiguous arrays instead of one allocation per AIG node.
-#[derive(Debug)]
-pub(crate) struct CircOfAig {
-    off: Vec<u32>,
-    dat: Vec<u32>,
-}
-
-impl CircOfAig {
-    /// Circuit nodes carried by AIG node `i`, in ascending order.
-    pub(crate) fn of(&self, i: usize) -> &[u32] {
-        &self.dat[self.off[i] as usize..self.off[i + 1] as usize]
     }
 }
 
@@ -473,9 +409,7 @@ impl CircuitAnalysis {
         self.obs.node(id)
     }
 
-    /// The full observability result (stem and pin values) — the
-    /// from-scratch reference the incremental session sweeps are
-    /// differentially tested against.
+    /// The full observability result (stem and pin values).
     pub fn observabilities(&self) -> &Observability {
         &self.obs
     }

@@ -28,9 +28,8 @@
 //! per step — the Sec. 6 hill climber above all — should open an
 //! [`AnalysisSession`] via [`Analyzer::session`] instead: mutations
 //! (`set_input_prob`, `set_all`) re-propagate only the affected fan-out
-//! cone, queries are lazy and cached (fault queries incrementally — only
-//! faults whose site or propagation cone intersects the dirty nodes are
-//! recomputed), and `snapshot`/`revert` undo rejected trial moves in
+//! cone, queries are lazy and cached until the next change (then one full
+//! pass each), and `snapshot`/`revert` undo rejected trial moves in
 //! O(dirty cone). Results are bit-identical to from-scratch runs.
 //!
 //! # Parallelism
@@ -53,11 +52,13 @@
 //! with a [`CancelToken`] ([`Analyzer::session_with_cancel`] or
 //! [`AnalysisSession::set_cancel`]) and every hot loop polls it inside
 //! each rank, wavefront and chunk, failing fast with
-//! [`CoreError::Cancelled`] from the `try_*` query variants. A session
-//! cancelled mid-refresh may be left with inconsistent caches — it is
-//! then *poisoned* ([`AnalysisSession::is_poisoned`]) and must be
-//! discarded, which [`SessionPool`] does automatically. Disarmed tokens
-//! (the default) cost one branch per check and never change results.
+//! [`CoreError::Cancelled`] from the `try_*` query variants. A query
+//! cancelled mid-pass leaves its cache stale, so a disarmed retry simply
+//! recomputes it. Only a mutation cancelled mid-propagation leaves the
+//! session inconsistent — it is then *poisoned*
+//! ([`AnalysisSession::is_poisoned`]) and must be discarded, which
+//! [`SessionPool`] does automatically. Disarmed tokens (the default) cost
+//! one branch per check and never change results.
 //!
 //! # Example
 //!
@@ -88,7 +89,6 @@
 mod aig;
 mod analyzer;
 mod cancel;
-mod dirty;
 mod error;
 mod exec;
 mod params;

@@ -1,12 +1,10 @@
 //! The reverse-sweep engine: levelization, fanout maps, and the full
-//! (cold-start / cross-check) observability passes.
+//! observability pass.
 //!
-//! Both the full sweep and the [incremental dirty-region
-//! sweep](super::incremental) evaluate one level wavefront at a time
-//! through [`ObservabilityEngine::eval_wavefront`], which runs the shared
-//! per-node evaluation ([`ObservabilityEngine::eval_node`]) on the
-//! executor — so every schedule produces bit-identical numbers by
-//! construction.
+//! The sweep evaluates one level wavefront at a time through
+//! [`ObservabilityEngine::eval_wavefront`], which runs the per-node
+//! evaluation ([`ObservabilityEngine::eval_node`]) on the executor — so
+//! every thread count produces bit-identical numbers by construction.
 
 use protest_netlist::analyze::Fanouts;
 use protest_netlist::{Circuit, Levels, NodeId};
@@ -62,7 +60,7 @@ struct ObsWorker {
 /// to wavefront: each node's stem and pin-row width, and the per-worker
 /// pin rows.
 #[derive(Debug, Clone, Default)]
-pub(super) struct WaveBufs {
+struct WaveBufs {
     heads: Vec<(f64, u32)>,
     workers: Vec<ObsWorker>,
 }
@@ -71,7 +69,7 @@ impl WaveBufs {
     /// The last evaluated wavefront `batch` in node order: each node with
     /// its stem observability and pin row. The workers' chunks are
     /// contiguous and in order, so the rows are read off worker by worker.
-    pub(super) fn rows<'a>(
+    fn rows<'a>(
         &'a self,
         batch: &'a [NodeId],
     ) -> impl Iterator<Item = (NodeId, f64, &'a [f64])> + 'a {
@@ -95,20 +93,16 @@ impl WaveBufs {
 /// Reusable observability computation: levelization and the fanout map are
 /// built once at construction, and each pass writes into a caller-owned
 /// [`Observability`] without reallocating.
-///
-/// The full sweeps here are the *cold-start and cross-check* paths; after
-/// the first pass an [`crate::AnalysisSession`] keeps the result alive and
-/// re-sweeps only the dirty reverse region (see `super::incremental`).
 #[derive(Debug)]
 pub struct ObservabilityEngine {
-    pub(super) circuit: Arc<Circuit>,
-    pub(super) levels: Levels,
-    pub(super) fanouts: Fanouts,
-    pub(super) params: AnalyzerParams,
+    circuit: Arc<Circuit>,
+    levels: Levels,
+    fanouts: Fanouts,
+    params: AnalyzerParams,
     /// `order()[start..end]` ranges of equal level, one per level. The
     /// levelized order is sorted by `(level, id)`, so these are contiguous
     /// and ascending by node id — the wavefronts of the full sweep.
-    pub(super) level_bounds: Vec<(u32, u32)>,
+    level_bounds: Vec<(u32, u32)>,
 }
 
 impl ObservabilityEngine {
@@ -138,8 +132,8 @@ impl ObservabilityEngine {
         }
     }
 
-    /// The engine's fanout map (crate-internal: the session's fault
-    /// dependency cones and the incremental sweep's seeding reuse it).
+    /// The engine's fanout map (crate-internal: the test-point scorer
+    /// walks its what-if cones over it).
     pub(crate) fn fanouts(&self) -> &Fanouts {
         &self.fanouts
     }
@@ -170,8 +164,7 @@ impl ObservabilityEngine {
 
     /// One full reverse-topological pass into an existing
     /// [`Observability`] (shaped by [`empty`](Self::empty) for the same
-    /// circuit) — the from-scratch reference the incremental sweep is
-    /// cross-checked against.
+    /// circuit).
     ///
     /// # Panics
     ///
@@ -224,7 +217,7 @@ impl ObservabilityEngine {
     /// plus the immutable `node_probs`, so the nodes are independent
     /// items of one [`Exec::fan_out`]; wavefronts of at least
     /// [`MIN_PAR_WAVEFRONT`] nodes fan out over the executor's threads.
-    pub(super) fn eval_wavefront(
+    fn eval_wavefront(
         &self,
         batch: &[NodeId],
         node_probs: &[f64],
@@ -257,9 +250,9 @@ impl ObservabilityEngine {
     /// `node_probs` entries of the node's fanins and the pin
     /// observabilities of the node's consumers (strictly deeper levels).
     /// The floating-point sequence is exactly the serial loop body's, so
-    /// every schedule that calls it — full, parallel, incremental — agrees
-    /// bit for bit.
-    pub(super) fn eval_node(
+    /// every schedule that calls it — serial or parallel — agrees bit for
+    /// bit.
+    fn eval_node(
         &self,
         id: NodeId,
         node_probs: &[f64],

@@ -17,34 +17,24 @@
 //! [`ObservabilityModel`](crate::params::ObservabilityModel); primary
 //! outputs contribute an observation branch with `s = 1`.
 //!
-//! The module is layered as an **incremental engine**:
+//! The module has two layers:
 //!
 //! * `model` — the pure per-gate math (multilinear extensions, pin
 //!   sensitivities).
 //! * `engine` — [`ObservabilityEngine`]: amortized levelization/fanout
 //!   structure, the level-wavefront evaluation (one fan-out of the level's
 //!   nodes over the executor's threads) and the full reverse sweep built
-//!   on it, which remains the cold-start and cross-check path.
-//! * `incremental` — the dirty-region reverse sweep a
-//!   [`crate::AnalysisSession`] runs after a mutation: seeded from the
-//!   changed signal probabilities, pruned wherever a recomputed pin
-//!   observability is bit-identical to the stored one, and evaluated one
-//!   wavefront at a time like the full sweep.
-//!
-//! Both sweeps share one wavefront evaluation and one per-node
-//! evaluation, so they agree bit for bit by construction.
+//!   on it, which every one-shot run and every session query takes.
 
 use protest_netlist::{Circuit, NodeId};
 
 use crate::params::AnalyzerParams;
 
 mod engine;
-mod incremental;
 mod model;
 
 pub use engine::ObservabilityEngine;
 pub(crate) use engine::{NodeEvalScratch, StemAdjust};
-pub(crate) use incremental::ObsDelta;
 pub use model::{multilinear, xor_combine};
 
 /// Observability values for every node output and every gate input pin.
@@ -122,15 +112,11 @@ impl Observability {
         }
     }
 
-    /// Node `i`'s pin row, writable.
-    fn pin_row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.pin_s[self.pin_off[i] as usize..self.pin_off[i + 1] as usize]
-    }
-
     /// Stores one node's sweep result.
     pub(crate) fn store(&mut self, id: NodeId, s: f64, pins: &[f64]) {
-        self.node_s[id.index()] = s;
-        self.pin_row_mut(id.index()).copy_from_slice(pins);
+        let i = id.index();
+        self.node_s[i] = s;
+        self.pin_s[self.pin_off[i] as usize..self.pin_off[i + 1] as usize].copy_from_slice(pins);
     }
 
     /// An all-zero observability sized for `circuit` (crate-internal: the
@@ -159,8 +145,8 @@ impl Observability {
 /// estimator or an exact method). One-shot convenience around
 /// [`ObservabilityEngine`]; callers that re-evaluate the same circuit many
 /// times (the optimizer hot loop, [`crate::AnalysisSession`]) should go
-/// through a session instead — it keeps the observability state alive and
-/// re-sweeps only the dirty reverse region per mutation.
+/// through a session instead — it keeps one engine and one result buffer
+/// alive and sweeps again only after a change.
 pub fn compute_observability(
     circuit: &Circuit,
     node_probs: &[f64],

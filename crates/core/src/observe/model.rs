@@ -1,7 +1,7 @@
 //! The per-gate signal-flow model: multilinear gate extensions and pin
 //! sensitivities (the `f̂(p…, 0, …p) ⊕ f̂(p…, 1, …p)` factor of the paper's
-//! recursion). Pure functions of one gate — the sweep schedules live in
-//! [`super::engine`] / [`super::incremental`].
+//! recursion). Pure functions of one gate — the sweep schedule lives in
+//! [`super::engine`].
 
 use protest_netlist::{Circuit, GateKind};
 

@@ -62,8 +62,8 @@ pub struct OptimizationResult {
     /// climb's start to its optimum, plus the net work of any cloned
     /// trial-move worker sessions a parallel executor used (for
     /// [`HillClimber::optimize_multi`] each round therefore reports its
-    /// own work). The observable record of how much incremental reuse the
-    /// forward, reverse and per-fault passes achieved. Totals grow
+    /// own work). The observable record of how much work the forward
+    /// propagation and the query passes did. Totals grow
     /// somewhat with the thread count: each worker clone re-propagates
     /// accepted moves to catch up to the climb's current point, work the
     /// serial schedule performs only once on the driving session.
@@ -294,12 +294,10 @@ impl HillClimber {
 
     /// The single climbing loop shared by all four `optimize*` entry
     /// points, driven by an incremental [`AnalysisSession`]: each trial
-    /// move mutates one input (or shifts all of them), and every analysis
-    /// layer the objective reads refreshes from the session's shared
-    /// dirty-region tracker — the forward pass re-propagates only the
-    /// dirty fan-out cone, the reverse pass re-sweeps only the dirty
-    /// observability region, and the fault pass recomputes only the
-    /// intersected faults. Rejected moves are undone with
+    /// move mutates one input (or shifts all of them), the forward pass
+    /// re-propagates only the dirty fan-out cone, and the objective's
+    /// observability and fault queries then run one full pass each.
+    /// Rejected moves are undone with
     /// `snapshot`/`revert` instead of a from-scratch re-run. The session is
     /// left positioned at the returned optimum.
     ///

@@ -2,15 +2,14 @@
 //! primitive.
 //!
 //! A long-running service answers many queries over one circuit. Opening a
-//! fresh session per request pays a full forward estimate, a full reverse
-//! observability sweep and a full per-fault pass every time — exactly the
-//! work the incremental session exists to avoid. A [`SessionPool`] keeps
-//! finished sessions *warm* instead:
+//! fresh session per request pays a full forward estimate every time —
+//! exactly the work the incremental session exists to avoid. A
+//! [`SessionPool`] keeps finished sessions *warm* instead:
 //!
 //! * [`checkout`](SessionPool::checkout) pops an idle warm session (or
-//!   clones the pool's template on a cold start — engines and fault maps
-//!   are shared through the analyzer handle, so a clone is proportional
-//!   to per-node state only);
+//!   clones the pool's template on a cold start — the estimator and the
+//!   observability engine are shared through the analyzer handle, so a
+//!   clone is proportional to per-node state only);
 //! * the returned [`PooledSession`] derefs to the session; the request
 //!   handler mutates and queries it freely;
 //! * on drop the session is disarmed, its undo log is cleared, and it is
@@ -20,8 +19,9 @@
 //! request's point, and a caller that reads it first moves it to its own
 //! point with [`AnalysisSession::set_all`]. Sessions are confluent — the
 //! same input vector gives the same bits by any route — so that costs one
-//! cone-local re-propagation from the session's last point (nothing when
-//! the point repeats) instead of three full passes.
+//! cone-local re-propagation from the session's last point plus the
+//! query passes it asks for (nothing when the point repeats) instead of
+//! a full forward estimate.
 //!
 //! The pool is `Sync` and `'static` (it holds an [`Analyzer`] handle, not
 //! a borrow), so a service can keep one per circuit in a plain map:
@@ -51,7 +51,7 @@ pub struct PoolStats {
     pub live: u64,
     /// Sessions currently idle in the pool.
     pub idle: u64,
-    /// Sessions dropped instead of returned: poisoned by a mid-refresh
+    /// Sessions dropped instead of returned: poisoned by a mid-propagate
     /// cancellation, or explicitly [`discard`](PooledSession::discard)ed
     /// after a panic.
     pub discarded: u64,
@@ -82,8 +82,8 @@ impl SessionPool {
     /// circuit's input count.
     pub fn new(analyzer: &Analyzer, base: InputProbs) -> Result<Self, CoreError> {
         let mut template = analyzer.session(&base)?;
-        // Warm every query cache once so clones start fully warm: a
-        // checked-out clone then pays only incremental refreshes.
+        // Fill every query cache once so clones start warm: a clone
+        // checked out at `base` answers its queries without a pass.
         template.fault_detect_probs();
         Ok(SessionPool {
             template,
@@ -145,9 +145,11 @@ impl SessionPool {
 
     fn give_back(&self, mut session: AnalysisSession) {
         self.live.fetch_sub(1, Ordering::Relaxed);
-        // A session poisoned by a mid-refresh cancellation has lost dirty
-        // tracking — its caches could return stale values to later
-        // checkouts. Drop it; the next cold checkout clones the template.
+        // A session poisoned by a mid-propagate cancellation holds AIG
+        // probabilities that disagree with its inputs, so later checkouts
+        // could read wrong values. Drop it; the next cold checkout clones
+        // the template. (A cancelled query only leaves its cache stale, so
+        // that session is safe to return.)
         if session.is_poisoned() {
             self.discarded.fetch_add(1, Ordering::Relaxed);
             return;

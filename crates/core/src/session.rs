@@ -12,62 +12,49 @@
 //!   fan-out cone*: the AND nodes whose read dependencies (fanins,
 //!   conditioning cones, nested cones) are reached by the changed inputs,
 //!   pruned wherever a recomputed value comes out bit-identical;
-//! * **reverse** — observabilities re-sweep only the *dirty reverse
-//!   region*: the gates whose pin sensitivities read a changed signal
-//!   probability plus the reverse-closure of the pin observabilities that
-//!   actually change from there (see [`crate::observe::incremental`]);
-//! * **per fault** — detection estimates recompute only the faults whose
-//!   dependency cone intersects the changed nodes.
+//! * **queries** — circuit-level signal probabilities, observabilities and
+//!   per-fault detection estimates are cached until the next change, then
+//!   recomputed by one full pass each.
+//!
+//! Only the forward layer is incremental: on the 50k-gate
+//! `multmesh:4x12x64` a one-input move re-evaluates a few thousand of 82k
+//! ANDs, an order of magnitude below a sweep, while the full observability
+//! sweep and fault pass after it cost about a tenth of the move. Reusing
+//! parts of those two passes measured slower than recomputing them on the
+//! paper's circuits, so each query has one code path — the one a one-shot
+//! [`Analyzer::run`] takes.
 //!
 //! # Query lifecycle
 //!
-//! All three query caches consume one shared [`DirtyRegion`] (see
-//! [`crate::dirty`]): every mutation appends the changed AIG nodes to its
-//! log, and each cache keeps its own epoch cursor into that log, so the
-//! caches stay independently lazy — a `signal_probs` call never forces the
-//! fault cache to catch up, and three queries after one mutation each pay
-//! only their own slice of work.
-//!
-//! | query | cold (first call) | after a mutation |
+//! | query | first call after a change | repeated call |
 //! |---|---|---|
-//! | [`signal_probs`](AnalysisSession::signal_probs) | full AIG→circuit map | remaps only circuit nodes carried by dirty AIG nodes |
-//! | [`observabilities`](AnalysisSession::observabilities) | full parallel reverse sweep | incremental reverse sweep of the dirty region |
-//! | [`fault_detect_probs`](AnalysisSession::fault_detect_probs) / [`fault_estimates`](AnalysisSession::fault_estimates) | every fault | only faults whose dependency intervals hit the dirty nodes |
+//! | [`signal_probs`](AnalysisSession::signal_probs) | full AIG→circuit map | cached |
+//! | [`observabilities`](AnalysisSession::observabilities) | full parallel reverse sweep (after `signal_probs`) | cached |
+//! | [`fault_detect_probs`](AnalysisSession::fault_detect_probs) / [`fault_estimates`](AnalysisSession::fault_estimates) | every fault (after `observabilities`) | cached |
 //!
-//! What invalidates what: [`set_input_prob`](AnalysisSession::set_input_prob)
-//! and [`set_all`](AnalysisSession::set_all) mark exactly the AIG nodes
-//! whose propagated probability changed (value-change pruning stops the
-//! marking at unchanged nodes); [`revert`](AnalysisSession::revert) marks
-//! every node it restores (conservative: the restored value *is* a
-//! change relative to the rejected trial). Queries never invalidate
-//! anything. Each query refresh commits its cursor; once all three have
-//! caught up the log compacts to empty, so a hill-climbing run that reads
-//! fault estimates every trial move keeps the log at one mutation window.
+//! What invalidates what: a [`set_input_prob`](AnalysisSession::set_input_prob),
+//! [`set_all`](AnalysisSession::set_all) or [`revert`](AnalysisSession::revert)
+//! call that changes anything marks all three caches stale; a call that
+//! changes nothing (same probability, empty undo log) keeps them. Queries
+//! never invalidate anything, and each cache is filled independently, so
+//! a `signal_probs` call never pays for the fault pass.
 //!
-//! Deeper reuse layers under the queries:
+//! The parallel passes reuse the analyzer's executor (see
+//! [`crate::AnalyzerParams::num_threads`]): the forward worklist drains one
+//! fanin-depth rank at a time, and nodes sharing a rank never read each
+//! other, so wide ranks are evaluated concurrently, each worker with its
+//! own session-persistent scratch, and the results applied in node order.
 //!
-//! * **Parallel wavefronts** — the forward worklist drains one fanin-depth
-//!   rank at a time and the reverse worklist one circuit level at a time;
-//!   nodes sharing a rank/level never read each other, so wide wavefronts
-//!   are evaluated concurrently on the analyzer's executor (see
-//!   [`crate::AnalyzerParams::num_threads`]), each worker with its own
-//!   scratch, and the results applied in a deterministic order.
-//! * **Session-persistent scratch** — the per-worker evaluation buffers,
-//!   the fault `todo` list and the result staging areas live in the
-//!   session and are reused across queries; the optimizer's trial moves
-//!   allocate nothing after warm-up.
-//!
-//! Results are **bit-identical** to a from-scratch pass: a node is
-//! re-evaluated whenever anything it reads changed, with the same per-node
-//! kernel and the same floating-point operation order, so by induction over
-//! the (forward or reverse) topological order every stored value equals the
-//! value a fresh pass would produce. The same argument covers the parallel
-//! paths (they only reschedule independent per-node computations) and the
-//! fault cache (a skipped fault's inputs are all unchanged, so recomputing
-//! it would reproduce the cached value exactly). The differential proptests
-//! in `tests/session_incremental.rs` assert `to_bits` equality against
-//! from-scratch passes across random mutation/snapshot/revert scripts at
-//! one and four threads.
+//! Results are **bit-identical** to a from-scratch pass. Forward: a node
+//! is re-evaluated whenever anything it reads changed, with the same
+//! per-node kernel and the same floating-point operation order, so by
+//! induction over the rank order every stored AIG probability equals the
+//! value a fresh pass would produce (and an unchanged node's value is
+//! unchanged, which is what justifies the pruning). The queries then run
+//! the very passes a one-shot run does over those values. The differential
+//! proptests in `tests/session_incremental.rs` assert `to_bits` equality
+//! against from-scratch passes across random mutation/snapshot/revert
+//! scripts at one and four threads.
 //!
 //! # Example
 //!
@@ -99,20 +86,22 @@
 //! # }
 //! ```
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use protest_netlist::{Circuit, NodeId};
 
 use crate::analyzer::{Analyzer, CircuitAnalysis, FaultEstimate};
 use crate::cancel::CancelToken;
-use crate::detect::{self, FaultScratch};
-use crate::dirty::{Consumer, DirtyRegion, Wavefront};
+use crate::detect;
 use crate::error::CoreError;
 use crate::failpoints;
-use crate::observe::{ObsDelta, Observability};
+use crate::observe::Observability;
 use crate::params::InputProbs;
 use crate::sigprob::{lit_prob_of, EvalScratch, CANCEL_CHECK_NODES, MIN_PAR_COND, MIN_PAR_WIDE};
 
 /// Counters describing how much work a session has actually done — the
-/// observable evidence that incremental re-estimation is cheaper than
+/// observable evidence that incremental propagation is cheaper than
 /// from-scratch passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SessionStats {
@@ -123,25 +112,22 @@ pub struct SessionStats {
     pub and_evals: u64,
     /// `revert` calls that undid at least one change.
     pub reverts: u64,
-    /// Per-fault detection estimates actually computed by
+    /// Per-fault detection estimates computed by
     /// [`AnalysisSession::fault_detect_probs`] /
-    /// [`AnalysisSession::fault_estimates`] (the first query computes all
-    /// of them; later queries only the faults touched by the dirty cone).
+    /// [`AnalysisSession::fault_estimates`]: every fault, once per query
+    /// that follows a change.
     pub fault_evals: u64,
-    /// Per-fault detection estimates *reused* from the previous query
-    /// because neither the fault's activation site nor its propagation
-    /// cone intersected the nodes changed since.
+    /// Always 0: fault queries no longer reuse cached estimates. Kept so
+    /// the `perfbench` harness, which reads it, still compiles.
     pub fault_reuses: u64,
-    /// Level wavefronts visited by observability reverse sweeps (the cold
-    /// full sweep counts every level of the circuit; an incremental
-    /// refresh only the levels intersecting the dirty reverse region).
+    /// Level wavefronts visited by observability reverse sweeps (every
+    /// level of the circuit, once per query that follows a change).
     pub obs_level_evals: u64,
     /// Per-node observability evaluations performed by reverse sweeps
-    /// (cold sweeps count every node).
+    /// (every circuit node, once per query that follows a change).
     pub obs_node_evals: u64,
-    /// Nodes whose stored observability was *reused* by an incremental
-    /// refresh because nothing they read changed — the reverse-pass mirror
-    /// of [`fault_reuses`](Self::fault_reuses).
+    /// Always 0: observability queries no longer reuse stored nodes. Kept
+    /// so the `perfbench` harness, which reads it, still compiles.
     pub obs_node_reuses: u64,
     /// AND nodes in the circuit's AIG — a full forward pass evaluates all
     /// of them.
@@ -193,18 +179,6 @@ enum UndoEntry {
     Node { index: u32, old: f64 },
 }
 
-/// An incremental observability refresh whose dirty AIG window reaches
-/// `aig_len / DENSE_OBS_WINDOW_DIVISOR` entries falls back to the full
-/// parallel reverse sweep: seeding iterates the whole window (which for a
-/// dense mutation exceeds the circuit's node count — the AIG is larger
-/// than the netlist) and the bucketed worklist adds per-node bookkeeping,
-/// so past roughly half the AIG the plain sweep is measurably faster
-/// (measured per input on the div8x8 dividend bits, whose cones span most
-/// of the divider; the `observability_refresh` criterion bench times a
-/// one-input refresh against the full sweep there). Correctness is
-/// unaffected — the full sweep *is* the incremental path's reference.
-const DENSE_OBS_WINDOW_DIVISOR: usize = 2;
-
 /// A stateful, incremental analysis over one circuit (see the module
 /// docs above).
 ///
@@ -212,13 +186,13 @@ const DENSE_OBS_WINDOW_DIVISOR: usize = 2;
 /// ([`set_input_prob`](Self::set_input_prob), [`set_all`](Self::set_all))
 /// re-propagate only the affected fan-out cone; queries
 /// ([`signal_probs`](Self::signal_probs), [`observabilities`](Self::observabilities),
-/// [`fault_detect_probs`](Self::fault_detect_probs)) are lazy, cached, and
-/// refresh incrementally from the shared dirty-region tracker.
+/// [`fault_detect_probs`](Self::fault_detect_probs)) are lazy and cached
+/// until the next change, which they answer with one full pass each.
 /// [`snapshot`](Self::snapshot) / [`revert`](Self::revert) undo rejected
 /// trial moves in O(dirty cone).
 ///
 /// Sessions are [`Clone`]: the big immutable structures (the analyzer
-/// handle with its circuit, observability engine and fault dependency map)
+/// handle with its circuit, estimator and observability engine)
 /// are shared, so cloning is proportional to the per-node state only — the
 /// optimizer clones one session per worker to evaluate trial moves in
 /// parallel. A session holds its own [`Analyzer`] handle, so it outlives
@@ -240,34 +214,22 @@ pub struct AnalysisSession {
     batch_vals: Vec<f64>,
     /// Changes since the last `snapshot()`, newest last.
     undo: Vec<UndoEntry>,
-    /// The shared dirty-region tracker every query cache consumes.
-    dirty: DirtyRegion,
-    /// Sorted circuit-level dirty node indices (scratch for the fault
-    /// refresh's interval-intersection tests).
-    dirty_nodes: Vec<u32>,
-    /// Circuit-level dirty bitset (one bit per circuit node, scratch for
-    /// the observability refresh): the AIG dirty window is translated into
-    /// this set first so the reverse sweep is seeded once per circuit node
-    /// in ascending index order, regardless of the window's AIG order.
-    obs_seed_words: Vec<u64>,
-    // Lazy query caches (see the module docs' lifecycle table).
+    // Lazy query caches (see the module docs' lifecycle table); a change
+    // clears the three `have_*` flags.
     node_probs: Vec<f64>,
     have_node_probs: bool,
     obs: Observability,
-    /// Persistent state of the incremental reverse sweeps.
-    obs_delta: ObsDelta,
     have_obs: bool,
     estimates: Vec<FaultEstimate>,
     detections: Vec<f64>,
-    fault_scratch: FaultScratch,
     have_estimates: bool,
     stats: SessionStats,
     /// Cooperative cancellation token polled by every hot loop; the
     /// default disarmed token never fires and costs one branch per poll.
     cancel: CancelToken,
-    /// Set when a cancellation interrupted a refresh after dirty-region
-    /// info was already committed: the caches may silently disagree with
-    /// the inputs, so the session must be discarded, not reused.
+    /// Set when a cancellation interrupted propagation: the AIG
+    /// probabilities may silently disagree with the inputs, so the session
+    /// must be discarded, not reused.
     poisoned: bool,
 }
 
@@ -282,9 +244,7 @@ impl AnalysisSession {
         let est = analyzer.estimator();
         let aig_probs =
             est.full_estimate_exec_cancellable(probs.as_slice(), analyzer.exec(), &cancel)?;
-        let obs_engine = analyzer.obs_engine();
-        let obs = obs_engine.empty();
-        let obs_delta = ObsDelta::new(obs_engine);
+        let obs = analyzer.obs_engine().empty();
         let n = est.aig().len();
         let circuit_nodes = analyzer.circuit().num_nodes();
         Ok(AnalysisSession {
@@ -296,17 +256,12 @@ impl AnalysisSession {
             batch_ids: Vec::new(),
             batch_vals: Vec::new(),
             undo: Vec::new(),
-            dirty: DirtyRegion::new(n),
-            dirty_nodes: Vec::new(),
-            obs_seed_words: vec![0; circuit_nodes.div_ceil(64)],
             node_probs: vec![0.0; circuit_nodes],
             have_node_probs: false,
             obs,
-            obs_delta,
             have_obs: false,
             estimates: Vec::with_capacity(analyzer.faults().len()),
             detections: Vec::with_capacity(analyzer.faults().len()),
-            fault_scratch: FaultScratch::default(),
             have_estimates: false,
             stats: SessionStats {
                 and_nodes: est.aig().num_ands(),
@@ -331,9 +286,9 @@ impl AnalysisSession {
         &self.cancel
     }
 
-    /// Whether a cancellation fired after incremental bookkeeping was
-    /// already committed, leaving the query caches unreliable. A poisoned
-    /// session refuses further queries and must be dropped;
+    /// Whether a cancellation fired mid-propagation, leaving the AIG
+    /// probabilities unreliable. A poisoned session refuses further
+    /// queries and must be dropped;
     /// [`SessionPool`](crate::SessionPool) discards poisoned sessions
     /// instead of returning them.
     pub fn is_poisoned(&self) -> bool {
@@ -358,14 +313,6 @@ impl AnalysisSession {
     /// Work counters since construction.
     pub fn stats(&self) -> SessionStats {
         self.stats
-    }
-
-    /// Fanin-depth rank range `(min, max)` of the AIG nodes changed since
-    /// the last point every query cache was current, or `None` when
-    /// nothing is pending — a diagnostic window into the shared
-    /// dirty-region tracker (how deep the open mutation window reaches).
-    pub fn dirty_rank_range(&self) -> Option<(u32, u32)> {
-        self.dirty.rank_range()
     }
 
     /// Sets the probability of primary input `input` (position in the
@@ -400,6 +347,7 @@ impl AnalysisSession {
         let node = self.analyzer.estimator().aig().input_node(input);
         self.write_node(node.index(), p);
         self.stats.mutations += 1;
+        self.mark_stale();
         self.propagate()
     }
 
@@ -441,6 +389,7 @@ impl AnalysisSession {
         }
         if changed {
             self.stats.mutations += 1;
+            self.mark_stale();
             self.propagate()?;
         }
         Ok(())
@@ -460,10 +409,7 @@ impl AnalysisSession {
 
     /// Restores the state at the last [`snapshot`](Self::snapshot) (or at
     /// construction), undoing every mutation since in O(changed nodes).
-    /// Every restored node is marked dirty again (conservatively: relative
-    /// to the rejected trial its value *did* change), so the query caches
-    /// re-derive — and value-change pruning immediately re-confirms — the
-    /// touched region on their next refresh.
+    /// A revert that undoes anything marks the query caches stale.
     pub fn revert(&mut self) {
         if self.undo.is_empty() {
             return;
@@ -471,13 +417,11 @@ impl AnalysisSession {
         while let Some(entry) = self.undo.pop() {
             match entry {
                 UndoEntry::Input { pos, old } => self.input_probs[pos as usize] = old,
-                UndoEntry::Node { index, old } => {
-                    self.aig_probs[index as usize] = old;
-                    self.mark_dirty(index);
-                }
+                UndoEntry::Node { index, old } => self.aig_probs[index as usize] = old,
             }
         }
         self.stats.reverts += 1;
+        self.mark_stale();
     }
 
     /// Message of the panic raised when an infallible query hits a fired
@@ -486,7 +430,8 @@ impl AnalysisSession {
         "analysis cancelled: use the try_* query variants when a CancelToken is armed";
 
     /// Errors when a previous cancellation poisoned the session (its
-    /// caches may disagree with the inputs, so no further queries run).
+    /// probabilities may disagree with the inputs, so no further queries
+    /// run).
     fn check_usable(&self) -> Result<(), CoreError> {
         if self.poisoned {
             return Err(CoreError::Cancelled);
@@ -605,10 +550,11 @@ impl AnalysisSession {
         ))
     }
 
-    /// Records an AIG node as changed in the shared dirty region.
-    fn mark_dirty(&mut self, index: u32) {
-        let rank = self.analyzer.estimator().ranks().of[index as usize];
-        self.dirty.mark(index, rank);
+    /// Marks every query cache stale after a change.
+    fn mark_stale(&mut self) {
+        self.have_node_probs = false;
+        self.have_obs = false;
+        self.have_estimates = false;
     }
 
     /// Records a raw AIG-node probability write (undo-logged) and enqueues
@@ -623,7 +569,6 @@ impl AnalysisSession {
             old,
         });
         self.aig_probs[index] = p;
-        self.mark_dirty(index as u32);
         self.enqueue_readers(index);
     }
 
@@ -637,8 +582,8 @@ impl AnalysisSession {
         }
     }
 
-    /// Applies a freshly evaluated value: undo-log, store, mark dirty and
-    /// spread dirtiness — but only where the value actually changed.
+    /// Applies a freshly evaluated value: undo-log, store and enqueue its
+    /// readers — but only where the value actually changed.
     fn apply_value(&mut self, index: u32, new: f64) {
         let old = self.aig_probs[index as usize];
         if new == old {
@@ -646,7 +591,6 @@ impl AnalysisSession {
         }
         self.undo.push(UndoEntry::Node { index, old });
         self.aig_probs[index as usize] = new;
-        self.mark_dirty(index);
         self.enqueue_readers(index as usize);
     }
 
@@ -708,179 +652,133 @@ impl AnalysisSession {
         Ok(())
     }
 
-    /// Refreshes the circuit-level probability map. Cold (first call, or
-    /// after this consumer's dirty window overflowed): one full
-    /// AIG→circuit mapping pass. Incremental: remaps only the circuit
-    /// nodes carried by AIG nodes in this consumer's dirty window.
+    /// Fills the circuit-level probability map from the AIG probabilities
+    /// when it is stale: one full AIG→circuit mapping pass.
     fn ensure_node_probs(&mut self) {
-        if !self.have_node_probs || self.dirty.overflowed(Consumer::NodeProbs) {
-            let aig = self.analyzer.estimator().aig();
-            for i in 0..self.node_probs.len() {
-                self.node_probs[i] =
-                    lit_prob_of(&self.aig_probs, aig.lit_of(NodeId::from_index(i)));
-            }
-            self.dirty.commit(Consumer::NodeProbs);
-            self.have_node_probs = true;
-            return;
-        }
-        if self.dirty.is_clean(Consumer::NodeProbs) {
+        if self.have_node_probs {
             return;
         }
         let aig = self.analyzer.estimator().aig();
-        let circ_of_aig = self.analyzer.circ_of_aig();
-        for &a in self.dirty.pending(Consumer::NodeProbs) {
-            for &c in circ_of_aig.of(a as usize) {
-                self.node_probs[c as usize] =
-                    lit_prob_of(&self.aig_probs, aig.lit_of(NodeId::from_index(c as usize)));
-            }
+        for (i, p) in self.node_probs.iter_mut().enumerate() {
+            *p = lit_prob_of(&self.aig_probs, aig.lit_of(NodeId::from_index(i)));
         }
-        self.dirty.commit(Consumer::NodeProbs);
+        self.have_node_probs = true;
     }
 
-    /// Refreshes the observability state. Cold: one full (parallel)
-    /// reverse sweep. Incremental: seeds the reverse worklist with every
-    /// reader of a changed signal probability and re-sweeps only the
-    /// levels the dirty region actually reaches (see
-    /// [`crate::observe::incremental`]). When the dirty window covers most
-    /// of the AIG (see [`DENSE_OBS_WINDOW_DIVISOR`]) the refresh falls
-    /// back to the full sweep instead — seeding plus worklist bookkeeping
-    /// over a near-total region costs more than the sweep it saves, and
-    /// the full pass is the incremental path's reference anyway.
-    ///
-    /// A cancellation during the *full* sweep is clean (nothing was
-    /// committed; a retry recomputes from scratch); one during the
-    /// *incremental* refresh fires after the dirty window was already
-    /// consumed, so it poisons the session.
+    /// Recomputes the observabilities when stale: one full (parallel)
+    /// reverse sweep. A cancellation leaves `obs` partially written and
+    /// the flag cleared, so a retry simply sweeps again.
     fn ensure_obs(&mut self) -> Result<(), CoreError> {
         self.ensure_node_probs();
-        if self.have_obs && self.dirty.is_clean(Consumer::Observability) {
+        if self.have_obs {
             return Ok(());
         }
-        let dense = self.dirty.pending(Consumer::Observability).len()
-            >= self.aig_probs.len() / DENSE_OBS_WINDOW_DIVISOR;
-        if !self.have_obs || dense || self.dirty.overflowed(Consumer::Observability) {
-            self.analyzer.obs_engine().compute_into_exec_cancellable(
-                &self.node_probs,
-                &mut self.obs,
-                self.analyzer.exec(),
-                &self.cancel,
-            )?;
-            self.stats.obs_level_evals += self.analyzer.obs_engine().num_levels() as u64;
-            self.stats.obs_node_evals += self.stats.circuit_nodes as u64;
-            self.dirty.commit(Consumer::Observability);
-            self.have_obs = true;
-            return Ok(());
-        }
-        // Translate the AIG dirty window into a circuit-level bitset
-        // first, then seed from the bitset in ascending node order: the
-        // worklist values are seed-order independent (each node is pushed
-        // at its circuit level and evaluated against settled inputs), but
-        // the deterministic order keeps the seeding pass cache-friendly
-        // and visits each dirty circuit node exactly once.
-        let circ_of_aig = self.analyzer.circ_of_aig();
-        self.obs_seed_words.fill(0);
-        for &a in self.dirty.pending(Consumer::Observability) {
-            for &c in circ_of_aig.of(a as usize) {
-                self.obs_seed_words[c as usize / 64] |= 1u64 << (c % 64);
-            }
-        }
-        self.dirty.commit(Consumer::Observability);
-        for wi in 0..self.obs_seed_words.len() {
-            let mut bits = self.obs_seed_words[wi];
-            while bits != 0 {
-                let c = wi * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.obs_delta
-                    .seed_readers(self.analyzer.obs_engine(), NodeId::from_index(c));
-            }
-        }
-        let work = match self.analyzer.obs_engine().refresh_into_exec_cancellable(
+        let engine = self.analyzer.obs_engine();
+        engine.compute_into_exec_cancellable(
             &self.node_probs,
             &mut self.obs,
-            &mut self.obs_delta,
             self.analyzer.exec(),
             &self.cancel,
-        ) {
-            Ok(work) => work,
-            Err(e) => {
-                // The dirty window is consumed but the sweep is partial:
-                // the cache silently disagrees with the inputs.
-                self.poisoned = true;
-                return Err(e);
-            }
-        };
-        self.stats.obs_level_evals += work.levels;
-        self.stats.obs_node_evals += work.nodes;
-        self.stats.obs_node_reuses += self.stats.circuit_nodes as u64 - work.nodes;
+        )?;
+        self.stats.obs_level_evals += engine.num_levels() as u64;
+        self.stats.obs_node_evals += self.stats.circuit_nodes as u64;
+        self.have_obs = true;
         Ok(())
     }
 
-    /// Refreshes the per-fault estimates. The first call computes every
-    /// fault; later calls reuse the cached result for each fault whose
-    /// dependency set (activation driver + propagation-cone fanins, see
-    /// [`crate::detect::FaultDeps`]) misses the dirty nodes, and recompute
-    /// the rest — in parallel chunks when the executor and the batch
-    /// warrant it.
+    /// Recomputes the per-fault estimates when stale: every fault, in
+    /// parallel chunks when the executor and the fault count warrant it.
+    /// Like [`ensure_obs`](Self::ensure_obs), a cancellation leaves the
+    /// flag cleared and a retry recomputes.
     fn ensure_estimates(&mut self) -> Result<(), CoreError> {
-        if self.have_estimates && self.dirty.is_clean(Consumer::Faults) {
+        if self.have_estimates {
             return Ok(());
         }
         self.ensure_obs()?;
-        let analyzer = self.analyzer.clone();
-        let circuit = analyzer.circuit();
-        let faults = analyzer.faults();
-        let exec = analyzer.exec();
-        if !self.have_estimates || self.dirty.overflowed(Consumer::Faults) {
-            detect::estimate_all_faults_cancellable(
-                circuit,
-                faults,
-                &self.node_probs,
-                &self.obs,
-                exec,
-                &mut self.estimates,
-                &mut self.detections,
-                &self.cancel,
-            )?;
-            self.stats.fault_evals += faults.len() as u64;
-            self.dirty.commit(Consumer::Faults);
-            self.have_estimates = true;
-            return Ok(());
-        }
-        let deps = analyzer.fault_deps();
-        self.dirty_nodes.clear();
-        let circ_of_aig = analyzer.circ_of_aig();
-        for &a in self.dirty.pending(Consumer::Faults) {
-            self.dirty_nodes
-                .extend_from_slice(circ_of_aig.of(a as usize));
-        }
-        self.dirty.commit(Consumer::Faults);
-        self.dirty_nodes.sort_unstable();
-        self.dirty_nodes.dedup();
-        let dirty_nodes = &self.dirty_nodes;
-        self.fault_scratch.todo.clear();
-        for fi in 0..faults.len() {
-            if deps.hits(fi, dirty_nodes) {
-                self.fault_scratch.todo.push(fi as u32);
-            }
-        }
-        self.stats.fault_reuses += (faults.len() - self.fault_scratch.todo.len()) as u64;
-        self.stats.fault_evals += self.fault_scratch.todo.len() as u64;
-        if let Err(e) = detect::re_estimate_faults_cancellable(
-            circuit,
+        let faults = self.analyzer.faults();
+        detect::estimate_all_faults_cancellable(
+            self.analyzer.circuit(),
             faults,
             &self.node_probs,
             &self.obs,
-            exec,
-            &mut self.fault_scratch,
+            self.analyzer.exec(),
             &mut self.estimates,
             &mut self.detections,
             &self.cancel,
-        ) {
-            // The dirty window is consumed but only part of the touched
-            // faults were re-estimated: discard the session.
-            self.poisoned = true;
-            return Err(e);
-        }
+        )?;
+        self.stats.fault_evals += faults.len() as u64;
+        self.have_estimates = true;
         Ok(())
+    }
+}
+
+/// A deduplicated worklist keyed by fanin-depth rank, drained one rank at
+/// a time in ascending order (dependency order for the forward pass);
+/// within a rank, entries pop in ascending node index. Entries sharing a
+/// rank never read each other, so a popped batch may be evaluated in any
+/// order (or in parallel) without changing any value.
+#[derive(Debug, Clone)]
+struct Wavefront {
+    heap: BinaryHeap<Reverse<(u32, u32)>>,
+    queued: Vec<bool>,
+}
+
+impl Wavefront {
+    /// An empty worklist over `nodes` entries.
+    fn new(nodes: usize) -> Self {
+        Wavefront {
+            heap: BinaryHeap::new(),
+            queued: vec![false; nodes],
+        }
+    }
+
+    /// Queues `index` under `key`; a no-op while it is already queued.
+    fn push(&mut self, key: u32, index: u32) {
+        if !self.queued[index as usize] {
+            self.queued[index as usize] = true;
+            self.heap.push(Reverse((key, index)));
+        }
+    }
+
+    /// Pops every entry sharing the front key into `batch` (replacing its
+    /// contents) and returns that key, or `None` when the list is empty.
+    fn pop_batch(&mut self, batch: &mut Vec<u32>) -> Option<u32> {
+        let &Reverse((front, _)) = self.heap.peek()?;
+        batch.clear();
+        while let Some(&Reverse((key, index))) = self.heap.peek() {
+            if key != front {
+                break;
+            }
+            self.heap.pop();
+            self.queued[index as usize] = false;
+            batch.push(index);
+        }
+        Some(front)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wavefront_pops_ranks_in_forward_order() {
+        let mut w = Wavefront::new(16);
+        for &(rank, id) in &[(3u32, 9u32), (1, 4), (3, 2), (1, 7), (2, 11)] {
+            w.push(rank, id);
+        }
+        w.push(1, 4); // duplicate: deduplicated
+        let mut batch = Vec::new();
+        assert_eq!(w.pop_batch(&mut batch), Some(1));
+        assert_eq!(batch, vec![4, 7], "ascending index within a rank");
+        assert_eq!(w.pop_batch(&mut batch), Some(2));
+        assert_eq!(batch, vec![11]);
+        assert_eq!(w.pop_batch(&mut batch), Some(3));
+        assert_eq!(batch, vec![2, 9]);
+        assert_eq!(w.pop_batch(&mut batch), None);
+        // Popped entries may be re-queued.
+        w.push(0, 4);
+        assert_eq!(w.pop_batch(&mut batch), Some(0));
+        assert_eq!(batch, vec![4]);
     }
 }

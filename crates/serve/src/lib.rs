@@ -14,8 +14,8 @@
 //! * **warm session pools** — incremental
 //!   [`AnalysisSession`](protest_core::AnalysisSession)s checked out per
 //!   request and returned as they are, so a query pays only the
-//!   dirty-cone cost of moving from the session's last point to its own
-//!   ([`protest_core::SessionPool`]);
+//!   dirty-cone propagation from the session's last point to its own
+//!   plus its query passes ([`protest_core::SessionPool`]);
 //! * a **bounded thread model** — an accept thread and N request
 //!   handlers; a handler runs each analysis itself under one of M
 //!   compute permits shared by every circuit, with a bounded line of

@@ -7,7 +7,7 @@
 //! request. An op that reads the session first moves it to its own point
 //! with `set_all`. A `batch` request re-uses ONE checkout for all of its
 //! entries, so consecutive analyses of nearby probability vectors pay
-//! only the dirty-cone cost.
+//! only the dirty-cone propagation plus their query passes.
 
 use protest_core::optimize::{HillClimber, OptimizeParams};
 use protest_core::staticanalysis;

@@ -23,15 +23,16 @@ pub enum Site {
     Propagate,
     /// A full observability sweep (all levels, from scratch).
     ObsFull,
-    /// An incremental observability wavefront refresh.
+    /// Never fires: observability queries always take the full sweep
+    /// ([`Site::ObsFull`]). Kept only because the `perfbench` harness
+    /// still reads it.
     ObsRefresh,
-    /// The cold per-fault detection-estimate loop (all faults).
+    /// The per-fault detection-estimate loop (all faults).
     FaultEstimate,
-    /// The incremental per-fault loop (dirty-interval hits only).
+    /// Never fires: fault queries always take the full loop
+    /// ([`Site::FaultEstimate`]). Kept only because the `perfbench`
+    /// harness still reads it.
     FaultReestimate,
-    /// Building the per-fault dependency interval sets the sessions'
-    /// incremental fault loop reads.
-    FaultDeps,
     /// An analyzer's fault list: universe enumeration, equivalence
     /// collapse, redundancy pruning and dominance merging.
     AnalyzerCollapse,
@@ -78,7 +79,7 @@ pub enum Site {
 impl Site {
     /// Every registered site, in declaration order (aligned with the
     /// per-site aggregation arrays).
-    pub const ALL: [Site; 29] = [
+    pub const ALL: [Site; 28] = [
         Site::SessionBuild,
         Site::EstimatorBuild,
         Site::EstimatorSweep,
@@ -87,7 +88,6 @@ impl Site {
         Site::ObsRefresh,
         Site::FaultEstimate,
         Site::FaultReestimate,
-        Site::FaultDeps,
         Site::AnalyzerCollapse,
         Site::TestLength,
         Site::PartitionExtract,
@@ -121,7 +121,6 @@ impl Site {
             Site::ObsRefresh => "observe.refresh",
             Site::FaultEstimate => "faults.estimate",
             Site::FaultReestimate => "faults.reestimate",
-            Site::FaultDeps => "faults.deps",
             Site::AnalyzerCollapse => "analyzer.collapse",
             Site::TestLength => "testlen",
             Site::PartitionExtract => "partition.extract",

@@ -22,12 +22,12 @@
 //! emits the machine-readable form. Findings never fail the run.
 //!
 //! `stats --probe` additionally opens an incremental analysis session,
-//! nudges one input probability and reports how much of the forward,
-//! reverse-observability and per-fault work the session reused — the
-//! work counters behind the optimizer's incremental hot loop — followed
-//! by the telemetry phase tree: a wall-clock breakdown of where the
-//! probe's time went (session build, estimator sweeps, observability
-//! refresh, fault re-estimation), aggregated across threads.
+//! nudges one input probability and reports the work the session then
+//! does — the forward AND evaluations of the dirty cone, then one full
+//! observability sweep and one full fault pass — followed by the
+//! telemetry phase tree: a wall-clock breakdown of where the probe's
+//! time went (session build, estimator sweeps, propagation, the query
+//! passes), aggregated across threads.
 //!
 //! `--trace FILE` (on any analysis subcommand) arms the zero-overhead
 //! tracing layer in `protest-telemetry` for the duration of the run and
@@ -59,7 +59,7 @@
 //! --threads N       analysis worker threads (default: PROTEST_THREADS or
 //!                   the machine's available parallelism; results are
 //!                   bit-identical at every thread count)
-//! --probe           with `stats`: report incremental-session reuse
+//! --probe           with `stats`: report incremental-session work
 //!                   counters after a one-input mutation, plus the
 //!                   telemetry phase tree of the probe itself
 //! --trace FILE      write a Chrome Trace Event JSON of the run's
@@ -454,12 +454,6 @@ fn cmd_stats(circuit: &Arc<Circuit>, opts: &Options) -> Result<String, String> {
     );
     let _ = writeln!(
         out,
-        "  fault dependencies: {} B ({} collapsed faults, interval sets)",
-        analyzer.fault_deps_bytes(),
-        analyzer.faults().len()
-    );
-    let _ = writeln!(
-        out,
         "  partitions:         {} component(s), {} structure class(es), {} B",
         analyzer.partition_count(),
         analyzer.partition_class_count(),
@@ -485,7 +479,7 @@ fn cmd_stats(circuit: &Arc<Circuit>, opts: &Options) -> Result<String, String> {
 }
 
 /// The `stats --probe` report: opens an incremental session, nudges input
-/// 0 and counts the work the session re-did and reused.
+/// 0 and counts the work the session re-did.
 fn probe_report(circuit: &Circuit, analyzer: &Analyzer) -> Result<String, String> {
     if circuit.num_inputs() == 0 {
         return Err("--probe needs at least one primary input".to_string());
@@ -498,13 +492,9 @@ fn probe_report(circuit: &Circuit, analyzer: &Analyzer) -> Result<String, String
     session
         .set_input_prob(0, 0.5 + 1.0 / 16.0)
         .map_err(|e| e.to_string())?;
-    let window = session
-        .dirty_rank_range()
-        .map_or("empty".to_string(), |(lo, hi)| format!("ranks {lo}..={hi}"));
     session.fault_detect_probs();
     let warm = session.stats();
     let _ = writeln!(out, "incremental probe (input 0: 0.5000 -> 0.5625):");
-    let _ = writeln!(out, "  dirty window:  {window}");
     let _ = writeln!(
         out,
         "  forward:       {} of {} AND nodes re-evaluated",
@@ -513,17 +503,15 @@ fn probe_report(circuit: &Circuit, analyzer: &Analyzer) -> Result<String, String
     );
     let _ = writeln!(
         out,
-        "  observability: {} levels swept, {} nodes re-evaluated, {} reused of {}",
+        "  observability: full sweep, {} levels, {} of {} nodes",
         warm.obs_level_evals - cold.obs_level_evals,
         warm.obs_node_evals - cold.obs_node_evals,
-        warm.obs_node_reuses - cold.obs_node_reuses,
         warm.circuit_nodes
     );
     let _ = writeln!(
         out,
-        "  faults:        {} re-estimated, {} reused of {}",
+        "  faults:        full pass, {} of {} faults estimated",
         warm.fault_evals - cold.fault_evals,
-        warm.fault_reuses - cold.fault_reuses,
         analyzer.faults().len()
     );
     Ok(out)
@@ -583,15 +571,8 @@ fn cmd_optimize(circuit: &Arc<Circuit>, opts: &Options) -> Result<String, String
     let _ = writeln!(
         out,
         "# session work: {} mutations, {} AND evals (of {} ANDs/pass), \
-         obs {} levels / {} nodes swept ({} reused), faults {} evaluated ({} reused)",
-        w.mutations,
-        w.and_evals,
-        w.and_nodes,
-        w.obs_level_evals,
-        w.obs_node_evals,
-        w.obs_node_reuses,
-        w.fault_evals,
-        w.fault_reuses
+         obs {} levels / {} nodes swept, faults {} evaluated",
+        w.mutations, w.and_evals, w.and_nodes, w.obs_level_evals, w.obs_node_evals, w.fault_evals
     );
     for (&id, p) in circuit.inputs().iter().zip(result.probs.as_slice()) {
         let _ = writeln!(out, "{} {:.4}", circuit.node_label(id), p);
@@ -1041,8 +1022,18 @@ mod tests {
         let p = f.0.to_str().unwrap();
         let out = run(&args(&["stats", p, "--probe"])).unwrap();
         assert!(out.contains("incremental probe"), "{out}");
-        assert!(out.contains("observability:"), "{out}");
-        assert!(out.contains("reused"), "{out}");
+        assert!(out.contains("  forward:       "), "{out}");
+        // c17: 11 nodes over 4 levels, 22 collapsed faults, swept in full.
+        assert!(
+            out.contains("  observability: full sweep, 4 levels, 11 of 11 nodes"),
+            "{out}"
+        );
+        assert!(
+            out.contains("  faults:        full pass, 22 of 22 faults estimated"),
+            "{out}"
+        );
+        assert!(!out.contains("reused"), "{out}");
+        assert!(!out.contains("dirty window"), "{out}");
         assert!(out.contains("# phase breakdown"), "{out}");
         assert!(out.contains("session.build"), "{out}");
         // Without the flag the probe stays off.
@@ -1090,7 +1081,8 @@ mod tests {
         let p = f.0.to_str().unwrap();
         let out = run(&args(&["optimize", p, "--n-target", "500"])).unwrap();
         assert!(out.contains("# session work:"), "{out}");
-        assert!(out.contains("reused"), "{out}");
+        assert!(out.contains("faults "), "{out}");
+        assert!(!out.contains("reused"), "{out}");
     }
 
     #[test]

@@ -208,6 +208,44 @@ fn clean_cancel_on_full_sweep_is_recoverable() {
     session.try_observabilities().expect("retry succeeds");
 }
 
+#[test]
+fn cancel_during_a_fault_query_after_a_mutation_stays_clean() {
+    // A warm session is mutated, then its fault query is cancelled
+    // mid-pass. The query only leaves its cache stale: the session is not
+    // poisoned, and a disarmed retry recomputes exactly what a fresh run
+    // at the same point returns.
+    let _guard = FAILPOINT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let ckt = circuit();
+    let analyzer = Analyzer::new(&ckt);
+    let mut session = analyzer.session(&InputProbs::uniform(8)).unwrap();
+    session.fault_detect_probs();
+    session.set_input_prob(0, 0.25).unwrap();
+    // The fault pass sleeps 50 ms as it starts; the 10 ms deadline passes
+    // during that sleep, so the pass finds the token fired at its first
+    // poll.
+    session.set_cancel(CancelToken::after(Duration::from_millis(10)));
+    failpoints::configure("core.detect.delay=50ms");
+    let result = session.try_fault_detect_probs().map(<[f64]>::to_vec);
+    failpoints::reset();
+    let err = result.expect_err("the fault query must cancel");
+    assert!(matches!(err, CoreError::Cancelled), "{err:?}");
+    assert!(
+        !session.is_poisoned(),
+        "a cancelled query must not poison the session"
+    );
+    session.set_cancel(CancelToken::never());
+    let retry: Vec<u64> = session
+        .try_fault_detect_probs()
+        .expect("disarmed retry succeeds")
+        .iter()
+        .map(|p| p.to_bits())
+        .collect();
+    let fresh = analyzer
+        .run(&InputProbs::from_slice(session.input_probs()).unwrap())
+        .unwrap();
+    assert_eq!(retry, detection_bits(&fresh));
+}
+
 /// Six uncoupled mesh lanes: one-shot runs take the partitioned path and
 /// sweep the lanes in batches.
 fn lanes() -> protest_netlist::Circuit {

@@ -128,12 +128,32 @@ fn assert_matches_fresh(session: &mut AnalysisSession, analyzer: &Analyzer, prob
     }
 }
 
-/// The incremental fault query cache: two structurally disjoint cones in
-/// one circuit — mutating an input of cone A must *reuse* every cached
-/// fault estimate of cone B (its dependency set misses the dirty nodes)
-/// while still matching a fresh from-scratch analysis bit for bit.
-#[test]
-fn fault_query_cache_reuses_untouched_cones() {
+/// Asserts two sessions hold `to_bits`-identical signal probabilities,
+/// observabilities (stems and pins) and detection probabilities.
+fn assert_sessions_bit_equal(a: &mut AnalysisSession, b: &mut AnalysisSession) {
+    let analyzer = a.analyzer().clone();
+    let circuit = analyzer.circuit();
+    let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(bits(a.signal_probs()), bits(b.signal_probs()));
+    let obs_bits = |s: &mut AnalysisSession| -> Vec<u64> {
+        let obs = s.observabilities();
+        let mut out = Vec::new();
+        for i in 0..circuit.num_nodes() {
+            let id = NodeId::from_index(i);
+            out.push(obs.node(id).to_bits());
+            for pin in 0..circuit.node(id).fanins().len() {
+                out.push(obs.pin(id, pin).to_bits());
+            }
+        }
+        out
+    };
+    assert_eq!(obs_bits(a), obs_bits(b));
+    assert_eq!(bits(a.fault_detect_probs()), bits(b.fault_detect_probs()));
+}
+
+/// Two structurally disjoint cones in one circuit: mutating an input of
+/// one cone leaves the other cone's values unchanged.
+fn two_cones() -> Circuit {
     let mut b = CircuitBuilder::new("two_cones");
     let xs = b.input_bus("x", 4);
     let ys = b.input_bus("y", 4);
@@ -141,165 +161,72 @@ fn fault_query_cache_reuses_untouched_cones() {
     let zb = b.or_tree(&ys);
     b.output(za, "za");
     b.output(zb, "zb");
-    let ckt = b.finish().unwrap();
-    let analyzer = Analyzer::new(&ckt);
-    let mut session = analyzer.session(&InputProbs::uniform(8)).unwrap();
-
-    // The first query computes every fault, reusing nothing.
-    session.fault_detect_probs();
-    let s0 = session.stats();
-    assert_eq!(s0.fault_evals as usize, analyzer.faults().len());
-    assert_eq!(s0.fault_reuses, 0);
-
-    // Mutating an x-input dirties only the AND cone: every y-cone fault
-    // must be served from the cache, and some x-cone fault recomputed.
-    session.set_input_prob(0, 0.75).unwrap();
-    session.fault_detect_probs();
-    let s1 = session.stats();
-    assert!(
-        s1.fault_reuses > 0,
-        "faults of the untouched OR cone must be reused: {s1:?}"
-    );
-    assert!(
-        s1.fault_evals > s0.fault_evals,
-        "faults of the dirtied AND cone must be recomputed: {s1:?}"
-    );
-    assert_eq!(
-        (s1.fault_evals - s0.fault_evals) + (s1.fault_reuses - s0.fault_reuses),
-        analyzer.faults().len() as u64,
-        "every fault is either recomputed or reused"
-    );
-
-    // A query with no intervening mutation touches nothing at all.
-    session.fault_detect_probs();
-    assert_eq!(session.stats(), s1);
-
-    // And the patched cache still matches a fresh analysis exactly.
-    let probs: Vec<f64> = session.input_probs().to_vec();
-    assert_matches_fresh(&mut session, &analyzer, &probs);
-
-    // Reverting a trial move marks the restored nodes dirty (conservative),
-    // so the next query recomputes the cone once more — but never the
-    // disjoint one.
-    session.snapshot();
-    session.set_input_prob(1, 0.25).unwrap();
-    session.revert();
-    session.fault_detect_probs();
-    let s2 = session.stats();
-    assert!(s2.fault_reuses > s1.fault_reuses, "{s2:?}");
+    b.finish().unwrap()
 }
 
-/// The incremental observability pass: mutating one cone of a two-cone
-/// circuit must re-evaluate only that cone's reverse region — the other
-/// cone's nodes are *reused*, observably via the new `SessionStats`
-/// counters — while staying bit-identical to a full reverse sweep.
+/// The session's query contract: after a one-input mutation — even one
+/// that leaves a whole cone untouched — the observability query sweeps
+/// every circuit node once and the fault query estimates every fault once;
+/// a repeated query does no work at all; a revert that undoes something
+/// costs one more full pass; and the values are `to_bits`-equal to a
+/// fresh session opened at the same point.
 #[test]
-fn observability_refresh_is_cone_local() {
-    let mut b = CircuitBuilder::new("two_cones_obs");
-    let xs = b.input_bus("x", 4);
-    let ys = b.input_bus("y", 4);
-    let za = b.and_tree(&xs);
-    let zb = b.or_tree(&ys);
-    b.output(za, "za");
-    b.output(zb, "zb");
-    let ckt = b.finish().unwrap();
-    let total = ckt.num_nodes() as u64;
-    let analyzer = Analyzer::new(&ckt);
-    let mut session = analyzer.session(&InputProbs::uniform(8)).unwrap();
+fn queries_after_a_mutation_run_one_full_pass() {
+    for ckt in [two_cones(), alu_74181(), comp24()] {
+        let analyzer = Analyzer::new(&ckt);
+        let faults = analyzer.faults().len() as u64;
+        let nodes = ckt.num_nodes() as u64;
+        let mut session = analyzer
+            .session(&InputProbs::uniform(ckt.num_inputs()))
+            .unwrap();
+        session.fault_detect_probs();
+        let s0 = session.stats();
+        assert_eq!(s0.fault_evals, faults);
+        assert_eq!(s0.obs_node_evals, nodes);
 
-    // The first query is the cold full sweep: every level, every node.
-    session.observabilities();
-    let s0 = session.stats();
-    assert_eq!(s0.obs_node_evals, total);
-    assert_eq!(s0.obs_node_reuses, 0);
-    assert!(s0.obs_level_evals > 0);
+        session.set_input_prob(0, 0.75).unwrap();
+        session.fault_detect_probs();
+        let s1 = session.stats();
+        assert_eq!(s1.fault_evals - s0.fault_evals, faults, "{}", ckt.name());
+        assert_eq!(
+            s1.obs_node_evals - s0.obs_node_evals,
+            nodes,
+            "{}",
+            ckt.name()
+        );
+        assert_eq!(s1.fault_reuses, 0);
+        assert_eq!(s1.obs_node_reuses, 0);
 
-    // Mutating an x-input dirties only the AND cone's reverse region.
-    session.set_input_prob(0, 0.75).unwrap();
-    assert!(
-        session.dirty_rank_range().is_some(),
-        "a pending mutation opens a dirty window"
-    );
-    session.observabilities();
-    let s1 = session.stats();
-    let evals = s1.obs_node_evals - s0.obs_node_evals;
-    let reuses = s1.obs_node_reuses - s0.obs_node_reuses;
-    assert_eq!(
-        evals + reuses,
-        total,
-        "every node is either re-evaluated or reused"
-    );
-    assert!(
-        reuses >= 7,
-        "the untouched OR cone (4 inputs + 3 gates) must be reused: {s1:?}"
-    );
-    assert!(
-        evals < total / 2 + 1,
-        "dirty region stays cone-local: {s1:?}"
-    );
+        // Repeated queries do zero work.
+        session.signal_probs();
+        session.observabilities();
+        session.fault_detect_probs();
+        assert_eq!(session.stats(), s1, "{}", ckt.name());
 
-    // A query with no intervening mutation does no sweep work at all.
-    session.observabilities();
-    assert_eq!(session.stats(), s1);
+        // A rejected trial move is a change too: one more full pass.
+        session.snapshot();
+        session.set_input_prob(1, 0.25).unwrap();
+        session.revert();
+        session.fault_detect_probs();
+        let s2 = session.stats();
+        assert_eq!(s2.fault_evals - s1.fault_evals, faults, "{}", ckt.name());
+        assert_eq!(
+            s2.obs_node_evals - s1.obs_node_evals,
+            nodes,
+            "{}",
+            ckt.name()
+        );
 
-    // And the patched state matches a from-scratch reverse sweep exactly.
-    assert_obs_matches_full_sweep(&mut session);
-}
-
-/// Acceptance check on paper circuits: after a single-input mutation the
-/// incremental pass touches only the dirty reverse region — strictly fewer
-/// nodes than the circuit for every input, and clearly cone-local for the
-/// best input of circuits with separable cones (the ALU; the comp24
-/// comparator chain structurally feeds almost everything into everything,
-/// so only the weaker bound holds there) — bit-identically to the full
-/// sweep.
-#[test]
-fn paper_circuit_observability_refresh_is_bounded_by_dirty_region() {
-    // (circuit, max allowed share of the best input's dirty region ×4):
-    // alu's most cone-local input re-sweeps ~25 of 78 nodes; comp24's
-    // ~184 of 267 (measured) — assert cone-locality only where it exists.
-    for (ckt, has_cone_local_input) in [(alu_74181(), true), (comp24(), false)] {
-        let total = ckt.num_nodes() as u64;
-        for threads in [1usize, 4] {
-            let analyzer = analyzer_with_threads(&ckt, threads);
-            let mut session = analyzer
-                .session(&InputProbs::uniform(ckt.num_inputs()))
-                .unwrap();
-            session.observabilities();
-            let mut min_evals = u64::MAX;
-            for i in 0..ckt.num_inputs() {
-                let before = session.stats();
-                session.set_input_prob(i, 9.0 / 16.0).unwrap();
-                session.observabilities();
-                let after = session.stats();
-                let evals = after.obs_node_evals - before.obs_node_evals;
-                let reuses = after.obs_node_reuses - before.obs_node_reuses;
-                // Dense mutations legitimately fall back to the full sweep
-                // (evals == total); sparse ones must account exactly.
-                assert_eq!(evals + reuses, total, "input {i} at {threads} threads");
-                min_evals = min_evals.min(evals);
-                session.set_input_prob(i, 0.5).unwrap();
-                session.observabilities();
-            }
-            assert!(
-                min_evals < total,
-                "some input must take the incremental path ({min_evals} of {total})"
-            );
-            if has_cone_local_input {
-                assert!(
-                    min_evals * 2 < total,
-                    "best dirty region {min_evals} of {total} nodes must be cone-local"
-                );
-            }
-            assert_obs_matches_full_sweep(&mut session);
-        }
+        let mut fresh = analyzer
+            .session(&InputProbs::from_slice(session.input_probs()).unwrap())
+            .unwrap();
+        assert_sessions_bit_equal(&mut session, &mut fresh);
     }
 }
 
-/// A consumer that is never queried must not pin the dirty log (it
-/// overflows to a full refresh instead): hammer a session with mutations
-/// while reading only observabilities, then make the very first fault
-/// query — it must still match a from-scratch analysis exactly.
+/// Hammer a session with mutations while reading only observabilities,
+/// then make the very first fault query — it must still match a
+/// from-scratch analysis exactly.
 #[test]
 fn late_first_fault_query_after_many_mutations_matches_fresh() {
     let circuit = build(7);
