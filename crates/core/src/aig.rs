@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use protest_netlist::{Circuit, GateKind, Levels, NodeId, TruthTable};
+use protest_netlist::{Circuit, Csr, GateKind, Levels, NodeId, TruthTable};
 
 /// Index of an AIG node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -303,57 +303,19 @@ impl Aig {
         values[lit.node().index()] ^ lit.is_complement()
     }
 
-    /// Fanout lists over AIG nodes: for each node, the AND nodes reading it.
-    ///
-    /// Stored as one contiguous CSR array (two allocations total) rather
-    /// than a `Vec` per node — on a 100k-gate circuit the per-node-vector
-    /// form costs hundreds of thousands of small allocations and scattered
-    /// reads.
-    pub(crate) fn fanout_map(&self) -> AigFanouts {
-        let n = self.nodes.len();
-        let mut off = vec![0u32; n + 1];
-        for node in &self.nodes {
-            if let AigNode::And(a, b) = *node {
-                off[a.node().index() + 1] += 1;
-                if b.node() != a.node() {
-                    off[b.node().index() + 1] += 1;
+    /// Fanout lists over AIG nodes: row `i` lists, ascending, the AND nodes
+    /// reading node `i` (once, even when both fanins read it).
+    pub(crate) fn fanout_map(&self) -> Csr<AigNodeId> {
+        Csr::group(self.nodes.len(), |emit| {
+            for (i, node) in self.nodes.iter().enumerate() {
+                if let AigNode::And(a, b) = *node {
+                    emit(a.node().index(), AigNodeId(i as u32));
+                    if b.node() != a.node() {
+                        emit(b.node().index(), AigNodeId(i as u32));
+                    }
                 }
             }
-        }
-        for i in 0..n {
-            off[i + 1] += off[i];
-        }
-        let mut dat = vec![AigNodeId(0); off[n] as usize];
-        let mut cursor = off.clone();
-        for (i, node) in self.nodes.iter().enumerate() {
-            if let AigNode::And(a, b) = *node {
-                dat[cursor[a.node().index()] as usize] = AigNodeId(i as u32);
-                cursor[a.node().index()] += 1;
-                if b.node() != a.node() {
-                    dat[cursor[b.node().index()] as usize] = AigNodeId(i as u32);
-                    cursor[b.node().index()] += 1;
-                }
-            }
-        }
-        AigFanouts { off, dat }
-    }
-}
-
-/// CSR fanout adjacency over AIG nodes (see [`Aig::fanout_map`]). Each
-/// node's list is ascending in reader index, matching the order the old
-/// per-node vectors were filled in.
-#[derive(Debug, Clone)]
-pub(crate) struct AigFanouts {
-    /// `n + 1` offsets into `dat`.
-    off: Vec<u32>,
-    /// Concatenated reader lists.
-    dat: Vec<AigNodeId>,
-}
-
-impl AigFanouts {
-    /// The AND nodes reading node `i`.
-    pub(crate) fn of(&self, i: usize) -> &[AigNodeId] {
-        &self.dat[self.off[i] as usize..self.off[i + 1] as usize]
+        })
     }
 }
 

@@ -7,7 +7,7 @@
 //! every thread count produces bit-identical numbers by construction.
 
 use protest_netlist::analyze::Fanouts;
-use protest_netlist::{Circuit, Levels, NodeId};
+use protest_netlist::{Circuit, Csr, Levels, NodeId};
 use std::sync::Arc;
 
 use crate::cancel::CancelToken;
@@ -17,7 +17,7 @@ use crate::params::AnalyzerParams;
 use crate::sigprob::CANCEL_CHECK_NODES;
 
 use super::model::{pin_sensitivity, xor_combine, SensScratch};
-use super::{Observability, PinRows};
+use super::Observability;
 use crate::params::ObservabilityModel;
 
 /// Minimum wavefront width worth fanning out to worker threads.
@@ -99,10 +99,6 @@ pub struct ObservabilityEngine {
     levels: Levels,
     fanouts: Fanouts,
     params: AnalyzerParams,
-    /// `order()[start..end]` ranges of equal level, one per level. The
-    /// levelized order is sorted by `(level, id)`, so these are contiguous
-    /// and ascending by node id — the wavefronts of the full sweep.
-    level_bounds: Vec<(u32, u32)>,
 }
 
 impl ObservabilityEngine {
@@ -110,25 +106,11 @@ impl ObservabilityEngine {
     /// it shares (a `&Circuit` argument is cloned once).
     pub fn new(circuit: impl Into<Arc<Circuit>>, params: &AnalyzerParams) -> Self {
         let circuit = circuit.into();
-        let levels = Levels::new(&circuit);
-        let order = levels.order();
-        let mut level_bounds = Vec::new();
-        let mut start = 0usize;
-        while start < order.len() {
-            let level = levels.level(order[start]);
-            let mut end = start + 1;
-            while end < order.len() && levels.level(order[end]) == level {
-                end += 1;
-            }
-            level_bounds.push((start as u32, end as u32));
-            start = end;
-        }
         ObservabilityEngine {
             fanouts: Fanouts::new(&circuit),
+            levels: Levels::new(&circuit),
             circuit,
-            levels,
             params: *params,
-            level_bounds,
         }
     }
 
@@ -146,13 +128,13 @@ impl ObservabilityEngine {
 
     /// Number of level wavefronts a full reverse sweep visits.
     pub(crate) fn num_levels(&self) -> usize {
-        self.level_bounds.len()
+        self.levels.rows().len()
     }
 
     /// A zeroed [`Observability`] with the right shape for this circuit,
     /// ready for [`compute_into`](Self::compute_into).
     pub fn empty(&self) -> Observability {
-        Observability::shaped(self.circuit.nodes().map(|n| n.fanins().len()))
+        Observability::zeroed(&self.circuit)
     }
 
     /// One reverse-topological pass, allocating the result.
@@ -199,10 +181,9 @@ impl ObservabilityEngine {
             self.circuit.num_nodes(),
             "mismatched shape"
         );
-        let order = self.levels.order();
         let mut wave = WaveBufs::default();
-        for &(start, end) in self.level_bounds.iter().rev() {
-            let batch = &order[start as usize..end as usize];
+        // Level rows ascend by node id: the wavefronts of the sweep.
+        for batch in self.levels.rows().iter().rev() {
             self.eval_wavefront(batch, node_probs, obs.pin_rows(), &mut wave, exec, cancel)?;
             for (id, stem, pins) in wave.rows(batch) {
                 obs.store(id, stem, pins);
@@ -221,7 +202,7 @@ impl ObservabilityEngine {
         &self,
         batch: &[NodeId],
         node_probs: &[f64],
-        pin_s: PinRows<'_>,
+        pin_s: &Csr<f64>,
         wave: &mut WaveBufs,
         exec: &Exec,
         cancel: &CancelToken,
@@ -256,7 +237,7 @@ impl ObservabilityEngine {
         &self,
         id: NodeId,
         node_probs: &[f64],
-        pin_s: PinRows<'_>,
+        pin_s: &Csr<f64>,
         scratch: &mut NodeEvalScratch,
         pins_out: &mut Vec<f64>,
     ) -> f64 {
@@ -273,7 +254,7 @@ impl ObservabilityEngine {
         &self,
         id: NodeId,
         node_probs: &[f64],
-        pin_s: PinRows<'_>,
+        pin_s: &Csr<f64>,
         scratch: &mut NodeEvalScratch,
         pins_out: &mut Vec<f64>,
         adjust: Option<StemAdjust>,
@@ -284,7 +265,7 @@ impl ObservabilityEngine {
             self.fanouts
                 .of(id)
                 .iter()
-                .map(|&(g, pin)| pin_s.row(g.index())[pin as usize]),
+                .map(|&(g, pin)| pin_s[g.index()][pin as usize]),
         );
         if circuit.is_output(id) {
             scratch.branches.push(1.0);

@@ -26,7 +26,7 @@
 //!   nodes over the executor's threads) and the full reverse sweep built
 //!   on it, which every one-shot run and every session query takes.
 
-use protest_netlist::{Circuit, NodeId};
+use protest_netlist::{Circuit, Csr, NodeId};
 
 use crate::params::AnalyzerParams;
 
@@ -39,50 +39,16 @@ pub use model::{multilinear, xor_combine};
 
 /// Observability values for every node output and every gate input pin.
 ///
-/// The pin values are one flat array in node order (CSR): node `i`'s pin
-/// row is `pin_s[pin_off[i]..pin_off[i + 1]]`, so a full-circuit value set
-/// is three allocations however many gates it covers.
+/// The pin values are one [`Csr`] row per node in pin order, so a
+/// full-circuit value set is three allocations however many gates it
+/// covers.
 #[derive(Debug, Clone)]
 pub struct Observability {
     node_s: Vec<f64>,
-    /// `nodes + 1` offsets into `pin_s`.
-    pin_off: Vec<u32>,
-    pin_s: Vec<f64>,
-}
-
-/// A read-only view of an [`Observability`]'s pin rows, borrowed apart
-/// from its stem values so a sweep can read consumers' pins while it
-/// writes other nodes.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PinRows<'a> {
-    off: &'a [u32],
-    vals: &'a [f64],
-}
-
-impl<'a> PinRows<'a> {
-    /// The pin observabilities of node `i`.
-    pub(crate) fn row(&self, i: usize) -> &'a [f64] {
-        &self.vals[self.off[i] as usize..self.off[i + 1] as usize]
-    }
+    pin_s: Csr<f64>,
 }
 
 impl Observability {
-    /// An all-zero observability with one pin per fanin of each node,
-    /// `fanins` yielding the counts in node order.
-    fn shaped(fanins: impl Iterator<Item = usize>) -> Observability {
-        let mut pin_off = vec![0u32];
-        let mut total = 0usize;
-        for width in fanins {
-            total += width;
-            pin_off.push(u32::try_from(total).expect("pin count exceeds u32 offsets"));
-        }
-        Observability {
-            node_s: vec![0.0; pin_off.len() - 1],
-            pin_off,
-            pin_s: vec![0.0; total],
-        }
-    }
-
     /// `s(x)` for a node's output net.
     pub fn node(&self, id: NodeId) -> f64 {
         self.node_s[id.index()]
@@ -94,7 +60,7 @@ impl Observability {
     ///
     /// Panics if the pin does not exist.
     pub fn pin(&self, gate: NodeId, pin: usize) -> f64 {
-        self.pin_rows().row(gate.index())[pin]
+        self.pin_s[gate.index()][pin]
     }
 
     /// All node observabilities, indexable by node index.
@@ -105,35 +71,40 @@ impl Observability {
     /// The per-gate pin observability rows (crate-internal: the sweeps
     /// and the test-point scorer's what-if sweeps read them through
     /// [`ObservabilityEngine::eval_node_adjusted`](engine)).
-    pub(crate) fn pin_rows(&self) -> PinRows<'_> {
-        PinRows {
-            off: &self.pin_off,
-            vals: &self.pin_s,
-        }
+    pub(crate) fn pin_rows(&self) -> &Csr<f64> {
+        &self.pin_s
     }
 
     /// Stores one node's sweep result.
     pub(crate) fn store(&mut self, id: NodeId, s: f64, pins: &[f64]) {
         let i = id.index();
         self.node_s[i] = s;
-        self.pin_s[self.pin_off[i] as usize..self.pin_off[i + 1] as usize].copy_from_slice(pins);
+        self.pin_s.row_mut(i).copy_from_slice(pins);
     }
 
-    /// An all-zero observability sized for `circuit` (crate-internal: the
+    /// An all-zero observability with one pin per fanin of each node of
+    /// `circuit` (crate-internal: the engine's fresh value sets and the
     /// scatter target of the partitioned one-shot pass).
     pub(crate) fn zeroed(circuit: &Circuit) -> Observability {
-        Observability::shaped(circuit.nodes().map(|n| n.fanins().len()))
+        let pins = circuit.nodes().map(|n| n.fanins().len()).sum();
+        let mut pin_s = Csr::with_capacity(circuit.num_nodes(), pins);
+        for node in circuit.nodes() {
+            pin_s.push_row(std::iter::repeat_n(0.0, node.fanins().len()));
+        }
+        Observability {
+            node_s: vec![0.0; circuit.num_nodes()],
+            pin_s,
+        }
     }
 
     /// Copies a sub-circuit's values into this full-circuit observability;
     /// `node_map[i]` is the global node index of sub node `i`.
     pub(crate) fn scatter_from(&mut self, sub: &Observability, node_map: &[u32]) {
-        let rows = sub.pin_rows();
         for (si, &gi) in node_map.iter().enumerate() {
             self.store(
                 NodeId::from_index(gi as usize),
                 sub.node_s[si],
-                rows.row(si),
+                &sub.pin_s[si],
             );
         }
     }

@@ -80,7 +80,9 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::OnceLock;
 
-use crate::aig::{Aig, AigFanouts, AigLit, AigNodeId};
+use protest_netlist::Csr;
+
+use crate::aig::{Aig, AigLit, AigNodeId};
 use crate::cancel::CancelToken;
 use crate::error::CoreError;
 use crate::exec::Exec;
@@ -143,15 +145,14 @@ fn cone_pos(f: u16) -> Option<usize> {
     (f != NO_POS).then_some(usize::from(f))
 }
 
-/// Every node's [`Cone`]: per node, its `inner` node ids (CSR) and a shape
+/// Every node's [`Cone`]: per node, its `inner` node ids (one row each) and a shape
 /// id into the interned [`ShapeTable`] that holds the rest. ANDs with
 /// equal shapes share one entry, so the arena grows with the node ids and
 /// the distinct shapes, not with every AND's structure.
 #[derive(Debug, PartialEq, Eq)]
 struct ConeArena {
-    /// `n + 1` offsets into `inner`.
-    inner_off: Vec<u32>,
-    inner: Vec<AigNodeId>,
+    /// Row `k` is node `k`'s `inner`.
+    inner: Csr<AigNodeId>,
     /// Per node, its shape in `shapes`; 0 is the empty, case-3 shape.
     shape: Vec<u32>,
     shapes: ShapeTable,
@@ -257,7 +258,7 @@ impl ConeArena {
         let pos = span(&t.pos_off, s);
         Cone {
             joining: &t.joining[span(&t.joining_off, s)],
-            inner: &self.inner[span(&self.inner_off, k)],
+            inner: &self.inner[k],
             fanin_ci: &t.fanin_ci[pos.clone()],
             nested_ok: &t.nested_ok[pos],
             desc: &t.desc[span(&t.desc_off, s)],
@@ -278,8 +279,8 @@ impl ConeArena {
     fn storage_bytes(&self) -> usize {
         use std::mem::size_of;
         let t = &self.shapes;
-        (self.inner_off.len() + self.shape.len()) * size_of::<u32>()
-            + self.inner.len() * size_of::<AigNodeId>()
+        self.inner.storage_bytes()
+            + self.shape.len() * size_of::<u32>()
             + (t.joining_off.len() + t.pos_off.len() + t.desc_off.len()) * size_of::<u32>()
             + t.joining.len() * size_of::<u16>()
             + t.fanin_ci.len() * size_of::<[u16; 2]>()
@@ -409,12 +410,9 @@ struct Stitcher {
 
 impl Stitcher {
     fn new(n: usize) -> Self {
-        let mut inner_off = Vec::with_capacity(n + 1);
-        inner_off.push(0);
         Stitcher {
             arena: ConeArena {
-                inner_off,
-                inner: Vec::new(),
+                inner: Csr::with_capacity(n, 0),
                 shape: Vec::with_capacity(n),
                 shapes: ShapeTable::new(),
             },
@@ -439,14 +437,13 @@ impl Stitcher {
                 self.nested.clear();
                 self.nested.extend(inner.iter().map(|x| {
                     let k = x.index();
-                    a.is_conditioned(k) && span(&a.inner_off, k).len() <= MAX_NESTED_CONE
+                    a.is_conditioned(k) && a.inner[k].len() <= MAX_NESTED_CONE
                 }));
                 self.intern(joining, &chunk.fanin_ci[span(&chunk.inner_off, i)])
             };
             let a = &mut self.arena;
             a.shape.push(shape);
-            a.inner.extend_from_slice(inner);
-            a.inner_off.push(to_u32(a.inner.len()));
+            a.inner.push_row(inner.iter().copied());
         }
     }
 
@@ -491,7 +488,7 @@ fn shape_hash(joining: &[u16], fanin_ci: &[[u16; 2]], nested_ok: &[bool]) -> u64
 /// search buffers, so the per-AND searches allocate nothing once warm.
 struct ConeBuilder<'g> {
     aig: &'g Aig,
-    fanouts: &'g AigFanouts,
+    fanouts: &'g Csr<AigNodeId>,
     maxlist: usize,
     /// The current AND's epoch; a mark equal to it is set, anything else
     /// is stale.
@@ -510,7 +507,7 @@ struct ConeBuilder<'g> {
 }
 
 impl<'g> ConeBuilder<'g> {
-    fn new(aig: &'g Aig, fanouts: &'g AigFanouts, maxlist: usize) -> Self {
+    fn new(aig: &'g Aig, fanouts: &'g Csr<AigNodeId>, maxlist: usize) -> Self {
         let n = aig.len();
         ConeBuilder {
             aig,
@@ -604,7 +601,7 @@ impl<'g> ConeBuilder<'g> {
             if self.in_b[x.index()] != epoch {
                 continue;
             }
-            let succs = self.fanouts.of(x.index());
+            let succs = &self.fanouts[x.index()];
             // A fanout of 1 can still join if x *is* a or b itself (x
             // feeds the other side through its single successor while
             // feeding the AND directly).
@@ -645,7 +642,7 @@ impl<'g> ConeBuilder<'g> {
         while head < out.inner.len() {
             let u = out.inner[head];
             head += 1;
-            for &s in self.fanouts.of(u.index()) {
+            for &s in &self.fanouts[u.index()] {
                 let in_cone = self.in_a[s.index()] == epoch || self.in_b[s.index()] == epoch;
                 if in_cone && self.in_inner[s.index()] != epoch {
                     self.in_inner[s.index()] = epoch;
@@ -754,28 +751,9 @@ impl LaneSweep {
     }
 }
 
-/// CSR form of the read-dependency fan-out map (see
-/// [`SignalProbEstimator::readers`]): one contiguous edge array instead of
-/// a `Vec` per node.
-#[derive(Debug, PartialEq, Eq)]
-pub struct ReaderMap {
-    /// `n + 1` offsets into `dat`.
-    off: Vec<u32>,
-    /// Concatenated reader lists, ascending within each node.
-    dat: Vec<u32>,
-}
-
-impl ReaderMap {
-    /// The AND nodes whose evaluation reads node `i`, ascending.
-    pub(crate) fn of(&self, i: usize) -> &[u32] {
-        &self.dat[span(&self.off, i)]
-    }
-
-    /// Heap bytes of the arrays' contents (lengths × element sizes).
-    fn storage_bytes(&self) -> usize {
-        (self.off.len() + self.dat.len()) * std::mem::size_of::<u32>()
-    }
-}
+/// The read-dependency fan-out map (see [`SignalProbEstimator::readers`]):
+/// row `x` lists, ascending, the AND nodes whose evaluation reads node `x`.
+pub type ReaderMap = Csr<u32>;
 
 /// Fanin-depth ranks over the AIG. Every value an AND node *reads* (its
 /// fanins, its conditioning cone, the nested cones) lies in its transitive
@@ -787,10 +765,9 @@ impl ReaderMap {
 pub struct Ranks {
     /// Rank per AIG node (0 for the constant and the primary inputs).
     pub(crate) of: Vec<u32>,
-    /// `ranks + 1` offsets into `dat`.
-    off: Vec<u32>,
-    /// AND node indices grouped by rank, ascending within each rank.
-    dat: Vec<u32>,
+    /// Row `r` holds the AND nodes of rank `r`, ascending; row 0 (constant
+    /// and inputs) is empty.
+    pub(crate) rows: Csr<u32>,
     /// Conditioned (joining-point) nodes per rank: the µs-scale kernel
     /// invocations that make a rank worth fanning out. Product-rule nodes
     /// are two multiplications — queueing them costs more than they do.
@@ -798,20 +775,10 @@ pub struct Ranks {
 }
 
 impl Ranks {
-    /// Number of ranks (rank 0 — constant and inputs — included).
-    pub(crate) fn num_ranks(&self) -> usize {
-        self.cond_per_rank.len()
-    }
-
-    /// The AND nodes of rank `r`, ascending.
-    pub(crate) fn rank(&self, r: usize) -> &[u32] {
-        &self.dat[span(&self.off, r)]
-    }
-
     /// Heap bytes of the arrays' contents (lengths × element sizes).
     fn storage_bytes(&self) -> usize {
-        let words = self.of.len() + self.off.len() + self.dat.len() + self.cond_per_rank.len();
-        words * std::mem::size_of::<u32>()
+        (self.of.len() + self.cond_per_rank.len()) * std::mem::size_of::<u32>()
+            + self.rows.storage_bytes()
     }
 }
 
@@ -871,7 +838,7 @@ impl SignalProbEstimator {
             ands: self.aig.num_ands(),
             conditioned,
             mean_joining: per_and(joining),
-            mean_inner: per_and(a.inner.len()),
+            mean_inner: per_and(a.inner.values().len()),
             shapes: a.num_shapes(),
         }
     }
@@ -935,8 +902,7 @@ impl SignalProbEstimator {
         let ranks = self.ranks();
         let mut scratches: Vec<Scratch2> = Vec::new();
         let mut vals: Vec<f64> = Vec::new();
-        for ri in 0..ranks.num_ranks() {
-            let rank = ranks.rank(ri);
+        for (ri, rank) in ranks.rows.iter().enumerate() {
             vals.resize(rank.len(), 0.0);
             let wide = ranks.cond_per_rank[ri] >= MIN_PAR_COND || rank.len() >= MIN_PAR_WIDE;
             exec.fan_out(
@@ -1036,9 +1002,6 @@ impl SignalProbEstimator {
         self.ranks.get_or_init(|| {
             let n = self.aig.len();
             let mut of = vec![0u32; n];
-            // Rank 0 (constant and inputs) holds no ANDs; count the others
-            // per rank, then counting-sort them into CSR order.
-            let mut off: Vec<u32> = vec![0, 0];
             let mut cond_per_rank: Vec<u32> = vec![0];
             for k in 1..n {
                 let Some((la, lb)) = self.aig.and_fanins(AigNodeId::from_index(k)) else {
@@ -1047,27 +1010,20 @@ impl SignalProbEstimator {
                 let rank = 1 + of[la.node().index()].max(of[lb.node().index()]) as usize;
                 of[k] = rank as u32;
                 if cond_per_rank.len() <= rank {
-                    off.resize(rank + 2, 0);
                     cond_per_rank.resize(rank + 1, 0);
                 }
-                off[rank + 1] += 1;
                 cond_per_rank[rank] += u32::from(self.arena.is_conditioned(k));
             }
-            for r in 1..off.len() {
-                off[r] += off[r - 1];
-            }
-            let mut cursor = off.clone();
-            let mut dat = vec![0u32; off[off.len() - 1] as usize];
             // Ascending node order keeps each rank's members ascending;
             // exactly the ANDs have a rank above 0.
-            for (k, &r) in of.iter().enumerate().filter(|&(_, &r)| r > 0) {
-                dat[cursor[r as usize] as usize] = k as u32;
-                cursor[r as usize] += 1;
-            }
+            let rows = Csr::group(cond_per_rank.len(), |emit| {
+                for (k, &r) in of.iter().enumerate().filter(|&(_, &r)| r > 0) {
+                    emit(r as usize, k as u32);
+                }
+            });
             Ranks {
                 of,
-                off,
-                dat,
+                rows,
                 cond_per_rank,
             }
         })
@@ -1144,19 +1100,26 @@ impl SignalProbEstimator {
     /// on first use and cached: every session over this estimator shares
     /// one map.
     pub fn readers(&self) -> &ReaderMap {
-        self.readers.get_or_init(|| self.build_reader_map())
+        self.readers.get_or_init(|| {
+            let _t = protest_telemetry::span(protest_telemetry::Site::EstimatorReaders);
+            self.read_sets().transpose(self.aig.len())
+        })
     }
 
-    fn build_reader_map(&self) -> ReaderMap {
+    /// Every node's read set, the forward rows [`readers`](Self::readers)
+    /// inverts: row `k` lists, ascending and once each, the nodes AND node
+    /// `k` reads, leaving out node 0 (the constant, whose value never
+    /// changes); rows of inputs and the constant are empty. Stored as rows
+    /// (4 B per edge) because the nested cones make the sets too expensive
+    /// to compute twice, once per pass of the transpose's counting sort.
+    fn read_sets(&self) -> Csr<u32> {
         let n = self.aig.len();
-        // Collect (read node, reader) edges once, then counting-sort them
-        // into a CSR array — the read-set computation (nested cones) is too
-        // expensive to run twice, and per-node vectors cost n allocations.
-        let mut edges: Vec<(u32, u32)> = Vec::new();
+        let mut rows = Csr::with_capacity(n, 0);
         let mut readset: Vec<u32> = Vec::new();
         for k in 0..n {
             let id = AigNodeId::from_index(k);
             let Some((la, lb)) = self.aig.and_fanins(id) else {
+                rows.push_row([]);
                 continue;
             };
             readset.clear();
@@ -1183,29 +1146,9 @@ impl SignalProbEstimator {
             }
             readset.sort_unstable();
             readset.dedup();
-            for &r in &readset {
-                // Node 0 is the constant; its value never changes.
-                if r != 0 {
-                    edges.push((r, k as u32));
-                }
-            }
+            rows.push_row(readset.iter().copied().filter(|&r| r != 0));
         }
-        let mut off = vec![0u32; n + 1];
-        for &(r, _) in &edges {
-            off[r as usize + 1] += 1;
-        }
-        for i in 0..n {
-            off[i + 1] += off[i];
-        }
-        let mut dat = vec![0u32; edges.len()];
-        let mut cursor = off.clone();
-        // Edges were pushed in ascending reader order, so each node's list
-        // stays ascending — the worklist invariant the session relies on.
-        for &(r, k) in &edges {
-            dat[cursor[r as usize] as usize] = k;
-            cursor[r as usize] += 1;
-        }
-        ReaderMap { off, dat }
+        rows
     }
 
     /// Case-4 computation (formula (2)) in every lane: score the joining
@@ -2367,14 +2310,14 @@ mod tests {
         let a = &est.arena;
         let t = &a.shapes;
         let shapes = a.num_shapes() + 1;
-        assert_eq!(a.inner_off.len(), n + 1);
+        assert_eq!(a.inner.len(), n);
         assert_eq!(a.shape.len(), n);
         for off in [&t.joining_off, &t.pos_off, &t.desc_off] {
             assert_eq!(off.len(), shapes + 1);
         }
         assert_eq!(t.nested_ok.len(), t.fanin_ci.len());
         let want = (2 * n + 1) * 4
-            + a.inner.len() * 4
+            + a.inner.values().len() * 4
             + 3 * (shapes + 1) * 4
             + t.joining.len() * 2
             + t.fanin_ci.len() * 4
@@ -2392,10 +2335,11 @@ mod tests {
         );
         assert_eq!((est.ranks_bytes(), est.readers_bytes()), (None, None));
         let ranks = est.ranks();
-        let words = ranks.of.len() + ranks.off.len() + ranks.dat.len() + ranks.cond_per_rank.len();
+        let words = ranks.of.len() + ranks.rows.len() + 1;
+        let words = words + ranks.rows.values().len() + ranks.cond_per_rank.len();
         assert_eq!(est.ranks_bytes(), Some(4 * words));
         let readers = est.readers();
-        let words = readers.off.len() + readers.dat.len();
+        let words = readers.len() + 1 + readers.values().len();
         assert_eq!(est.readers_bytes(), Some(4 * words));
     }
 
@@ -2722,13 +2666,60 @@ mod tests {
     }
 
     #[test]
+    fn readers_invert_the_documented_read_sets() {
+        for name in ["c17", "alu", "comp24", "div8x8"] {
+            let aig = Aig::from_circuit(&protest_circuits::by_name(name).unwrap());
+            let est = SignalProbEstimator::new(aig, &AnalyzerParams::default());
+            let (aig, arena) = (&est.aig, &est.arena);
+            let n = aig.len();
+            // A node and, for an AND, its two fanins.
+            let with_fanins = |set: &mut Vec<u32>, x: AigNodeId| {
+                set.push(x.index() as u32);
+                if let Some((fa, fb)) = aig.and_fanins(x) {
+                    set.extend([fa.node().index() as u32, fb.node().index() as u32]);
+                }
+            };
+            let mut expected: Vec<Vec<u32>> = vec![Vec::new(); n];
+            for k in 0..n {
+                let id = AigNodeId::from_index(k);
+                if aig.and_fanins(id).is_none() {
+                    continue;
+                }
+                let mut set = Vec::new();
+                with_fanins(&mut set, id);
+                set.remove(0); // the fanins, not the node itself
+                let cone = arena.cone(k);
+                for (&x, &nested) in cone.inner.iter().zip(cone.nested_ok) {
+                    with_fanins(&mut set, x);
+                    if nested {
+                        for &y in arena.cone(x.index()).inner {
+                            with_fanins(&mut set, y);
+                        }
+                    }
+                }
+                set.sort_unstable();
+                set.dedup();
+                for r in set.into_iter().filter(|&r| r != 0) {
+                    expected[r as usize].push(k as u32);
+                }
+            }
+            let readers = est.readers();
+            assert_eq!(readers.len(), n, "{name}");
+            for (x, want) in expected.iter().enumerate() {
+                assert_eq!(&readers[x], want.as_slice(), "{name}: readers of {x}");
+                assert!(want.windows(2).all(|w| w[0] < w[1]), "{name}: {x}");
+            }
+            assert!(readers.values().len() > n, "{name}: a non-trivial map");
+        }
+    }
+
+    #[test]
     fn ranks_hold_each_and_once_ascending_above_its_fanins() {
         for (name, aig) in paper_aigs() {
             let est = SignalProbEstimator::new(aig, &AnalyzerParams::default());
             let ranks = est.ranks();
             let mut seen = 0;
-            for r in 0..ranks.num_ranks() {
-                let members = ranks.rank(r);
+            for (r, members) in ranks.rows.iter().enumerate() {
                 assert!(members.windows(2).all(|w| w[0] < w[1]), "{name}: rank {r}");
                 for &k in members {
                     let (fa, fb) = est

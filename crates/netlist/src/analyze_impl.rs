@@ -1,45 +1,26 @@
+use crate::csr::Csr;
 use crate::netlist::{Circuit, NodeId};
 use crate::nodeset::NodeSet;
 
-/// Compressed fanout map of a circuit: for each node, the list of
-/// `(successor, pin)` pairs that consume it.
-#[derive(Debug, Clone)]
-pub struct Fanouts {
-    offsets: Vec<u32>,
-    targets: Vec<(NodeId, u8)>,
-}
+/// Fanout map of a circuit: row `i` lists the `(successor, pin)` pairs
+/// that consume node `i`, ascending by successor.
+pub type Fanouts = Csr<(NodeId, u8)>;
 
 impl Fanouts {
     /// Builds the fanout map.
     pub fn new(circuit: &Circuit) -> Self {
-        let n = circuit.num_nodes();
-        let mut counts = vec![0u32; n + 1];
-        for (_, node) in circuit.iter() {
-            for &f in node.fanins() {
-                counts[f.index() + 1] += 1;
+        Csr::group(circuit.num_nodes(), |emit| {
+            for (id, node) in circuit.iter() {
+                for (pin, &f) in node.fanins().iter().enumerate() {
+                    emit(f.index(), (id, pin as u8));
+                }
             }
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let offsets = counts.clone();
-        let mut cursor = counts;
-        let mut targets = vec![(NodeId::from_index(0), 0u8); offsets[n] as usize];
-        for (id, node) in circuit.iter() {
-            for (pin, &f) in node.fanins().iter().enumerate() {
-                let slot = cursor[f.index()] as usize;
-                targets[slot] = (id, pin as u8);
-                cursor[f.index()] += 1;
-            }
-        }
-        Fanouts { offsets, targets }
+        })
     }
 
     /// The `(successor, pin)` pairs reading node `id`.
     pub fn of(&self, id: NodeId) -> &[(NodeId, u8)] {
-        let lo = self.offsets[id.index()] as usize;
-        let hi = self.offsets[id.index() + 1] as usize;
-        &self.targets[lo..hi]
+        self.row(id.index())
     }
 
     /// Number of distinct gate pins reading node `id`.

@@ -167,11 +167,11 @@ pub fn insert_test_point(
             };
             // Redirect every consumer of the target net — gate pins and
             // primary-output declarations — to the inserted gate. The
-            // pre-existing fanin CSR prefix covers exactly the consumers
+            // pre-existing fanin rows cover exactly the consumers
             // that must move; the inserted gate's own pins (appended next)
             // keep reading the original driver.
             let gate_id = NodeId(parts.len() as u32);
-            for f in parts.fanin_dat.iter_mut() {
+            for f in parts.fanins.values_mut().iter_mut() {
                 if *f == target {
                     *f = gate_id;
                 }

@@ -1,16 +1,18 @@
+use crate::csr::Csr;
 use crate::netlist::{Circuit, NodeId};
 
 /// Topological order and logic levels of a circuit.
 ///
 /// Level 0 holds primary inputs and constants; every gate sits one level above
-/// its deepest fanin. The topological `order` is stable with respect to node
-/// ids within a level, so repeated levelizations of the same circuit are
+/// its deepest fanin. The nodes are kept as one row per level, ascending by
+/// node id within a row, so the concatenated rows are a topological order
+/// sorted by `(level, id)` and repeated levelizations of the same circuit are
 /// identical.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Levels {
-    order: Vec<NodeId>,
+    /// Row `l` holds the nodes of level `l`, ascending.
+    rows: Csr<NodeId>,
     level: Vec<u32>,
-    depth: u32,
 }
 
 impl Levels {
@@ -24,69 +26,46 @@ impl Levels {
     /// [`Circuit::validate`](crate::Circuit::validate) can trip this.
     pub fn new(circuit: &Circuit) -> Self {
         let n = circuit.num_nodes();
+        let fanouts = circuit.fanouts();
         let mut level = vec![0u32; n];
-        let mut indeg = vec![0u32; n];
-        // Fanout adjacency as a CSR array via counting sort — one shared
-        // allocation instead of n per-node vectors, so levelizing a
-        // 100k-gate circuit costs O(n + edges) without allocator churn.
-        let mut fanout_off = vec![0u32; n + 1];
-        for (id, node) in circuit.iter() {
-            indeg[id.index()] = node.fanins().len() as u32;
-            for &f in node.fanins() {
-                fanout_off[f.index() + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            fanout_off[i + 1] += fanout_off[i];
-        }
-        let mut fanout_dat = vec![0u32; fanout_off[n] as usize];
-        let mut cursor = fanout_off.clone();
-        for (id, node) in circuit.iter() {
-            for &f in node.fanins() {
-                fanout_dat[cursor[f.index()] as usize] = id.0;
-                cursor[f.index()] += 1;
-            }
-        }
-        let fanout = |v: usize| &fanout_dat[fanout_off[v] as usize..fanout_off[v + 1] as usize];
-        // Process level by level to get a deterministic order sorted by
-        // (level, id).
-        let mut current: Vec<u32> = (0..n as u32).filter(|&i| indeg[i as usize] == 0).collect();
-        current.sort_unstable();
-        let mut order = Vec::with_capacity(n);
-        let mut depth = 0u32;
-        while !current.is_empty() {
-            let mut next: Vec<u32> = Vec::new();
-            for &v in &current {
-                order.push(NodeId(v));
-                depth = depth.max(level[v as usize]);
-                let lv = level[v as usize];
-                for &u in fanout(v as usize) {
-                    level[u as usize] = level[u as usize].max(lv + 1);
-                    indeg[u as usize] -= 1;
-                    if indeg[u as usize] == 0 {
-                        next.push(u);
-                    }
+        let mut indeg: Vec<u32> = circuit.nodes().map(|v| v.fanins().len() as u32).collect();
+        // Kahn's algorithm: a node is popped after all its fanins, so its
+        // level is final by then.
+        let mut ready: Vec<u32> = (0..n as u32).filter(|&i| indeg[i as usize] == 0).collect();
+        let mut visited = 0usize;
+        while let Some(v) = ready.pop() {
+            visited += 1;
+            let lv = level[v as usize];
+            for &u in &fanouts[v as usize] {
+                level[u as usize] = level[u as usize].max(lv + 1);
+                indeg[u as usize] -= 1;
+                if indeg[u as usize] == 0 {
+                    ready.push(u);
                 }
             }
-            next.sort_unstable();
-            current = next;
         }
-        assert_eq!(order.len(), n, "circuit contains a cycle");
-        // `order` is grouped by wavefront, which respects dependencies but is
-        // not strictly grouped by level (a node's level can exceed its
-        // wavefront). Re-sort by (level, id) — still topological because a
-        // fanin's level is strictly smaller.
-        order.sort_unstable_by_key(|id| (level[id.index()], id.0));
-        Levels {
-            order,
-            level,
-            depth,
-        }
+        assert_eq!(visited, n, "circuit contains a cycle");
+        // Every level up to the deepest one is occupied: a node's deepest
+        // fanin sits one level below it.
+        let levels = level.iter().max().map_or(0, |&d| d as usize + 1);
+        let rows = Csr::group(levels, |emit| {
+            for (i, &l) in level.iter().enumerate() {
+                emit(l as usize, NodeId(i as u32));
+            }
+        });
+        Levels { rows, level }
     }
 
-    /// Nodes in a valid evaluation order (fanins always precede fanouts).
+    /// Nodes in a valid evaluation order (fanins always precede fanouts),
+    /// sorted by `(level, id)`.
     pub fn order(&self) -> &[NodeId] {
-        &self.order
+        self.rows.values()
+    }
+
+    /// The nodes grouped by level: row `l` holds level `l`'s nodes,
+    /// ascending. Nodes in one row never read each other.
+    pub fn rows(&self) -> &Csr<NodeId> {
+        &self.rows
     }
 
     /// The logic level of a node (0 for inputs/constants).
@@ -96,7 +75,7 @@ impl Levels {
 
     /// The maximum level in the circuit (its logic depth).
     pub fn depth(&self) -> u32 {
-        self.depth
+        self.rows.len().saturating_sub(1) as u32
     }
 }
 

@@ -8,6 +8,9 @@
 //!   arbitrary boolean functions as truth-table components ([`TruthTable`]).
 //! * [`CircuitBuilder`] — an ergonomic, validated way to construct circuits.
 //! * [`Levels`] — levelization (topological order + logic depth).
+//! * [`Csr`] — the compressed-sparse-row table every per-node adjacency
+//!   (fanins, fanouts, level rows, and the analysis crates' reader, rank,
+//!   cone, pin and fault-class tables) is stored in.
 //! * [`analyze`] — fanout maps, cone extraction and the *joining point* search
 //!   `V(a,b)` from Wunderlich's DAC'85 paper (the set of fanout stems with one
 //!   branch on a path to `a` and another on a path to `b`).
@@ -47,6 +50,7 @@
 
 mod analyze_impl;
 mod builder;
+pub mod csr;
 mod dominators;
 mod error;
 mod gate;
@@ -62,6 +66,7 @@ mod transistor;
 mod write;
 
 pub use builder::CircuitBuilder;
+pub use csr::Csr;
 pub use error::NetlistError;
 pub use gate::{GateKind, LutId, TruthTable};
 pub use insert::{

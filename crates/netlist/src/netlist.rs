@@ -1,6 +1,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::csr::Csr;
 use crate::error::NetlistError;
 use crate::gate::{GateKind, LutId, TruthTable};
 
@@ -31,7 +32,7 @@ impl fmt::Display for NodeId {
 /// A view of a single gate (or input/constant) in a circuit.
 ///
 /// Circuits store their nodes in flat struct-of-arrays form (one kinds
-/// array, one contiguous fanin CSR array, one names array); a `Node` is a
+/// array, one fanin [`Csr`] table, one names array); a `Node` is a
 /// cheap `Copy` handle into that storage, not an owned record. Its
 /// accessors borrow from the circuit, so a slice obtained through
 /// [`Node::fanins`] stays valid after the handle itself goes out of scope.
@@ -85,8 +86,8 @@ impl fmt::Debug for Node<'_> {
 /// # Storage
 ///
 /// Nodes are held in struct-of-arrays form: a flat kinds array, a flat
-/// optional-name array and one contiguous fanin array indexed through CSR
-/// offsets — no per-node heap allocations. Construction additionally
+/// optional-name array and one fanin [`Csr`] table — no per-node heap
+/// allocations. Construction additionally
 /// derives an input-position table and a primary-output bitset, so
 /// [`input_position`](Circuit::input_position) and
 /// [`is_output`](Circuit::is_output) are O(1) (both sit on per-node hot
@@ -96,10 +97,8 @@ pub struct Circuit {
     pub(crate) name: String,
     pub(crate) kinds: Vec<GateKind>,
     pub(crate) names: Vec<Option<String>>,
-    /// CSR offsets into `fanin_dat`; length `num_nodes() + 1`.
-    pub(crate) fanin_off: Vec<u32>,
-    /// Concatenated fanin lists of all nodes, in pin order.
-    pub(crate) fanin_dat: Vec<NodeId>,
+    /// Each node's fanins, in pin order.
+    pub(crate) fanins: Csr<NodeId>,
     pub(crate) inputs: Vec<NodeId>,
     pub(crate) outputs: Vec<NodeId>,
     pub(crate) output_names: Vec<Option<String>>,
@@ -120,8 +119,7 @@ pub(crate) struct CircuitParts {
     pub(crate) name: String,
     pub(crate) kinds: Vec<GateKind>,
     pub(crate) names: Vec<Option<String>>,
-    pub(crate) fanin_off: Vec<u32>,
-    pub(crate) fanin_dat: Vec<NodeId>,
+    pub(crate) fanins: Csr<NodeId>,
     pub(crate) inputs: Vec<NodeId>,
     pub(crate) outputs: Vec<NodeId>,
     pub(crate) output_names: Vec<Option<String>>,
@@ -135,8 +133,7 @@ impl CircuitParts {
             name: name.into(),
             kinds: Vec::new(),
             names: Vec::new(),
-            fanin_off: vec![0],
-            fanin_dat: Vec::new(),
+            fanins: Csr::default(),
             inputs: Vec::new(),
             outputs: Vec::new(),
             output_names: Vec::new(),
@@ -151,8 +148,7 @@ impl CircuitParts {
             name: circuit.name.clone(),
             kinds: circuit.kinds.clone(),
             names: circuit.names.clone(),
-            fanin_off: circuit.fanin_off.clone(),
-            fanin_dat: circuit.fanin_dat.clone(),
+            fanins: circuit.fanins.clone(),
             inputs: circuit.inputs.clone(),
             outputs: circuit.outputs.clone(),
             output_names: circuit.output_names.clone(),
@@ -165,7 +161,7 @@ impl CircuitParts {
         self.kinds.len()
     }
 
-    /// Appends one node, extending the fanin CSR.
+    /// Appends one node and its fanin row.
     pub(crate) fn push_node(
         &mut self,
         kind: GateKind,
@@ -175,8 +171,7 @@ impl CircuitParts {
         let id = NodeId(self.kinds.len() as u32);
         self.kinds.push(kind);
         self.names.push(name);
-        self.fanin_dat.extend_from_slice(fanins);
-        self.fanin_off.push(self.fanin_dat.len() as u32);
+        self.fanins.push_row(fanins.iter().copied());
         id
     }
 
@@ -200,8 +195,7 @@ impl CircuitParts {
             name: self.name,
             kinds: self.kinds,
             names: self.names,
-            fanin_off: self.fanin_off,
-            fanin_dat: self.fanin_dat,
+            fanins: self.fanins,
             inputs: self.inputs,
             outputs: self.outputs,
             output_names: self.output_names,
@@ -250,9 +244,21 @@ impl Circuit {
             .count()
     }
 
-    /// The fanin slice of the node at `index` (CSR lookup).
+    /// The fanin slice of the node at `index`.
     pub(crate) fn fanins_of(&self, index: usize) -> &[NodeId] {
-        &self.fanin_dat[self.fanin_off[index] as usize..self.fanin_off[index + 1] as usize]
+        self.fanins.row(index)
+    }
+
+    /// Every node's consumers: row `i` lists, ascending, each node with a
+    /// fanin pin on node `i` (once per pin).
+    pub(crate) fn fanouts(&self) -> Csr<u32> {
+        Csr::group(self.num_nodes(), |emit| {
+            for (i, fanins) in self.fanins.iter().enumerate() {
+                for &f in fanins {
+                    emit(f.index(), i as u32);
+                }
+            }
+        })
     }
 
     /// The node with the given id.
@@ -344,14 +350,13 @@ impl Circuit {
     }
 
     /// Bytes of heap memory held by the flat structural arrays (kinds,
-    /// fanin CSR, interface lists and the derived lookup tables). Signal
+    /// fanin table, interface lists and the derived lookup tables). Signal
     /// names are excluded — they are presentation data, not hot-path
     /// structure. Exposed so the CLI's `stats` counters can report the
     /// struct-of-arrays footprint.
     pub fn flat_storage_bytes(&self) -> usize {
         self.kinds.len() * std::mem::size_of::<GateKind>()
-            + self.fanin_off.len() * std::mem::size_of::<u32>()
-            + self.fanin_dat.len() * std::mem::size_of::<NodeId>()
+            + self.fanins.storage_bytes()
             + (self.inputs.len() + self.outputs.len()) * std::mem::size_of::<NodeId>()
             + self.input_pos.len() * std::mem::size_of::<u32>()
             + self.output_words.len() * std::mem::size_of::<u64>()
@@ -403,34 +408,14 @@ impl Circuit {
                 }
             }
         }
-        // Cycle check via Kahn's algorithm. The fanout adjacency is built
-        // as a CSR array by counting sort — no per-node allocations, so
-        // validation stays O(n + edges) at any circuit size.
-        let mut indeg: Vec<u32> = (0..n)
-            .map(|i| self.fanin_off[i + 1] - self.fanin_off[i])
-            .collect();
-        let mut fanout_off = vec![0u32; n + 1];
-        for &f in &self.fanin_dat {
-            fanout_off[f.index() + 1] += 1;
-        }
-        for i in 0..n {
-            fanout_off[i + 1] += fanout_off[i];
-        }
-        let mut fanout_dat = vec![0u32; self.fanin_dat.len()];
-        let mut cursor = fanout_off.clone();
-        for i in 0..n {
-            for &f in self.fanins_of(i) {
-                fanout_dat[cursor[f.index()] as usize] = i as u32;
-                cursor[f.index()] += 1;
-            }
-        }
+        // Cycle check via Kahn's algorithm over the fanout table.
+        let fanouts = self.fanouts();
+        let mut indeg: Vec<u32> = self.fanins.iter().map(|f| f.len() as u32).collect();
         let mut queue: Vec<u32> = (0..n as u32).filter(|&i| indeg[i as usize] == 0).collect();
         let mut emitted = 0usize;
         while let Some(v) = queue.pop() {
             emitted += 1;
-            let lo = fanout_off[v as usize] as usize;
-            let hi = fanout_off[v as usize + 1] as usize;
-            for &u in &fanout_dat[lo..hi] {
+            for &u in &fanouts[v as usize] {
                 indeg[u as usize] -= 1;
                 if indeg[u as usize] == 0 {
                     queue.push(u);

@@ -81,7 +81,8 @@ impl WireError {
         }
     }
 
-    fn to_json(&self) -> Json {
+    /// The wire form of the error: `{"kind": …, "message": …}`.
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj(vec![
             ("kind", Json::str(self.kind.tag())),
             ("message", Json::str(&self.message)),

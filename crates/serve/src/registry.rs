@@ -263,6 +263,9 @@ pub struct Registry {
     max_circuits: usize,
     /// The LRU clock origin for `Entry::last_used`.
     epoch: Instant,
+    /// Pool counters of evicted circuits, so the monotonic gauges keep
+    /// counting after their pools are dropped (`live`/`idle` stay 0).
+    retired: Mutex<PoolStats>,
 }
 
 impl Registry {
@@ -283,6 +286,7 @@ impl Registry {
             warm: workers,
             max_circuits,
             epoch: Instant::now(),
+            retired: Mutex::new(PoolStats::default()),
         }
     }
 
@@ -303,7 +307,7 @@ impl Registry {
             .filter(|e| Arc::strong_count(e) == 1)
             .min_by_key(|e| e.last_used.load(Ordering::Relaxed))
             .map(|e| e.hash.clone());
-        let Some(hash) = victim else {
+        let Some(entry) = victim.and_then(|hash| entries.remove(&hash)) else {
             return Err(WireError::new(
                 ErrorKind::Busy,
                 format!(
@@ -312,7 +316,13 @@ impl Registry {
                 ),
             ));
         };
-        entries.remove(&hash);
+        if let Some(Ok(pool)) = entry.pool.get() {
+            let s = pool.stats();
+            let mut retired = self.retired.lock().expect("retired stats lock poisoned");
+            retired.warm_hits += s.warm_hits;
+            retired.cold_clones += s.cold_clones;
+            retired.discarded += s.discarded;
+        }
         self.metrics.evictions.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -522,11 +532,12 @@ impl Registry {
     }
 
     /// Refreshes the cross-circuit gauges (permit waiters, session pool
-    /// counters) on the shared metrics hub.
+    /// counters) on the shared metrics hub. The monotonic pool counters
+    /// include those of evicted circuits.
     pub fn refresh_gauges(&self) {
         use std::sync::atomic::Ordering::Relaxed;
         let entries = self.entries.lock().unwrap();
-        let mut agg = PoolStats::default();
+        let mut agg = *self.retired.lock().expect("retired stats lock poisoned");
         for pool in entries
             .values()
             .filter_map(|e| e.pool.get().and_then(|p| p.as_ref().ok()))
@@ -672,6 +683,21 @@ mod tests {
         assert_eq!(metrics.timeouts.load(Ordering::Relaxed), 1);
         reg.shutdown();
         assert_eq!(run(TIMEOUT).unwrap_err().kind, ErrorKind::ShuttingDown);
+    }
+
+    #[test]
+    fn pool_counters_survive_an_eviction() {
+        let metrics = Arc::new(Metrics::default());
+        let reg = Registry::new(Arc::clone(&metrics), 1, 2, 1);
+        let a = reg.submit_builtin("c17").unwrap().entry.hash.clone();
+        assert!(reg.dispatch(&a, vec![analyze_op()], TIMEOUT).is_ok());
+        // A second circuit evicts the idle first one (`max_circuits = 1`).
+        let text = "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(a, b)\n";
+        reg.submit_text("bench", None, text).unwrap();
+        assert_eq!(metrics.evictions.load(Ordering::Relaxed), 1);
+        reg.refresh_gauges();
+        assert!(metrics.session_warm_hits.load(Ordering::Relaxed) >= 1);
+        reg.shutdown();
     }
 
     #[test]

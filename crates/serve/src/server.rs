@@ -181,18 +181,10 @@ impl Shared {
                                         ("ok", Json::Bool(true)),
                                         ("result", result),
                                     ]),
-                                    Err(e) => {
-                                        let line = err_line(&Json::Null, &e);
-                                        let parsed =
-                                            Json::parse(&line).expect("err_line is valid JSON");
-                                        Json::obj(vec![
-                                            ("ok", Json::Bool(false)),
-                                            (
-                                                "error",
-                                                parsed.get("error").cloned().unwrap_or(Json::Null),
-                                            ),
-                                        ])
-                                    }
+                                    Err(e) => Json::obj(vec![
+                                        ("ok", Json::Bool(false)),
+                                        ("error", e.to_json()),
+                                    ]),
                                 })
                                 .collect(),
                         );
@@ -539,6 +531,54 @@ mod tests {
         );
         assert!(analyze.get("compute_p99_us").is_some());
 
+        let r = roundtrip(&mut stream, &mut reader, r#"{"id":4,"op":"shutdown"}"#);
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
+        drop(stream);
+        handle.wait();
+    }
+
+    #[test]
+    fn a_failing_batch_entry_carries_the_error_of_the_op_sent_alone() {
+        let handle = serve(ServeConfig::default()).unwrap();
+        let (mut stream, mut reader) = connect(&handle);
+        let r = roundtrip(
+            &mut stream,
+            &mut reader,
+            r#"{"id":1,"op":"submit","builtin":"c17"}"#,
+        );
+        let hash = r
+            .get("result")
+            .and_then(|v| v.get("circuit"))
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_string();
+        // c17 has five inputs, so a two-value `probs` vector is refused.
+        let bad = r#"{"op":"analyze","probs":[0.5,0.5]}"#;
+        let alone = roundtrip(
+            &mut stream,
+            &mut reader,
+            &format!(r#"{{"id":2,"op":"analyze","circuit":"{hash}","probs":[0.5,0.5]}}"#),
+        );
+        assert_eq!(alone.get("ok").and_then(Json::as_bool), Some(false));
+        let r = roundtrip(
+            &mut stream,
+            &mut reader,
+            &format!(
+                r#"{{"id":3,"op":"batch","circuit":"{hash}","requests":[{bad},{{"op":"analyze"}}]}}"#
+            ),
+        );
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r:?}");
+        let results = r
+            .get("result")
+            .and_then(|v| v.get("results"))
+            .and_then(Json::as_arr)
+            .unwrap();
+        assert_eq!(results.len(), 2);
+        assert_eq!(results[0].get("ok").and_then(Json::as_bool), Some(false));
+        let error = results[0].get("error").unwrap();
+        assert_eq!(Some(error), alone.get("error"));
+        assert!(error.get("kind").and_then(Json::as_str).is_some());
+        assert_eq!(results[1].get("ok").and_then(Json::as_bool), Some(true));
         let r = roundtrip(&mut stream, &mut reader, r#"{"id":4,"op":"shutdown"}"#);
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
         drop(stream);

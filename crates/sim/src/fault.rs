@@ -1,7 +1,7 @@
 use std::fmt;
 
 use protest_netlist::analyze::Fanouts;
-use protest_netlist::{Circuit, GateKind, NodeId};
+use protest_netlist::{Circuit, Csr, GateKind, NodeId};
 
 /// Stuck-at polarity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -204,15 +204,12 @@ impl FaultUniverse {
 /// necessarily vice versa — the representative is the *hardest* member and
 /// a test set covering all representatives covers the whole universe).
 ///
-/// The classes are stored flat (CSR): every class's members back to back
-/// in one array, plus one offset per class boundary.
+/// The classes are one [`Csr`] table: row `i` holds class `i`'s members,
+/// sorted.
 #[derive(Debug, Clone)]
 pub struct CollapsedUniverse {
     representatives: Vec<Fault>,
-    /// The members of every class, class after class, each class sorted.
-    members: Vec<Fault>,
-    /// Class `i` is `members[offsets[i]..offsets[i + 1]]`.
-    offsets: Vec<u32>,
+    classes: Csr<Fault>,
 }
 
 impl CollapsedUniverse {
@@ -227,11 +224,8 @@ impl CollapsedUniverse {
 
     /// The full class for each representative (same index order, members
     /// sorted).
-    pub fn classes(&self) -> FaultClasses<'_> {
-        FaultClasses {
-            members: &self.members,
-            offsets: &self.offsets,
-        }
+    pub fn classes(&self) -> &Csr<Fault> {
+        &self.classes
     }
 
     /// Number of classes.
@@ -246,14 +240,12 @@ impl CollapsedUniverse {
 
     /// Total fault count across all classes (the covered universe size).
     pub fn expanded_len(&self) -> usize {
-        self.members.len()
+        self.classes.values().len()
     }
 
-    /// Heap bytes of the representatives, members and offsets arrays.
+    /// Heap bytes of the representatives and the class table.
     pub fn storage_bytes(&self) -> usize {
-        std::mem::size_of_val(self.representatives.as_slice())
-            + std::mem::size_of_val(self.members.as_slice())
-            + std::mem::size_of_val(self.offsets.as_slice())
+        std::mem::size_of_val(self.representatives.as_slice()) + self.classes.storage_bytes()
     }
 
     /// A copy with only the classes whose index is flagged in `keep` —
@@ -266,118 +258,21 @@ impl CollapsedUniverse {
         assert_eq!(keep.len(), self.len(), "one keep flag per class");
         let mut kept = CollapsedUniverse {
             representatives: Vec::new(),
-            members: Vec::new(),
-            offsets: vec![0],
+            classes: Csr::default(),
         };
         for ((&rep, class), _) in self
             .representatives
             .iter()
-            .zip(self.classes())
+            .zip(&self.classes)
             .zip(keep)
             .filter(|(_, &k)| k)
         {
             kept.representatives.push(rep);
-            kept.members.extend_from_slice(class);
-            kept.offsets.push(kept.members.len() as u32);
+            kept.classes.push_row(class.iter().copied());
         }
         kept
     }
-
-    /// Lays classes out flat from their sizes. `place` must hand every
-    /// member to its sink as `(class, fault)` in `Fault` order; members
-    /// then land sorted within each class.
-    fn lay_out(
-        representatives: Vec<Fault>,
-        sizes: &[u32],
-        place: impl FnOnce(&mut dyn FnMut(u32, Fault)),
-    ) -> CollapsedUniverse {
-        let mut offsets = Vec::with_capacity(sizes.len() + 1);
-        offsets.push(0u32);
-        for &size in sizes {
-            offsets.push(offsets[offsets.len() - 1] + size);
-        }
-        let mut cursor = offsets[..sizes.len()].to_vec();
-        let filler = Fault::output(NodeId::from_index(0), StuckAt::Zero);
-        let mut members = vec![filler; offsets[sizes.len()] as usize];
-        place(&mut |class, fault| {
-            let at = &mut cursor[class as usize];
-            members[*at as usize] = fault;
-            *at += 1;
-        });
-        CollapsedUniverse {
-            representatives,
-            members,
-            offsets,
-        }
-    }
 }
-
-/// The classes of a [`CollapsedUniverse`]: a borrowed view over its flat
-/// arrays that indexes and iterates like a slice of classes.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultClasses<'a> {
-    members: &'a [Fault],
-    offsets: &'a [u32],
-}
-
-impl<'a> FaultClasses<'a> {
-    /// Number of classes.
-    pub fn len(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Whether there are no classes.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The classes in order, each as its sorted members.
-    pub fn iter(&self) -> FaultClassIter<'a> {
-        FaultClassIter {
-            members: self.members,
-            bounds: self.offsets.windows(2),
-        }
-    }
-}
-
-impl std::ops::Index<usize> for FaultClasses<'_> {
-    type Output = [Fault];
-
-    fn index(&self, class: usize) -> &[Fault] {
-        &self.members[self.offsets[class] as usize..self.offsets[class + 1] as usize]
-    }
-}
-
-impl<'a> IntoIterator for FaultClasses<'a> {
-    type Item = &'a [Fault];
-    type IntoIter = FaultClassIter<'a>;
-
-    fn into_iter(self) -> FaultClassIter<'a> {
-        self.iter()
-    }
-}
-
-/// Iterator over the classes of a [`FaultClasses`] view.
-#[derive(Debug, Clone)]
-pub struct FaultClassIter<'a> {
-    members: &'a [Fault],
-    bounds: std::slice::Windows<'a, u32>,
-}
-
-impl<'a> Iterator for FaultClassIter<'a> {
-    type Item = &'a [Fault];
-
-    fn next(&mut self) -> Option<&'a [Fault]> {
-        let bounds = self.bounds.next()?;
-        Some(&self.members[bounds[0] as usize..bounds[1] as usize])
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.bounds.size_hint()
-    }
-}
-
-impl ExactSizeIterator for FaultClassIter<'_> {}
 
 /// A hash-free map from faults to `u32` values by position.
 ///
@@ -494,7 +389,8 @@ impl FaultSlots {
 ///
 /// The work is linear and hash-free: a positional slot table gives each
 /// fault its universe index, a union-find runs over those indices, and
-/// the classes are numbered and laid out by two sweeps in `Fault` order.
+/// the classes are numbered by one sweep in `Fault` order and grouped by
+/// a [`Csr::group`] over the same sweep.
 pub fn collapse_universe(circuit: &Circuit, universe: &FaultUniverse) -> CollapsedUniverse {
     let mut index = FaultSlots::new(circuit);
     for (i, f) in universe.iter().enumerate() {
@@ -566,22 +462,24 @@ pub fn collapse_universe(circuit: &Circuit, universe: &FaultUniverse) -> Collaps
     }
 
     // Number the classes in the order their smallest members appear in
-    // the sorted sweep, which sorts the classes by representative.
+    // the sorted sweep, which sorts the classes by representative; the
+    // members then land sorted within each class.
     let mut class_of_root = vec![u32::MAX; universe.len()];
     let mut representatives = Vec::new();
-    let mut sizes: Vec<u32> = Vec::new();
     index.for_each_sorted(|f, i| {
         let root = dsu.find(i as usize);
         if class_of_root[root] == u32::MAX {
-            class_of_root[root] = sizes.len() as u32;
+            class_of_root[root] = representatives.len() as u32;
             representatives.push(f);
-            sizes.push(0);
         }
-        sizes[class_of_root[root] as usize] += 1;
     });
-    CollapsedUniverse::lay_out(representatives, &sizes, |sink| {
-        index.for_each_sorted(|f, i| sink(class_of_root[dsu.find(i as usize)], f));
-    })
+    let classes = Csr::group(representatives.len(), |emit| {
+        index.for_each_sorted(|f, i| emit(class_of_root[dsu.find(i as usize)] as usize, f));
+    });
+    CollapsedUniverse {
+        representatives,
+        classes,
+    }
 }
 
 /// Extends an equivalence-collapsed universe with classic *dominance*
@@ -691,13 +589,14 @@ pub fn dominance_collapse(circuit: &Circuit, equiv: &CollapsedUniverse) -> Colla
             representatives.push(f);
         }
     });
-    let mut sizes = vec![0u32; representatives.len()];
-    for (c, class) in equiv.classes().iter().enumerate() {
-        sizes[merged_of_root[roots[c] as usize] as usize] += class.len() as u32;
+    let classes = Csr::group(representatives.len(), |emit| {
+        class_of
+            .for_each_sorted(|f, c| emit(merged_of_root[roots[c as usize] as usize] as usize, f));
+    });
+    CollapsedUniverse {
+        representatives,
+        classes,
     }
-    CollapsedUniverse::lay_out(representatives, &sizes, |sink| {
-        class_of.for_each_sorted(|f, c| sink(merged_of_root[roots[c as usize] as usize], f));
-    })
 }
 
 #[derive(Debug)]

@@ -38,16 +38,14 @@ pub mod serial;
 
 pub mod collapse {
     //! Structural fault collapsing.
-    pub use crate::fault::{
-        collapse_universe, dominance_collapse, CollapsedUniverse, FaultClassIter, FaultClasses,
-    };
+    pub use crate::fault::{collapse_universe, dominance_collapse, CollapsedUniverse};
 }
 
 pub use coverage::{coverage_run, weighted_coverage, CoverageCheckpoint, CoverageCurve};
 pub use deductive::DeductiveSim;
 pub use fault::{
-    collapse_universe, dominance_collapse, CollapsedUniverse, Fault, FaultClassIter, FaultClasses,
-    FaultSite, FaultUniverse, StuckAt,
+    collapse_universe, dominance_collapse, CollapsedUniverse, Fault, FaultSite, FaultUniverse,
+    StuckAt,
 };
 pub use fault_sim::{DetectionCounts, FaultSim};
 pub use logic::LogicSim;

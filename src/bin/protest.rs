@@ -415,36 +415,52 @@ fn cmd_stats(circuit: &Arc<Circuit>, opts: &Options) -> Result<String, String> {
     let mut out = format!("{}\n", CircuitStats::of(circuit));
     let analyzer = analyzer_for(circuit, opts);
     // The probe runs first so that the footprint below includes the
-    // estimator ranks and reader map its session builds.
+    // estimator ranks and reader map its session builds, and the lane
+    // sweep before the footprint so that the peak RSS covers all the work.
     let probe = if opts.probe {
         probe_report(circuit, &analyzer)?
     } else {
         String::new()
     };
+    let probs = InputProbs::constant(circuit.num_inputs(), opts.prob).map_err(|e| e.to_string())?;
+    let lane_sweep = analyzer.lane_sweep(&probs).map_err(|e| e.to_string())?;
     let shape = analyzer.estimator_sweep_shape();
+    let mut sum = 0;
+    let mut counted = |bytes: usize| {
+        sum += bytes;
+        bytes
+    };
     let _ = writeln!(out, "memory footprint:");
     let _ = writeln!(
         out,
         "  netlist storage:    {} B (flat struct-of-arrays)",
-        circuit.flat_storage_bytes()
+        counted(circuit.flat_storage_bytes())
     );
     let _ = writeln!(
         out,
         "  estimator cones:    {} B (node ids per AND, {} shapes shared by {} conditioned ANDs)",
-        analyzer.estimator_storage_bytes(),
+        counted(analyzer.estimator_storage_bytes()),
         shape.shapes,
         shape.conditioned
     );
     if let Some(bytes) = analyzer.estimator_ranks_bytes() {
-        let _ = writeln!(out, "  estimator ranks:    {bytes} B (fanin-depth ranks)");
+        let _ = writeln!(
+            out,
+            "  estimator ranks:    {} B (fanin-depth ranks)",
+            counted(bytes)
+        );
     }
     if let Some(bytes) = analyzer.estimator_readers_bytes() {
-        let _ = writeln!(out, "  estimator readers:  {bytes} B (read-dependency map)");
+        let _ = writeln!(
+            out,
+            "  estimator readers:  {} B (read-dependency map)",
+            counted(bytes)
+        );
     }
     let _ = writeln!(
         out,
         "  fault classes:      {} B ({} faults in {} classes, flat members and offsets)",
-        analyzer.fault_class_bytes(),
+        counted(analyzer.fault_class_bytes()),
         analyzer
             .class_sizes()
             .iter()
@@ -457,15 +473,22 @@ fn cmd_stats(circuit: &Arc<Circuit>, opts: &Options) -> Result<String, String> {
         "  partitions:         {} component(s), {} structure class(es), {} B",
         analyzer.partition_count(),
         analyzer.partition_class_count(),
-        analyzer.partition_storage_bytes()
+        counted(analyzer.partition_storage_bytes())
     );
+    let _ = writeln!(out, "  footprint sum:      {sum} B (the counters above)");
+    if let Some(kb) = peak_rss_kb() {
+        let _ = writeln!(
+            out,
+            "  peak RSS (VmHWM):   {kb} kB ({:.1} MiB)",
+            kb as f64 / 1024.0
+        );
+    }
     let _ = writeln!(
         out,
         "estimator sweep: {} of {} ANDs conditioned, {:.1} joining candidates and {:.1} cone nodes per conditioned AND",
         shape.conditioned, shape.ands, shape.mean_joining, shape.mean_inner
     );
-    let probs = InputProbs::constant(circuit.num_inputs(), opts.prob).map_err(|e| e.to_string())?;
-    if let Some(sweep) = analyzer.lane_sweep(&probs).map_err(|e| e.to_string())? {
+    if let Some(sweep) = lane_sweep {
         let _ = writeln!(
             out,
             "lane sweep: {} batches, {} lanes, {:.3} enumeration passes per conditioned lane-AND",
@@ -476,6 +499,14 @@ fn cmd_stats(circuit: &Arc<Circuit>, opts: &Options) -> Result<String, String> {
     }
     out.push_str(&probe);
     Ok(out)
+}
+
+/// The process's peak resident set size in kB (`VmHWM` in
+/// `/proc/self/status`), or `None` where that file does not exist.
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
 }
 
 /// The `stats --probe` report: opens an incremental session, nudges input
@@ -950,6 +981,30 @@ mod tests {
         let probed = run(&args(&["stats", "comp24", "--probe"])).unwrap();
         assert!(probed.contains("  estimator ranks:    "), "{probed}");
         assert!(probed.contains("  estimator readers:  "), "{probed}");
+        // The sum line adds up every byte counter printed above it.
+        let counter = |line: &str| -> Option<usize> {
+            let (label, rest) = line.split_once(':')?;
+            let bytes = match label.trim() {
+                "partitions" => rest.rsplit(", ").next()?,
+                "footprint sum" | "peak RSS (VmHWM)" => return None,
+                _ => rest.split(" (").next()?,
+            };
+            bytes.trim().strip_suffix(" B")?.parse().ok()
+        };
+        let block: Vec<&str> = probed
+            .lines()
+            .skip_while(|l| *l != "memory footprint:")
+            .skip(1)
+            .take_while(|l| l.starts_with("  "))
+            .collect();
+        let summed: usize = block.iter().filter_map(|l| counter(l)).sum();
+        assert_eq!(
+            block.iter().filter_map(|l| counter(l)).count(),
+            6,
+            "{probed}"
+        );
+        let sum_line = format!("  footprint sum:      {summed} B (the counters above)");
+        assert!(block.contains(&sum_line.as_str()), "{probed}");
         let out = run(&args(&["analyze", p, "--testlen", "1.0,0.95"])).unwrap();
         assert!(out.contains("required random test lengths"), "{out}");
     }
