@@ -577,7 +577,7 @@ impl AnalysisSession {
         let est = self.analyzer.estimator();
         let rank_of = &est.ranks().of;
         let readers = est.readers();
-        for &r in &readers[index] {
+        for r in readers.row(index) {
             self.front.push(rank_of[r as usize], r);
         }
     }

@@ -24,6 +24,27 @@
 //! here is indexed by node, AND node or fault, all of which are `u32`
 //! themselves. Building a table past `u32::MAX` values panics, and so
 //! does naming a row that does not exist.
+//!
+//! # Gap-coded id rows
+//!
+//! [`IdRows`] is the same layout for the largest tables of all: rows of
+//! ascending `u32` ids that are read whole, one row at a time (the
+//! estimator's per-AND cone ids and its reader map). Neighbouring ids in
+//! such a row are close, so each row stores its ids as LEB128 gaps — a
+//! varint of 7 bits per byte: 1 byte for a gap below 128, 2 below 16,384 —
+//! and the offsets count bytes. On `multmesh:4x12x64` that stores the
+//! cone ids and the reader map in about a quarter of the bytes of `u32`
+//! values. The first id of a row is stored as its signed distance from
+//! the row index (zigzag-mapped), since a row's ids lie near its own node
+//! on either side: a cone reads below its AND, readers sit above their
+//! node.
+//!
+//! The price is access: a row is an iterator that decodes front to back,
+//! with no indexing and no length short of decoding it. Use `IdRows` for a
+//! table that is big and walked row by row; a caller that needs a slice
+//! (binary search, positions) decodes the row into a reused buffer with
+//! [`decode_into`](IdRows::decode_into). Keep small or randomly indexed
+//! tables in a [`Csr`].
 
 use std::ops::{Index, Range};
 
@@ -127,31 +148,52 @@ impl<T: Clone> Csr<T> {
     /// both calls emitted the same count per row.
     pub fn group(rows: usize, mut each: impl FnMut(&mut dyn FnMut(usize, T))) -> Self {
         let mut off = vec![0u32; rows + 1];
-        let mut filler = None;
         let mut emitted = 0usize;
-        each(&mut |r, v| {
+        each(&mut |r, _| {
             off[r + 1] = off[r + 1].wrapping_add(1);
             emitted += 1;
-            filler.get_or_insert(v);
         });
         // No row count can exceed the total, so none of them wrapped.
-        let total = offset(emitted);
+        offset(emitted);
+        Csr::place(off, each)
+    }
+
+    /// Builds a table whose row `r` holds `counts[r]` values, placed by one
+    /// call of `each`, which must emit exactly that many for each row: the
+    /// placing half of [`group`](Self::group), for a caller that counted
+    /// its rows in a pass it runs anyway. Every row holds its values in
+    /// emission order. The offsets reuse `counts`' buffer (one more entry
+    /// fits without growing it if its capacity allows). Debug builds check
+    /// the counts.
+    pub fn from_counts(mut counts: Vec<u32>, each: impl FnOnce(&mut dyn FnMut(usize, T))) -> Self {
+        counts.insert(0, 0);
+        Csr::place(counts, each)
+    }
+
+    /// Turns `off`, holding row `r`'s count at `off[r + 1]`, into offsets
+    /// and places the values `each` emits.
+    fn place(mut off: Vec<u32>, each: impl FnOnce(&mut dyn FnMut(usize, T))) -> Self {
+        let rows = off.len() - 1;
         for r in 0..rows {
-            off[r + 1] += off[r];
+            off[r + 1] = off[r]
+                .checked_add(off[r + 1])
+                .expect("CSR table exceeds u32 offsets");
         }
-        let Some(filler) = filler else {
-            return Csr {
-                off,
-                values: Vec::new(),
-            };
-        };
-        let mut values = vec![filler; total as usize];
+        let total = off[rows] as usize;
+        // The first value emitted fills the array until its slot is placed.
+        let mut values: Vec<T> = Vec::new();
         let mut cursor = off[..rows].to_vec();
         each(&mut |r, v| {
+            if values.is_empty() {
+                values = vec![v.clone(); total];
+            }
             values[cursor[r] as usize] = v;
             cursor[r] += 1;
         });
-        debug_assert!(cursor[..] == off[1..], "group's two emissions differ");
+        debug_assert!(
+            cursor[..] == off[1..],
+            "emitted counts differ from the row counts"
+        );
         Csr { off, values }
     }
 }
@@ -222,6 +264,240 @@ impl<T> DoubleEndedIterator for Rows<'_, T> {
 
 impl<T> ExactSizeIterator for Rows<'_, T> {}
 
+/// A table of ascending `u32` id rows, each stored as LEB128 gaps (see the
+/// [module docs](self#gap-coded-id-rows)). Rows may repeat an id (a gap of
+/// 0). The coding is canonical, so two tables are equal exactly when
+/// their rows are.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IdRows {
+    /// `rows + 1` byte offsets into `bytes`, starting at 0.
+    off: Vec<u32>,
+    /// Every row's codes, row after row.
+    bytes: Vec<u8>,
+}
+
+impl Default for IdRows {
+    /// A table with zero rows.
+    fn default() -> Self {
+        IdRows {
+            off: vec![0],
+            bytes: Vec::new(),
+        }
+    }
+}
+
+/// The code of `id` in row `row` after the row's previous id `prev`: the
+/// gap from `prev`, or for the row's first id its signed distance from
+/// `row`, zigzag-mapped (0, -1, 1, -2, … to 0, 1, 2, 3, …).
+#[inline]
+fn gap_code(row: usize, prev: Option<u32>, id: u32) -> u64 {
+    match prev {
+        Some(p) => u64::from(id - p),
+        None => {
+            let d = i64::from(id) - row as i64;
+            ((d << 1) ^ (d >> 63)) as u64
+        }
+    }
+}
+
+/// Bytes of the LEB128 varint of `v`.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Appends the LEB128 varint of `v`: 7 bits per byte, low bits first, the
+/// high bit set on every byte but the last.
+#[inline]
+fn push_varint(bytes: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        bytes.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    bytes.push(v as u8);
+}
+
+/// Writes the LEB128 varint of `v` at `bytes[at..]`; returns the position
+/// after it.
+fn put_varint(bytes: &mut [u8], mut at: usize, mut v: u64) -> usize {
+    while v >= 0x80 {
+        bytes[at] = v as u8 | 0x80;
+        v >>= 7;
+        at += 1;
+    }
+    bytes[at] = v as u8;
+    at + 1
+}
+
+impl IdRows {
+    /// An empty table with room for `rows` rows of `bytes` coded bytes in
+    /// total.
+    pub fn with_capacity(rows: usize, bytes: usize) -> Self {
+        let mut off = Vec::with_capacity(rows + 1);
+        off.push(0);
+        IdRows {
+            off,
+            bytes: Vec::with_capacity(bytes),
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    /// Whether the table has zero rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Heap bytes of the offsets and the codes (lengths × element sizes).
+    pub fn storage_bytes(&self) -> usize {
+        std::mem::size_of_val(self.off.as_slice()) + self.bytes.len()
+    }
+
+    /// Appends one row; its ids must ascend (checked in debug builds).
+    pub fn push_row(&mut self, row: impl IntoIterator<Item = u32>) {
+        let i = self.len();
+        let mut row = row.into_iter();
+        if let Some(first) = row.next() {
+            push_varint(&mut self.bytes, gap_code(i, None, first));
+            let mut prev = first;
+            for id in row {
+                debug_assert!(prev <= id, "IdRows row {i} descends");
+                push_varint(&mut self.bytes, u64::from(id - prev));
+                prev = id;
+            }
+        }
+        self.off.push(offset(self.bytes.len()));
+    }
+
+    /// Row `i`, decoded as it is iterated.
+    #[inline]
+    pub fn row(&self, i: usize) -> IdRow<'_> {
+        IdRow {
+            bytes: &self.bytes[self.off[i] as usize..self.off[i + 1] as usize],
+            row: i,
+            prev: None,
+        }
+    }
+
+    /// Replaces the contents of `out` with row `i`.
+    pub fn decode_into(&self, i: usize, out: &mut Vec<u32>) {
+        out.clear();
+        // A plain loop: `extend` over the row measured up to 2x slower
+        // (x86-64, mesh reader rows).
+        for id in self.row(i) {
+            out.push(id);
+        }
+    }
+
+    /// The rows in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = IdRow<'_>> + '_ {
+        (0..self.len()).map(|i| self.row(i))
+    }
+
+    /// The inverse table over `rows` rows: row `j` lists, ascending, every
+    /// row `i` of `self` that holds `j` (once per occurrence) — the coded
+    /// [`Csr::transpose`] of the decoded table. Two passes over `self`:
+    /// the first sums each target row's code bytes, tracking the row's
+    /// last id, and the second writes the codes in place. Neither table is
+    /// ever decoded whole, and no `(row, id)` pair list is built.
+    pub fn transpose(&self, rows: usize) -> IdRows {
+        const NONE: u32 = u32::MAX;
+        assert!(self.len() < NONE as usize, "IdRows ids exceed u32");
+        let prev = |last: u32| (last != NONE).then_some(last);
+        let mut last = vec![NONE; rows];
+        let mut off = vec![0u32; rows + 1];
+        let mut total = 0usize;
+        for (i, row) in self.iter().enumerate() {
+            for j in row {
+                let j = j as usize;
+                let len = varint_len(gap_code(j, prev(last[j]), i as u32));
+                // No row's length exceeds the total, so none of them wrapped
+                // once the total is known to fit.
+                off[j + 1] = off[j + 1].wrapping_add(len as u32);
+                total += len;
+                last[j] = i as u32;
+            }
+        }
+        let total = offset(total);
+        for j in 0..rows {
+            off[j + 1] += off[j];
+        }
+        let mut bytes = vec![0u8; total as usize];
+        let mut cursor = off[..rows].to_vec();
+        last.fill(NONE);
+        for (i, row) in self.iter().enumerate() {
+            for j in row {
+                let j = j as usize;
+                let at = cursor[j] as usize;
+                let code = gap_code(j, prev(last[j]), i as u32);
+                cursor[j] = put_varint(&mut bytes, at, code) as u32;
+                last[j] = i as u32;
+            }
+        }
+        debug_assert!(cursor[..] == off[1..], "transpose's two passes differ");
+        IdRows { off, bytes }
+    }
+}
+
+/// Iterator over one row of an [`IdRows`], decoding an id per step.
+#[derive(Debug, Clone)]
+pub struct IdRow<'a> {
+    /// The row's codes not yet decoded.
+    bytes: &'a [u8],
+    /// The row's index.
+    row: usize,
+    /// The id decoded last (`None` before the first).
+    prev: Option<u32>,
+}
+
+impl IdRow<'_> {
+    /// The rest of a varint whose first byte, `b`, has its high bit set.
+    fn varint_rest(&mut self, b: u8) -> u64 {
+        let mut v = u64::from(b & 0x7f);
+        let mut shift = 7;
+        while let Some((&b, rest)) = self.bytes.split_first() {
+            self.bytes = rest;
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                break;
+            }
+            shift += 7;
+        }
+        v
+    }
+}
+
+impl Iterator for IdRow<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        let (&b, rest) = self.bytes.split_first()?;
+        self.bytes = rest;
+        // Most gaps fit one byte.
+        let v = if b < 0x80 {
+            u64::from(b)
+        } else {
+            self.varint_rest(b)
+        };
+        let id = match self.prev {
+            Some(p) => p + v as u32,
+            // The inverse of `gap_code`'s zigzag distance.
+            None => (self.row as i64 + ((v >> 1) as i64 ^ -((v & 1) as i64))) as u32,
+        };
+        self.prev = Some(id);
+        Some(id)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.bytes.len().min(1), Some(self.bytes.len()))
+    }
+}
+
+impl std::iter::FusedIterator for IdRow<'_> {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,6 +539,20 @@ mod tests {
     }
 
     #[test]
+    fn from_counts_places_rows_in_emission_order() {
+        let pairs = [(2, 'a'), (0, 'b'), (2, 'c'), (0, 'e')];
+        let csr = Csr::from_counts(vec![2, 0, 2], |emit| {
+            for &(r, v) in &pairs {
+                emit(r, v);
+            }
+        });
+        assert_eq!(rows_of(&csr), vec![vec!['b', 'e'], vec![], vec!['a', 'c']]);
+        let blank: Csr<u8> = Csr::from_counts(vec![0, 0], |_| {});
+        assert_eq!(blank, Csr::group(2, |_| {}));
+        assert_eq!(Csr::<u8>::from_counts(Vec::new(), |_| {}), Csr::default());
+    }
+
+    #[test]
     fn empty_rows_and_zero_rows_work() {
         let none: Csr<u8> = Csr::group(0, |_| {});
         assert!(none.is_empty());
@@ -292,5 +582,122 @@ mod tests {
             vec![vec![2, 2], vec![0], vec![2], vec![3], vec![0, 2], vec![]]
         );
         assert_eq!(t.transpose(csr.len()), csr);
+    }
+
+    fn id_rows(rows: &[Vec<u32>]) -> IdRows {
+        let mut t = IdRows::default();
+        for row in rows {
+            t.push_row(row.iter().copied());
+        }
+        t
+    }
+
+    fn decoded(t: &IdRows) -> Vec<Vec<u32>> {
+        t.iter().map(Iterator::collect).collect()
+    }
+
+    #[test]
+    fn id_rows_code_gaps_in_leb128_bytes() {
+        let max = u32::MAX;
+        let rows = vec![
+            vec![],
+            vec![1],                         // +0 from row 1: 1 byte
+            vec![2, 129, 257, 16640, 33024], // gaps 127, 128, 16383, 16384
+            vec![0, max],                    // first -3 (1 byte), gap max (5)
+            vec![max],                       // first max - 4: 5 bytes
+            vec![7, 7, 7],                   // repeats: gaps of 0
+        ];
+        let t = id_rows(&rows);
+        assert_eq!((t.len(), t.is_empty()), (6, false));
+        assert_eq!(decoded(&t), rows);
+        let codes = 1 + (1 + 1 + 2 + 2 + 3) + (1 + 5) + 5 + 3;
+        assert_eq!(t.storage_bytes(), 7 * 4 + codes);
+        let mut buf = vec![9, 9, 9, 9];
+        t.decode_into(2, &mut buf);
+        assert_eq!(buf, rows[2]);
+        t.decode_into(0, &mut buf);
+        assert!(buf.is_empty());
+        assert_eq!(t, t.clone());
+        assert_ne!(t, id_rows(&rows[..5]));
+    }
+
+    #[test]
+    fn empty_id_rows_transpose_to_empty_rows() {
+        let none = IdRows::default();
+        assert!(none.is_empty());
+        assert_eq!(none.storage_bytes(), 4);
+        assert_eq!(none.iter().count(), 0);
+        assert_eq!(IdRows::with_capacity(4, 16), none);
+        let t = none.transpose(3);
+        assert_eq!(decoded(&t), vec![Vec::<u32>::new(); 3]);
+        assert_eq!(t, id_rows(&[vec![], vec![], vec![]]));
+        assert_eq!(id_rows(&[vec![], vec![]]).transpose(0), none);
+    }
+
+    /// A gap that is small, on either side of a varint length step, or
+    /// near `u32::MAX`.
+    fn gap() -> impl proptest::strategy::Strategy<Value = u32> {
+        use proptest::prelude::*;
+        prop_oneof![
+            0u32..4,
+            0u32..200,
+            prop_oneof![Just(127u32), Just(128), Just(16_383), Just(16_384)],
+            prop_oneof![Just(u32::MAX), u32::MAX - 300..=u32::MAX, 0u32..=u32::MAX],
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn id_rows_round_trip_any_ascending_rows(
+            gaps in proptest::collection::vec(proptest::collection::vec(gap(), 0..8), 0..10),
+        ) {
+            // Each row's ids are prefix sums of its gaps, cut where they
+            // would pass u32::MAX.
+            let rows: Vec<Vec<u32>> = gaps
+                .iter()
+                .map(|g| {
+                    g.iter()
+                        .scan(0u32, |at, &d| {
+                            *at = at.checked_add(d)?;
+                            Some(*at)
+                        })
+                        .collect()
+                })
+                .collect();
+            let t = id_rows(&rows);
+            proptest::prop_assert_eq!(t.len(), rows.len());
+            proptest::prop_assert_eq!(&decoded(&t), &rows);
+            let mut buf = Vec::new();
+            for (i, row) in rows.iter().enumerate() {
+                t.decode_into(i, &mut buf);
+                proptest::prop_assert_eq!(&buf, row);
+            }
+            proptest::prop_assert_eq!(id_rows(&rows), t);
+        }
+
+        #[test]
+        fn id_rows_transpose_like_csr(
+            entries in proptest::collection::vec((0u32..40_000, 0u32..48), 0..80),
+            extra in 0usize..3,
+        ) {
+            // Sparse source rows spread over up to 40,000 rows, so the
+            // transposed rows' gaps cross every 1- and 2-byte boundary.
+            let mut entries = entries;
+            entries.sort_unstable();
+            let n = entries.last().map_or(0, |&(r, _)| r as usize + 1) + extra;
+            let mut csr = Csr::with_capacity(n, entries.len());
+            let mut t = IdRows::with_capacity(n, 0);
+            for r in 0..n as u32 {
+                let row = entries.iter().filter(|&&(er, _)| er == r).map(|&(_, id)| id);
+                csr.push_row(row.clone());
+                t.push_row(row);
+            }
+            let want = csr.transpose(48);
+            let got = t.transpose(48);
+            proptest::prop_assert_eq!(decoded(&got), rows_of(&want));
+            proptest::prop_assert_eq!(got.transpose(n), t);
+        }
     }
 }

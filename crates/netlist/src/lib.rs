@@ -9,8 +9,10 @@
 //! * [`CircuitBuilder`] — an ergonomic, validated way to construct circuits.
 //! * [`Levels`] — levelization (topological order + logic depth).
 //! * [`Csr`] — the compressed-sparse-row table every per-node adjacency
-//!   (fanins, fanouts, level rows, and the analysis crates' reader, rank,
-//!   cone, pin and fault-class tables) is stored in.
+//!   (fanins, fanouts, level rows, and the analysis crates' rank, pin and
+//!   fault-class tables) is stored in, and [`IdRows`], its gap-coded form
+//!   for the largest tables of ascending ids (the estimator's cone ids and
+//!   reader map).
 //! * [`analyze`] — fanout maps, cone extraction and the *joining point* search
 //!   `V(a,b)` from Wunderlich's DAC'85 paper (the set of fanout stems with one
 //!   branch on a path to `a` and another on a path to `b`).
@@ -66,7 +68,7 @@ mod transistor;
 mod write;
 
 pub use builder::CircuitBuilder;
-pub use csr::Csr;
+pub use csr::{Csr, IdRow, IdRows};
 pub use error::NetlistError;
 pub use gate::{GateKind, LutId, TruthTable};
 pub use insert::{

@@ -438,7 +438,7 @@ fn cmd_stats(circuit: &Arc<Circuit>, opts: &Options) -> Result<String, String> {
     );
     let _ = writeln!(
         out,
-        "  estimator cones:    {} B (node ids per AND, {} shapes shared by {} conditioned ANDs)",
+        "  estimator cones:    {} B (gap-coded node ids per AND, {} shapes shared by {} conditioned ANDs)",
         counted(analyzer.estimator_storage_bytes()),
         shape.shapes,
         shape.conditioned
@@ -453,7 +453,7 @@ fn cmd_stats(circuit: &Arc<Circuit>, opts: &Options) -> Result<String, String> {
     if let Some(bytes) = analyzer.estimator_readers_bytes() {
         let _ = writeln!(
             out,
-            "  estimator readers:  {} B (read-dependency map)",
+            "  estimator readers:  {} B (gap-coded read-dependency map)",
             counted(bytes)
         );
     }
