@@ -353,16 +353,6 @@ impl Analyzer {
             .and_then(SignalProbEstimator::ranks_bytes)
     }
 
-    /// Heap bytes of the monolithic estimator's read-dependency map, or
-    /// `None` until a session has built it — a memory-footprint counter
-    /// for `stats` reports.
-    pub fn estimator_readers_bytes(&self) -> Option<usize> {
-        self.inner
-            .estimator
-            .get()
-            .and_then(SignalProbEstimator::readers_bytes)
-    }
-
     /// The monolithic estimator's sweep-shape counters (forces its
     /// construction) — conditioned ANDs, mean joining candidates, mean
     /// cone size and distinct cone shapes, for `stats` reports.

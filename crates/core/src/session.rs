@@ -8,10 +8,14 @@
 //! re-derives only what a mutation can actually reach, in **both**
 //! dataflow directions:
 //!
-//! * **forward** — signal probabilities re-propagate only the *dirty
-//!   fan-out cone*: the AND nodes whose read dependencies (fanins,
-//!   conditioning cones, nested cones) are reached by the changed inputs,
-//!   pruned wherever a recomputed value comes out bit-identical;
+//! * **forward** — one ascending pass over the fanin-depth ranks *pulls*
+//!   changes: an AND node is re-evaluated only when a node it reads
+//!   (fanins, conditioning cone, nested cones) changed value in this
+//!   propagation, so the wave stops wherever a recomputed value comes out
+//!   bit-identical. Every read lies in the node's transitive fanin, so a
+//!   node none of whose fanins lies downstream of a change is skipped
+//!   after two flag reads; a node downstream of one has its read set
+//!   walked, up to the first changed read;
 //! * **queries** — circuit-level signal probabilities, observabilities and
 //!   per-fault detection estimates are cached until the next change, then
 //!   recomputed by one full pass each.
@@ -40,10 +44,11 @@
 //! a `signal_probs` call never pays for the fault pass.
 //!
 //! The parallel passes reuse the analyzer's executor (see
-//! [`crate::AnalyzerParams::num_threads`]): the forward worklist drains one
+//! [`crate::AnalyzerParams::num_threads`]): the forward pass settles one
 //! fanin-depth rank at a time, and nodes sharing a rank never read each
-//! other, so wide ranks are evaluated concurrently, each worker with its
-//! own session-persistent scratch, and the results applied in node order.
+//! other, so a rank's re-evaluated nodes are evaluated concurrently when
+//! there are enough of them, each worker with its own session-persistent
+//! scratch, and the results applied in node order.
 //!
 //! Results are **bit-identical** to a from-scratch pass. Forward: a node
 //! is re-evaluated whenever anything it reads changed, with the same
@@ -86,9 +91,6 @@
 //! # }
 //! ```
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use protest_netlist::{Circuit, NodeId};
 
 use crate::analyzer::{Analyzer, CircuitAnalysis, FaultEstimate};
@@ -99,6 +101,13 @@ use crate::failpoints;
 use crate::observe::Observability;
 use crate::params::InputProbs;
 use crate::sigprob::{lit_prob_of, EvalScratch, CANCEL_CHECK_NODES, MIN_PAR_COND, MIN_PAR_WIDE};
+use crate::AigNodeId;
+
+/// A propagation flag: the node's value changed in this propagation.
+const CHANGED: u8 = 1;
+/// A propagation flag: the node or a node in its transitive fanin changed
+/// in this propagation.
+const TOUCHED: u8 = 2;
 
 /// Counters describing how much work a session has actually done — the
 /// observable evidence that incremental propagation is cheaper than
@@ -206,10 +215,11 @@ pub struct AnalysisSession {
     /// Per-worker scratches for rank batches (one per chunk, grown on
     /// demand; a serial batch uses the first).
     scratch: Vec<EvalScratch>,
-    /// Forward dirty worklist keyed by fanin-depth rank: popping in
-    /// ascending order yields whole ranks of mutually independent nodes.
-    front: Wavefront,
-    /// The rank currently being drained (scratch for `propagate`).
+    /// Per AIG node, its [`CHANGED`] and [`TOUCHED`] flags during a
+    /// propagation; all clear between propagations.
+    flags: Vec<u8>,
+    /// The re-evaluated nodes of the current rank (scratch for
+    /// `propagate`).
     batch_ids: Vec<u32>,
     batch_vals: Vec<f64>,
     /// Changes since the last `snapshot()`, newest last.
@@ -252,7 +262,7 @@ impl AnalysisSession {
             input_probs: probs.as_slice().to_vec(),
             aig_probs,
             scratch: Vec::new(),
-            front: Wavefront::new(n),
+            flags: vec![0; n],
             batch_ids: Vec::new(),
             batch_vals: Vec::new(),
             undo: Vec::new(),
@@ -557,8 +567,8 @@ impl AnalysisSession {
         self.have_estimates = false;
     }
 
-    /// Records a raw AIG-node probability write (undo-logged) and enqueues
-    /// its readers.
+    /// Records a raw AIG-node probability write (undo-logged) and flags
+    /// the node for the next propagation.
     fn write_node(&mut self, index: usize, p: f64) {
         let old = self.aig_probs[index];
         if old == p {
@@ -569,21 +579,11 @@ impl AnalysisSession {
             old,
         });
         self.aig_probs[index] = p;
-        self.enqueue_readers(index);
+        self.flags[index] = CHANGED | TOUCHED;
     }
 
-    /// Queues every reader of `index` keyed by its fanin-depth rank.
-    fn enqueue_readers(&mut self, index: usize) {
-        let est = self.analyzer.estimator();
-        let rank_of = &est.ranks().of;
-        let readers = est.readers();
-        for r in readers.row(index) {
-            self.front.push(rank_of[r as usize], r);
-        }
-    }
-
-    /// Applies a freshly evaluated value: undo-log, store and enqueue its
-    /// readers — but only where the value actually changed.
+    /// Applies a freshly evaluated value: undo-log, store and flag it —
+    /// but only where the value actually changed.
     fn apply_value(&mut self, index: u32, new: f64) {
         let old = self.aig_probs[index as usize];
         if new == old {
@@ -591,32 +591,61 @@ impl AnalysisSession {
         }
         self.undo.push(UndoEntry::Node { index, old });
         self.aig_probs[index as usize] = new;
-        self.enqueue_readers(index as usize);
+        self.flags[index as usize] |= CHANGED;
     }
 
-    /// Drains the forward worklist one fanin-depth rank at a time
-    /// (ascending rank = dependency order). Nodes within a rank never read
-    /// each other, so each rank is evaluated by one [`Exec::fan_out`] —
-    /// wide ranks in parallel chunks, each worker with its own scratch —
-    /// and the results applied in node-index order. Every node sees the
-    /// same settled lower ranks as the serial schedule, so the propagated
-    /// values are bit-identical.
-    ///
-    /// The cancellation token is polled as each rank is evaluated; a fired
-    /// token abandons the drain mid-worklist (the
-    /// popped rank is lost), so the session is poisoned and
-    /// [`CoreError::Cancelled`] returned.
-    ///
-    /// [`Exec::fan_out`]: crate::exec::Exec::fan_out
+    /// Brings every AND node up to date with the nodes written since the
+    /// last propagation, then clears the propagation flags, on success and
+    /// on a cancel alike. A fired token abandons the pass mid-rank, so the
+    /// session is poisoned and [`CoreError::Cancelled`] returned.
     fn propagate(&mut self) -> Result<(), CoreError> {
         let _t = protest_telemetry::span(protest_telemetry::Site::Propagate);
+        let result = self.pull_ranks();
+        self.flags.fill(0);
+        self.poisoned |= result.is_err();
+        result
+    }
+
+    /// One ascending pass over the fanin-depth ranks (ascending rank =
+    /// dependency order). A node none of whose fanins is [`TOUCHED`] reads
+    /// nothing that changed and is skipped; any other node is `TOUCHED`,
+    /// and it is re-evaluated when
+    /// [`reads_any`](crate::sigprob::SignalProbEstimator::reads_any) finds a
+    /// [`CHANGED`] node in its read set. Nodes within a rank never read
+    /// each other, so a rank's re-evaluated nodes are evaluated by one
+    /// [`Exec::fan_out`] — wide batches in parallel chunks, each worker
+    /// with its own scratch — and the results applied in node-index order.
+    /// Every node sees the same settled lower ranks as a full pass, so the
+    /// propagated values are bit-identical.
+    ///
+    /// [`Exec::fan_out`]: crate::exec::Exec::fan_out
+    fn pull_ranks(&mut self) -> Result<(), CoreError> {
         let analyzer = self.analyzer.clone();
         let est = analyzer.estimator();
+        let aig = est.aig();
         let exec = analyzer.exec();
         let mut batch = std::mem::take(&mut self.batch_ids);
-        while self.front.pop_batch(&mut batch).is_some() {
+        for rank in est.ranks().rows.iter() {
+            batch.clear();
+            for &k in rank {
+                let (a, b) = aig
+                    .and_fanins(AigNodeId::from_index(k as usize))
+                    .expect("ranked nodes are ANDs");
+                let fanin_flags = self.flags[a.node().index()] | self.flags[b.node().index()];
+                if fanin_flags & TOUCHED == 0 {
+                    continue;
+                }
+                self.flags[k as usize] = TOUCHED;
+                let flags = &self.flags;
+                if est.reads_any(k, |x| flags[x as usize] & CHANGED != 0) {
+                    batch.push(k);
+                }
+            }
+            if batch.is_empty() {
+                continue;
+            }
             failpoints::hit("core.propagate.delay");
-            // Fan out only when the rank carries enough conditioned
+            // Fan out only when the batch carries enough conditioned
             // (µs-scale) kernels — or is very wide — mirroring the full
             // pass's thresholds; the choice cannot affect values.
             let min_cond = MIN_PAR_COND as usize;
@@ -627,20 +656,15 @@ impl AnalysisSession {
                 });
             self.batch_vals.resize(batch.len(), 0.0);
             let probs = &self.aig_probs;
-            if let Err(e) = exec.fan_out(
+            exec.fan_out(
                 wide,
                 &batch,
                 &mut self.batch_vals,
                 &mut self.scratch,
                 &self.cancel,
                 CANCEL_CHECK_NODES,
-                |scratch, &k| {
-                    est.and_node_value(probs, crate::AigNodeId::from_index(k as usize), scratch)
-                },
-            ) {
-                self.poisoned = true;
-                return Err(e);
-            }
+                |scratch, &k| est.and_node_value(probs, AigNodeId::from_index(k as usize), scratch),
+            )?;
             self.stats.and_evals += batch.len() as u64;
             let vals = std::mem::take(&mut self.batch_vals);
             for (&k, &v) in batch.iter().zip(&vals) {
@@ -709,76 +733,5 @@ impl AnalysisSession {
         self.stats.fault_evals += faults.len() as u64;
         self.have_estimates = true;
         Ok(())
-    }
-}
-
-/// A deduplicated worklist keyed by fanin-depth rank, drained one rank at
-/// a time in ascending order (dependency order for the forward pass);
-/// within a rank, entries pop in ascending node index. Entries sharing a
-/// rank never read each other, so a popped batch may be evaluated in any
-/// order (or in parallel) without changing any value.
-#[derive(Debug, Clone)]
-struct Wavefront {
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
-    queued: Vec<bool>,
-}
-
-impl Wavefront {
-    /// An empty worklist over `nodes` entries.
-    fn new(nodes: usize) -> Self {
-        Wavefront {
-            heap: BinaryHeap::new(),
-            queued: vec![false; nodes],
-        }
-    }
-
-    /// Queues `index` under `key`; a no-op while it is already queued.
-    fn push(&mut self, key: u32, index: u32) {
-        if !self.queued[index as usize] {
-            self.queued[index as usize] = true;
-            self.heap.push(Reverse((key, index)));
-        }
-    }
-
-    /// Pops every entry sharing the front key into `batch` (replacing its
-    /// contents) and returns that key, or `None` when the list is empty.
-    fn pop_batch(&mut self, batch: &mut Vec<u32>) -> Option<u32> {
-        let &Reverse((front, _)) = self.heap.peek()?;
-        batch.clear();
-        while let Some(&Reverse((key, index))) = self.heap.peek() {
-            if key != front {
-                break;
-            }
-            self.heap.pop();
-            self.queued[index as usize] = false;
-            batch.push(index);
-        }
-        Some(front)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wavefront_pops_ranks_in_forward_order() {
-        let mut w = Wavefront::new(16);
-        for &(rank, id) in &[(3u32, 9u32), (1, 4), (3, 2), (1, 7), (2, 11)] {
-            w.push(rank, id);
-        }
-        w.push(1, 4); // duplicate: deduplicated
-        let mut batch = Vec::new();
-        assert_eq!(w.pop_batch(&mut batch), Some(1));
-        assert_eq!(batch, vec![4, 7], "ascending index within a rank");
-        assert_eq!(w.pop_batch(&mut batch), Some(2));
-        assert_eq!(batch, vec![11]);
-        assert_eq!(w.pop_batch(&mut batch), Some(3));
-        assert_eq!(batch, vec![2, 9]);
-        assert_eq!(w.pop_batch(&mut batch), None);
-        // Popped entries may be re-queued.
-        w.push(0, 4);
-        assert_eq!(w.pop_batch(&mut batch), Some(0));
-        assert_eq!(batch, vec![4]);
     }
 }

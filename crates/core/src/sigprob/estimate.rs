@@ -79,7 +79,6 @@
 //! stay bit-identical to the monolithic one.
 
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::OnceLock;
 
 use protest_netlist::{Csr, IdRows};
@@ -163,23 +162,18 @@ struct ConeArena {
     shapes: ShapeTable,
 }
 
-/// The distinct cone shapes. A shape's key is its cone length, joining
-/// positions, fanin positions and `nested_ok`; its `desc` rows are a
-/// function of that key. Positions are `u16` (see
-/// [`AnalyzerParams::maxlist`] for the bound).
+/// The distinct cone shapes, one row per shape in each table. A shape's
+/// key is its cone length, joining positions, fanin positions and
+/// `nested_ok`; its `desc` row is a function of that key. Positions are
+/// `u16` (see [`AnalyzerParams::maxlist`] for the bound).
 #[derive(Debug, PartialEq, Eq)]
 struct ShapeTable {
-    /// `shapes + 1` offsets into `joining`.
-    joining_off: Vec<u32>,
-    joining: Vec<u16>,
-    /// `shapes + 1` offsets into `fanin_ci` and `nested_ok` (the cone
-    /// positions).
-    pos_off: Vec<u32>,
-    fanin_ci: Vec<[u16; 2]>,
-    nested_ok: Vec<bool>,
-    /// `shapes + 1` offsets into `desc` (rows are `joining × words`).
-    desc_off: Vec<u32>,
-    desc: Vec<u64>,
+    joining: Csr<u16>,
+    /// One entry per cone position in each.
+    fanin_ci: Csr<[u16; 2]>,
+    nested_ok: Csr<bool>,
+    /// `joining × words` descendant words ([`Cone::desc`]).
+    desc: Csr<u64>,
 }
 
 /// AIGs with fewer AND nodes than this build their cone arena on one
@@ -196,11 +190,6 @@ const BUILD_BLOCK: usize = 128;
 /// into the arena before the next window starts, so at most one window's
 /// worth of chunk data exists beside the arena.
 const BUILD_BLOCKS_PER_WORKER: usize = 16;
-
-/// The offsets `off[i]..off[i + 1]` of a CSR entry.
-fn span(off: &[u32], i: usize) -> Range<usize> {
-    off[i] as usize..off[i + 1] as usize
-}
 
 impl ConeArena {
     /// Builds the arena for every node of `aig`. Pass 1 computes each
@@ -281,13 +270,12 @@ impl ConeArena {
     fn cone_over<'a>(&'a self, k: usize, inner: &'a [AigNodeId]) -> Cone<'a> {
         let t = &self.shapes;
         let s = self.shape[k] as usize;
-        let pos = span(&t.pos_off, s);
         Cone {
-            joining: &t.joining[span(&t.joining_off, s)],
+            joining: t.joining.row(s),
             inner,
-            fanin_ci: &t.fanin_ci[pos.clone()],
-            nested_ok: &t.nested_ok[pos],
-            desc: &t.desc[span(&t.desc_off, s)],
+            fanin_ci: t.fanin_ci.row(s),
+            nested_ok: t.nested_ok.row(s),
+            desc: t.desc.row(s),
         }
     }
 
@@ -299,40 +287,40 @@ impl ConeArena {
     /// Node `k`'s number of `inner` ids: its shape's position count (0 for
     /// a node without joining points).
     fn cone_len(&self, k: usize) -> usize {
-        span(&self.shapes.pos_off, self.shape[k] as usize).len()
+        self.shapes.fanin_ci.row(self.shape[k] as usize).len()
     }
 
     /// Number of distinct non-empty shapes.
     fn num_shapes(&self) -> usize {
-        self.shapes.joining_off.len() - 2
+        self.shapes.joining.len() - 1
     }
 
     /// Heap bytes of the arrays' contents (lengths × element sizes).
     fn storage_bytes(&self) -> usize {
-        use std::mem::size_of;
         let t = &self.shapes;
         self.inner.storage_bytes()
-            + self.shape.len() * size_of::<u32>()
-            + (t.joining_off.len() + t.pos_off.len() + t.desc_off.len()) * size_of::<u32>()
-            + t.joining.len() * size_of::<u16>()
-            + t.fanin_ci.len() * size_of::<[u16; 2]>()
-            + t.nested_ok.len() * size_of::<bool>()
-            + t.desc.len() * size_of::<u64>()
+            + std::mem::size_of_val(self.shape.as_slice())
+            + t.joining.storage_bytes()
+            + t.fanin_ci.storage_bytes()
+            + t.nested_ok.storage_bytes()
+            + t.desc.storage_bytes()
     }
 }
 
 impl ShapeTable {
     /// A table holding only shape 0, the empty (case-3) shape.
     fn new() -> Self {
-        ShapeTable {
-            joining_off: vec![0, 0],
-            joining: Vec::new(),
-            pos_off: vec![0, 0],
-            fanin_ci: Vec::new(),
-            nested_ok: Vec::new(),
-            desc_off: vec![0, 0],
-            desc: Vec::new(),
-        }
+        let mut t = ShapeTable {
+            joining: Csr::default(),
+            fanin_ci: Csr::default(),
+            nested_ok: Csr::default(),
+            desc: Csr::default(),
+        };
+        t.joining.push_row([]);
+        t.fanin_ci.push_row([]);
+        t.nested_ok.push_row([]);
+        t.desc.push_row([]);
+        t
     }
 
     /// Whether shape `s` has this key.
@@ -343,10 +331,9 @@ impl ShapeTable {
         fanin_ci: &[[u16; 2]],
         nested_ok: &[bool],
     ) -> bool {
-        let pos = span(&self.pos_off, s);
-        self.joining[span(&self.joining_off, s)] == *joining
-            && self.fanin_ci[pos.clone()] == *fanin_ci
-            && self.nested_ok[pos] == *nested_ok
+        self.joining.row(s) == joining
+            && self.fanin_ci.row(s) == fanin_ci
+            && self.nested_ok.row(s) == nested_ok
     }
 
     /// Appends a new shape with this key, deriving its `desc` rows (`reach`
@@ -377,47 +364,33 @@ impl ShapeTable {
                 }
             }
         }
-        for &p in joining {
+        let reach = &reach[..];
+        self.desc.push_row(joining.iter().flat_map(|&p| {
             let p = usize::from(p);
-            self.desc
-                .extend_from_slice(&reach[p * words..(p + 1) * words]);
-        }
-        self.joining.extend_from_slice(joining);
-        self.fanin_ci.extend_from_slice(fanin_ci);
-        self.nested_ok.extend_from_slice(nested_ok);
-        self.joining_off.push(to_u32(self.joining.len()));
-        self.pos_off.push(to_u32(self.fanin_ci.len()));
-        self.desc_off.push(to_u32(self.desc.len()));
-        to_u32(self.joining_off.len() - 2)
+            reach[p * words..(p + 1) * words].iter().copied()
+        }));
+        self.joining.push_row(joining.iter().copied());
+        self.fanin_ci.push_row(fanin_ci.iter().copied());
+        self.nested_ok.push_row(nested_ok.iter().copied());
+        // Every new shape adds at least one joining position, and `Csr`
+        // panics past `u32::MAX` of them, so the id fits.
+        (self.joining.len() - 1) as u32
     }
 }
 
-/// A CSR offset (or shape id) as `u32`.
-fn to_u32(offset: usize) -> u32 {
-    u32::try_from(offset).expect("cone arena exceeds u32 offsets")
-}
-
-/// One block's pass-1 output, in node order: each node's `inner` ids and
-/// its joining and fanin positions (empty unless the node is an AND with
-/// joining points). The stitch turns the positions into a shape.
+/// One block's pass-1 output, one row per node in node order: its `inner`
+/// ids and its joining and fanin positions (empty unless the node is an
+/// AND with joining points). The stitch turns the positions into a shape.
 #[derive(Default)]
 struct ConeChunk {
-    /// `block + 1` offsets into `joining`.
-    joining_off: Vec<u32>,
-    joining: Vec<u16>,
-    /// `block + 1` offsets into `inner` and `fanin_ci`.
-    inner_off: Vec<u32>,
-    inner: Vec<AigNodeId>,
-    fanin_ci: Vec<[u16; 2]>,
+    joining: Csr<u16>,
+    inner: Csr<AigNodeId>,
+    fanin_ci: Csr<[u16; 2]>,
 }
 
 impl ConeChunk {
     /// Resets the chunk to cover zero nodes, keeping its capacity.
     fn clear(&mut self) {
-        for off in [&mut self.joining_off, &mut self.inner_off] {
-            off.clear();
-            off.push(0);
-        }
         self.joining.clear();
         self.inner.clear();
         self.fanin_ci.clear();
@@ -457,9 +430,9 @@ impl Stitcher {
 
     /// Appends the nodes of a build chunk.
     fn append(&mut self, chunk: &ConeChunk) {
-        for i in 0..chunk.inner_off.len() - 1 {
-            let joining = &chunk.joining[span(&chunk.joining_off, i)];
-            let inner = &chunk.inner[span(&chunk.inner_off, i)];
+        for i in 0..chunk.inner.len() {
+            let joining = chunk.joining.row(i);
+            let inner = chunk.inner.row(i);
             let shape = if joining.is_empty() {
                 0
             } else {
@@ -471,7 +444,7 @@ impl Stitcher {
                     let k = x.index();
                     a.is_conditioned(k) && a.cone_len(k) <= MAX_NESTED_CONE
                 }));
-                self.intern(joining, &chunk.fanin_ci[span(&chunk.inner_off, i)])
+                self.intern(joining, chunk.fanin_ci.row(i))
             };
             let a = &mut self.arena;
             a.shape.push(shape);
@@ -534,8 +507,11 @@ struct ConeBuilder<'g> {
     cone_b: Vec<AigNodeId>,
     frontier: Vec<AigNodeId>,
     next: Vec<AigNodeId>,
-    /// The current AND's joining points.
+    /// The current AND's joining points, ascending once it has an
+    /// `inner`.
     joining: Vec<AigNodeId>,
+    /// The current AND's `inner` (empty when it joins none).
+    inner: Vec<AigNodeId>,
 }
 
 impl<'g> ConeBuilder<'g> {
@@ -555,6 +531,7 @@ impl<'g> ConeBuilder<'g> {
             frontier: Vec::new(),
             next: Vec::new(),
             joining: Vec::new(),
+            inner: Vec::new(),
         }
     }
 
@@ -568,14 +545,30 @@ impl<'g> ConeBuilder<'g> {
         }
     }
 
-    /// Appends node `k`'s pass-1 entries (empty unless `k` is an AND with
-    /// joining points) to `out`, closing its offsets.
+    /// Appends node `k`'s pass-1 rows (empty unless `k` is an AND with
+    /// joining points) to `out`.
     fn push(&mut self, k: usize, out: &mut ConeChunk) {
+        self.joining.clear();
+        self.inner.clear();
         if let Some((la, lb)) = self.aig.and_fanins(AigNodeId::from_index(k)) {
-            self.push_and(la.node(), lb.node(), out);
+            self.find_cone(la.node(), lb.node());
         }
-        out.joining_off.push(to_u32(out.joining.len()));
-        out.inner_off.push(to_u32(out.inner.len()));
+        let (epoch, in_inner, pos) = (self.epoch, &self.in_inner, &self.pos);
+        let at = |f: AigNodeId| {
+            if in_inner[f.index()] == epoch {
+                pos[f.index()] as u16
+            } else {
+                NO_POS
+            }
+        };
+        out.joining.push_row(self.joining.iter().map(|&x| at(x)));
+        // Each kept node's fanin positions inside the subgraph.
+        out.fanin_ci
+            .push_row(self.inner.iter().map(|&x| match self.aig.and_fanins(x) {
+                Some((fa, fb)) => [at(fa.node()), at(fb.node())],
+                None => [NO_POS; 2],
+            }));
+        out.inner.push_row(self.inner.iter().copied());
     }
 
     /// Collects the `maxlist`-bounded backward cone of `root` (inclusive)
@@ -613,22 +606,21 @@ impl<'g> ConeBuilder<'g> {
         }
     }
 
-    /// Appends the `inner` ids and the joining and fanin positions of the
-    /// AND over fanin nodes `a` and `b` (nothing when it joins none).
+    /// Finds the joining points (`joining`) and the `inner` ids of the
+    /// AND over fanin nodes `a` and `b`, marking each `inner` node under
+    /// the AND's epoch with its position (nothing when it joins none).
     ///
     /// # Panics
     ///
     /// Panics if the cone has `u16::MAX` nodes or more (see
     /// [`AnalyzerParams::maxlist`]).
-    fn push_and(&mut self, a: AigNodeId, b: AigNodeId, out: &mut ConeChunk) {
+    fn find_cone(&mut self, a: AigNodeId, b: AigNodeId) {
         self.epoch += 1;
         let epoch = self.epoch;
         self.collect_cone(a, false);
         self.collect_cone(b, true);
-        let aig = self.aig;
         // Joining points: in both cones, fanout ≥ 2, with distinct
         // immediate successors toward a and b.
-        self.joining.clear();
         for &x in &self.cone_a {
             if self.in_b[x.index()] != epoch {
                 continue;
@@ -664,49 +656,34 @@ impl<'g> ConeBuilder<'g> {
         }
         // Forward closure of the joining points through the union cone:
         // the subgraph a pinned assignment can actually change. Sorted,
-        // it is `inner` in ascending (= topological) order.
-        let i0 = out.inner.len();
+        // it is `inner` in ascending (= topological) order, and sorted
+        // joining points have ascending positions in it.
         for &x in &self.joining {
             self.in_inner[x.index()] = epoch;
-            out.inner.push(x);
+            self.inner.push(x);
         }
-        let mut head = i0;
-        while head < out.inner.len() {
-            let u = out.inner[head];
+        let mut head = 0;
+        while head < self.inner.len() {
+            let u = self.inner[head];
             head += 1;
             for &s in &self.fanouts[u.index()] {
                 let in_cone = self.in_a[s.index()] == epoch || self.in_b[s.index()] == epoch;
                 if in_cone && self.in_inner[s.index()] != epoch {
                     self.in_inner[s.index()] = epoch;
-                    out.inner.push(s);
+                    self.inner.push(s);
                 }
             }
         }
-        out.inner[i0..].sort_unstable();
-        let len = out.inner.len() - i0;
+        self.inner.sort_unstable();
+        self.joining.sort_unstable();
+        let len = self.inner.len();
         assert!(
             len < usize::from(NO_POS),
             "cone arena: a {len}-node cone exceeds its u16 positions \
              (see AnalyzerParams::maxlist for the bound)"
         );
-        for (ci, x) in out.inner[i0..].iter().enumerate() {
+        for (ci, x) in self.inner.iter().enumerate() {
             self.pos[x.index()] = ci as u32;
-        }
-        let j0 = out.joining.len();
-        out.joining
-            .extend(self.joining.iter().map(|x| self.pos[x.index()] as u16));
-        out.joining[j0..].sort_unstable();
-        // Each kept node's fanin positions inside the subgraph.
-        for &x in &out.inner[i0..] {
-            let mut ci = [NO_POS; 2];
-            if let Some((fa, fb)) = aig.and_fanins(x) {
-                for (side, f) in [fa.node(), fb.node()].into_iter().enumerate() {
-                    if self.in_inner[f.index()] == epoch {
-                        ci[side] = self.pos[f.index()] as u16;
-                    }
-                }
-            }
-            out.fanin_ci.push(ci);
         }
     }
 }
@@ -723,9 +700,6 @@ pub struct SignalProbEstimator {
     /// Fanin-depth ranks of the AIG, built on first use (only the parallel
     /// passes and the incremental session need them).
     ranks: OnceLock<Ranks>,
-    /// Read-dependency fanout map, built on first use (only incremental
-    /// sessions need it; one-shot passes never pay).
-    readers: OnceLock<ReaderMap>,
 }
 
 /// Sweep-shape counters of an estimator (see
@@ -783,21 +757,17 @@ impl LaneSweep {
     }
 }
 
-/// The read-dependency fan-out map (see [`SignalProbEstimator::readers`]):
-/// row `x` lists, ascending and gap-coded, the AND nodes whose evaluation
-/// reads node `x`.
-pub type ReaderMap = IdRows;
-
 /// Fanin-depth ranks over the AIG. Every value an AND node *reads* (its
 /// fanins, its conditioning cone, the nested cones) lies in its transitive
 /// fanin and therefore on a strictly smaller rank, so nodes sharing a rank
 /// are mutually independent: a parallel pass may evaluate a whole rank
 /// concurrently against the settled lower ranks and stay bit-identical to
 /// the serial schedule.
+///
+/// An AND's rank is one more than its fanins' larger rank; the constant
+/// and the primary inputs have rank 0.
 #[derive(Debug, PartialEq, Eq)]
 pub struct Ranks {
-    /// Rank per AIG node (0 for the constant and the primary inputs).
-    pub(crate) of: Vec<u32>,
     /// Row `r` holds the AND nodes of rank `r`, ascending; row 0 (constant
     /// and inputs) is empty.
     pub(crate) rows: Csr<u32>,
@@ -810,8 +780,7 @@ pub struct Ranks {
 impl Ranks {
     /// Heap bytes of the arrays' contents (lengths × element sizes).
     fn storage_bytes(&self) -> usize {
-        (self.of.len() + self.cond_per_rank.len()) * std::mem::size_of::<u32>()
-            + self.rows.storage_bytes()
+        std::mem::size_of_val(self.cond_per_rank.as_slice()) + self.rows.storage_bytes()
     }
 }
 
@@ -828,7 +797,6 @@ impl SignalProbEstimator {
             maxvers: params.maxvers,
             arena,
             ranks: OnceLock::new(),
-            readers: OnceLock::new(),
         }
     }
 
@@ -845,12 +813,6 @@ impl SignalProbEstimator {
         self.ranks.get().map(Ranks::storage_bytes)
     }
 
-    /// Heap bytes of the [`readers`](Self::readers) map, or `None` until
-    /// it is built.
-    pub fn readers_bytes(&self) -> Option<usize> {
-        self.readers.get().map(ReaderMap::storage_bytes)
-    }
-
     /// The sweep's shape, read off the cone arena at no sweep cost: how
     /// many ANDs run the conditioned kernel, the mean joining-candidate
     /// count and cone (`inner`) size over those ANDs, and how many
@@ -860,7 +822,7 @@ impl SignalProbEstimator {
         let n = self.aig.len();
         let conditioned = (0..n).filter(|&k| a.is_conditioned(k)).count();
         let joining: usize = (0..n)
-            .map(|k| span(&a.shapes.joining_off, a.shape[k] as usize).len())
+            .map(|k| a.shapes.joining.row(a.shape[k] as usize).len())
             .sum();
         let inner: usize = (0..n).map(|k| a.cone_len(k)).sum();
         let per_and = |total: usize| {
@@ -1037,14 +999,14 @@ impl SignalProbEstimator {
     pub fn ranks(&self) -> &Ranks {
         self.ranks.get_or_init(|| {
             let n = self.aig.len();
-            let mut of = vec![0u32; n];
+            let mut rank_of = vec![0u32; n];
             let mut cond_per_rank: Vec<u32> = vec![0];
             for k in 1..n {
                 let Some((la, lb)) = self.aig.and_fanins(AigNodeId::from_index(k)) else {
                     continue;
                 };
-                let rank = 1 + of[la.node().index()].max(of[lb.node().index()]) as usize;
-                of[k] = rank as u32;
+                let rank = 1 + rank_of[la.node().index()].max(rank_of[lb.node().index()]) as usize;
+                rank_of[k] = rank as u32;
                 if cond_per_rank.len() <= rank {
                     cond_per_rank.resize(rank + 1, 0);
                 }
@@ -1053,12 +1015,11 @@ impl SignalProbEstimator {
             // Ascending node order keeps each rank's members ascending;
             // exactly the ANDs have a rank above 0.
             let rows = Csr::group(cond_per_rank.len(), |emit| {
-                for (k, &r) in of.iter().enumerate().filter(|&(_, &r)| r > 0) {
+                for (k, &r) in rank_of.iter().enumerate().filter(|&(_, &r)| r > 0) {
                     emit(r as usize, k as u32);
                 }
             });
             Ranks {
-                of,
                 rows,
                 cond_per_rank,
             }
@@ -1078,7 +1039,7 @@ impl SignalProbEstimator {
 
     /// Evaluates one AND node given the current per-node probabilities of
     /// everything the node *reads* (its fanins plus its conditioning cone;
-    /// see [`readers`](Self::readers)). This is the one-lane kernel the
+    /// see [`reads_any`](Self::reads_any)). This is the one-lane kernel the
     /// rank-parallel pass and the incremental session run per node.
     ///
     /// # Panics
@@ -1123,72 +1084,38 @@ impl SignalProbEstimator {
         s.inner = inner;
     }
 
-    /// The read-dependency fan-out map: `readers[x]` lists every AND node
-    /// whose per-node evaluation *reads* the base probability of `x` — its
-    /// direct fanins, its conditioning cone (`inner`), the fanins of the
-    /// cone nodes, and the nested cones that nested conditioning may
-    /// consult. Incremental re-propagation is sound exactly when a node is
-    /// re-evaluated whenever any member of its read set changes value, so
-    /// this map (not the plain structural fanout map) drives the session's
-    /// dirty propagation.
+    /// Whether AND node `k`'s evaluation *reads* the base probability of a
+    /// node for which `changed` holds. Its read set is its two fanins, its
+    /// conditioning cone (`inner`) and the fanins of the cone nodes, and,
+    /// for each cone node that runs nested conditioning, that node's own
+    /// cone and their fanins. The walk visits them in that order and stops
+    /// at the first changed read.
     ///
-    /// Every read of an AND node lies in its transitive fanin, so
-    /// `readers[x]` only contains indices greater than `x` — a worklist
-    /// popped in ascending order visits nodes in dependency order. Built
-    /// on first use and cached: every session over this estimator shares
-    /// one map.
-    pub fn readers(&self) -> &ReaderMap {
-        self.readers.get_or_init(|| {
-            let _t = protest_telemetry::span(protest_telemetry::Site::EstimatorReaders);
-            self.read_sets().transpose(self.aig.len())
-        })
-    }
-
-    /// Every node's read set, the forward rows [`readers`](Self::readers)
-    /// inverts: row `k` lists, ascending and once each, the nodes AND node
-    /// `k` reads, leaving out node 0 (the constant, whose value never
-    /// changes); rows of inputs and the constant are empty. Stored as
-    /// gap-coded rows because the nested cones make the sets too expensive
-    /// to compute twice, once per pass of the transpose.
-    fn read_sets(&self) -> IdRows {
-        let n = self.aig.len();
-        let mut rows = IdRows::with_capacity(n, 0);
-        let mut readset: Vec<u32> = Vec::new();
-        let mut inner = Vec::new();
-        let mut nested_ids = [AigNodeId::from_index(0); MAX_NESTED_CONE];
-        for k in 0..n {
-            let id = AigNodeId::from_index(k);
-            let Some((la, lb)) = self.aig.and_fanins(id) else {
-                rows.push_row([]);
-                continue;
-            };
-            readset.clear();
-            readset.push(la.node().index() as u32);
-            readset.push(lb.node().index() as u32);
-            let cone = self.arena.cone(k, &mut inner);
-            for (&x, &nested) in cone.inner.iter().zip(cone.nested_ok) {
-                readset.push(x.index() as u32);
-                if let Some((fa, fb)) = self.aig.and_fanins(x) {
-                    readset.push(fa.node().index() as u32);
-                    readset.push(fb.node().index() as u32);
-                }
-                // Nested conditioning reads x's own cone (and its fanins)
-                // whenever `nested_values` runs for it.
-                if nested {
-                    for &y in self.arena.small_cone(x.index(), &mut nested_ids).inner {
-                        readset.push(y.index() as u32);
-                        if let Some((ga, gb)) = self.aig.and_fanins(y) {
-                            readset.push(ga.node().index() as u32);
-                            readset.push(gb.node().index() as u32);
-                        }
-                    }
-                }
-            }
-            readset.sort_unstable();
-            readset.dedup();
-            rows.push_row(readset.iter().copied().filter(|&r| r != 0));
+    /// Re-evaluating a node is needed exactly when a member of its read
+    /// set changed value, so this test (not the plain structural fanin)
+    /// drives the session's forward propagation. Every read lies in `k`'s
+    /// transitive fanin. The constant and the inputs read nothing.
+    pub fn reads_any(&self, k: u32, changed: impl Fn(u32) -> bool) -> bool {
+        // Whether an AND's fanins changed (false for a non-AND).
+        let fanins_changed = |x: u32| {
+            self.aig
+                .and_fanins(AigNodeId::from_index(x as usize))
+                .is_some_and(|(a, b)| {
+                    changed(a.node().index() as u32) || changed(b.node().index() as u32)
+                })
+        };
+        // A cone node or its fanins.
+        let node_changed = |x: u32| changed(x) || fanins_changed(x);
+        if fanins_changed(k) {
+            return true;
         }
-        rows
+        let a = &self.arena;
+        let k = k as usize;
+        a.inner.row(k).any(node_changed)
+            || a.inner
+                .row(k)
+                .zip(a.shapes.nested_ok.row(a.shape[k] as usize))
+                .any(|(x, &nested)| nested && a.inner.row(x as usize).any(node_changed))
     }
 
     /// Case-4 computation (formula (2)) in every lane: score the joining
@@ -1267,11 +1194,10 @@ impl SignalProbEstimator {
         }
         self.select(w, jn, s);
         let sel = std::mem::take(&mut s.w);
-        let sel_off = std::mem::take(&mut s.w_off);
         let mut members = std::mem::take(&mut s.members);
         members.clear();
-        let first = &sel[span(&sel_off, 0)];
-        if (1..w).all(|l| sel[span(&sel_off, l)] == *first) {
+        let first = sel.row(0);
+        if (1..w).all(|l| sel.row(l) == first) {
             // One `W` for every lane (always so with one lane): one group.
             s.lead.clear();
             if first.is_empty() {
@@ -1287,7 +1213,6 @@ impl SignalProbEstimator {
             }
             s.conditioned += w as u64;
             s.w = sel;
-            s.w_off = sel_off;
             s.members = members;
             return;
         }
@@ -1298,16 +1223,12 @@ impl SignalProbEstimator {
         let mut group_of = std::mem::take(&mut s.group_of);
         lead.clear();
         group_of.clear();
-        for l in 0..w {
-            let wl = &sel[span(&sel_off, l)];
+        for (l, wl) in sel.iter().enumerate() {
             group_of.push(if wl.is_empty() {
                 let [pa, pb] = s.pab[l];
                 out[l] = (pa * pb).clamp(0.0, 1.0);
                 NO_GROUP
-            } else if let Some(&r) = lead
-                .iter()
-                .find(|&&r| sel[span(&sel_off, r as usize)] == *wl)
-            {
+            } else if let Some(&r) = lead.iter().find(|&&r| sel.row(r as usize) == wl) {
                 r
             } else {
                 lead.push(l as u32);
@@ -1323,13 +1244,12 @@ impl SignalProbEstimator {
             if g > 0 {
                 s.clear_tables(cone.inner.len(), w);
             }
-            let w_sel = &sel[span(&sel_off, group[0] as usize)];
+            let w_sel = sel.row(group[0] as usize);
             self.enumerate(lanes, base, cone, own, w_sel, group, lead.len() > 1, s, out);
         }
         s.conditioned += w as u64;
         s.passes += lead.len() as u64;
         s.w = sel;
-        s.w_off = sel_off;
         s.lead = lead;
         s.group_of = group_of;
         s.members = members;
@@ -1338,18 +1258,15 @@ impl SignalProbEstimator {
     /// Each lane's `W` from its scored candidates (`s.scored`, up to `jn`
     /// per lane, `s.counts` of them): the `maxvers` best, minus those
     /// negligible next to the top one, in candidate order. Written to
-    /// `s.w`, CSR by lane (`s.w_off`).
+    /// `s.w`, one row per lane.
     fn select(&self, w: usize, jn: usize, s: &mut Scratch2) {
         let Scratch2 {
             scored,
             counts,
             w: sel,
-            w_off,
             ..
         } = s;
         sel.clear();
-        w_off.clear();
-        w_off.push(0);
         for l in 0..w {
             let list = &mut scored[l * jn..l * jn + counts[l] as usize];
             // Keep the `maxvers` best: highest score first, ties in
@@ -1371,14 +1288,12 @@ impl SignalProbEstimator {
             // Topological order: chain-rule weights condition each joining
             // point on the pins of its ancestors (`joining` is ascending,
             // so sorting the candidate indices sorts the nodes).
-            let start = sel.len();
-            sel.extend(
+            sel.push_row(
                 list.iter()
                     .filter(|&&(sc, _)| sc >= cutoff)
                     .map(|&(_, j)| j),
             );
-            sel[start..].sort_unstable();
-            w_off.push(sel.len() as u32);
+            sel.row_mut(l).sort_unstable();
         }
     }
 
@@ -2110,9 +2025,8 @@ pub(crate) struct Scratch2 {
     /// lane, and how many of them each lane filled.
     scored: Vec<(f64, u32)>,
     counts: Vec<u32>,
-    /// Each lane's selected candidates (CSR, `w_off` by lane).
-    w: Vec<u32>,
-    w_off: Vec<u32>,
+    /// Each lane's selected candidates, one row per lane.
+    w: Csr<u32>,
     /// The first lane of each group of lanes sharing one `W`, each
     /// lane's group by its first lane ([`NO_GROUP`] for the product
     /// rule), and the grouped lanes, group by group.
@@ -2242,8 +2156,6 @@ impl Scratch2 {
         use std::mem::size_of;
         let words = self.off.capacity()
             + self.dep.capacity()
-            + self.w.capacity()
-            + self.w_off.capacity()
             + self.lead.capacity()
             + self.group_of.capacity()
             + self.members.capacity()
@@ -2259,6 +2171,8 @@ impl Scratch2 {
             + self.progs.capacity() * size_of::<NestProg>()
             + self.ops.capacity() * size_of::<NestOp>()
             + self.inner.capacity() * size_of::<AigNodeId>()
+            // By length: at most `maxvers` candidates per lane.
+            + self.w.storage_bytes()
     }
 }
 
@@ -2375,39 +2289,39 @@ mod tests {
         let shapes = a.num_shapes() + 1;
         assert_eq!(a.inner.len(), n);
         assert_eq!(a.shape.len(), n);
-        for off in [&t.joining_off, &t.pos_off, &t.desc_off] {
-            assert_eq!(off.len(), shapes + 1);
+        for rows in [
+            t.joining.len(),
+            t.fanin_ci.len(),
+            t.nested_ok.len(),
+            t.desc.len(),
+        ] {
+            assert_eq!(rows, shapes);
         }
-        assert_eq!(t.nested_ok.len(), t.fanin_ci.len());
+        assert_eq!(t.nested_ok.values().len(), t.fanin_ci.values().len());
         // The coded rows: offsets plus at least one byte per id.
         let ids: usize = (0..n).map(|k| a.cone_len(k)).sum();
         assert!(a.inner.storage_bytes() >= (n + 1) * 4 + ids);
         let want = n * 4
             + a.inner.storage_bytes()
-            + 3 * (shapes + 1) * 4
-            + t.joining.len() * 2
-            + t.fanin_ci.len() * 4
-            + t.nested_ok.len()
-            + t.desc.len() * 8;
-        assert!(!t.desc.is_empty());
+            + 4 * (shapes + 1) * 4
+            + t.joining.values().len() * 2
+            + t.fanin_ci.values().len() * 4
+            + t.nested_ok.values().len()
+            + t.desc.values().len() * 8;
+        assert!(!t.desc.values().is_empty());
         assert_eq!(est.storage_bytes(), want);
     }
 
     #[test]
-    fn ranks_and_readers_bytes_appear_once_built() {
+    fn ranks_bytes_appear_once_built() {
         let est = SignalProbEstimator::new(
             Aig::from_circuit(&protest_circuits::comp24()),
             &AnalyzerParams::default(),
         );
-        assert_eq!((est.ranks_bytes(), est.readers_bytes()), (None, None));
+        assert_eq!(est.ranks_bytes(), None);
         let ranks = est.ranks();
-        let words = ranks.of.len() + ranks.rows.len() + 1;
-        let words = words + ranks.rows.values().len() + ranks.cond_per_rank.len();
+        let words = ranks.rows.len() + 1 + ranks.rows.values().len() + ranks.cond_per_rank.len();
         assert_eq!(est.ranks_bytes(), Some(4 * words));
-        let readers = est.readers();
-        let ids: usize = readers.iter().map(Iterator::count).sum();
-        assert!(readers.storage_bytes() >= (readers.len() + 1) * 4 + ids);
-        assert_eq!(est.readers_bytes(), Some(readers.storage_bytes()));
     }
 
     /// One AND's cone as [`ConeBuilder`] produces it for that AND alone,
@@ -2443,31 +2357,30 @@ mod tests {
         /// Builds node `k`'s cone alone.
         fn build(b: &mut ConeBuilder, k: usize) -> Self {
             let mut chunk = ConeChunk::default();
-            chunk.clear();
             b.push(k, &mut chunk);
+            let (inner, fanin_ci) = (chunk.inner.row(0), chunk.fanin_ci.row(0));
             let joining: Vec<AigNodeId> = chunk
                 .joining
+                .row(0)
                 .iter()
-                .map(|&p| chunk.inner[usize::from(p)])
+                .map(|&p| inner[usize::from(p)])
                 .collect();
-            let nested_ok = chunk
-                .inner
+            let nested_ok = inner
                 .iter()
                 .map(|x| {
                     let mut own = ConeChunk::default();
-                    own.clear();
                     b.push(x.index(), &mut own);
-                    !own.joining.is_empty() && own.inner.len() <= MAX_NESTED_CONE
+                    !own.joining.row(0).is_empty() && own.inner.row(0).len() <= MAX_NESTED_CONE
                 })
                 .collect();
-            let len = chunk.inner.len();
+            let len = inner.len();
             let words = len.div_ceil(64);
             let mut desc = Vec::new();
-            for &p in &chunk.joining {
+            for &p in chunk.joining.row(0) {
                 let mut reached = vec![false; len];
                 reached[usize::from(p)] = true;
                 for ci in usize::from(p) + 1..len {
-                    reached[ci] = chunk.fanin_ci[ci]
+                    reached[ci] = fanin_ci[ci]
                         .iter()
                         .any(|&f| f != NO_POS && reached[usize::from(f)]);
                 }
@@ -2479,8 +2392,8 @@ mod tests {
             }
             AloneCone {
                 joining,
-                inner: chunk.inner,
-                fanin_ci: chunk.fanin_ci,
+                inner: inner.to_vec(),
+                fanin_ci: fanin_ci.to_vec(),
                 nested_ok,
                 desc,
             }
@@ -2740,28 +2653,31 @@ mod tests {
     }
 
     #[test]
-    fn readers_invert_the_documented_read_sets() {
+    fn reads_any_holds_exactly_on_the_documented_reads() {
         for name in ["c17", "alu", "comp24", "div8x8"] {
             let aig = Aig::from_circuit(&protest_circuits::by_name(name).unwrap());
             let est = SignalProbEstimator::new(aig, &AnalyzerParams::default());
             let (aig, arena) = (&est.aig, &est.arena);
             let n = aig.len();
             // A node and, for an AND, its two fanins.
-            let with_fanins = |set: &mut Vec<u32>, x: AigNodeId| {
-                set.push(x.index() as u32);
+            let with_fanins = |set: &mut Vec<bool>, x: AigNodeId| {
+                set[x.index()] = true;
                 if let Some((fa, fb)) = aig.and_fanins(x) {
-                    set.extend([fa.node().index() as u32, fb.node().index() as u32]);
+                    set[fa.node().index()] = true;
+                    set[fb.node().index()] = true;
                 }
             };
-            let mut expected: Vec<Vec<u32>> = vec![Vec::new(); n];
+            let mut pairs = 0;
             for k in 0..n {
                 let id = AigNodeId::from_index(k);
-                if aig.and_fanins(id).is_none() {
+                let Some((fa, fb)) = aig.and_fanins(id) else {
                     continue;
-                }
-                let mut set = Vec::new();
-                with_fanins(&mut set, id);
-                set.remove(0); // the fanins, not the node itself
+                };
+                // The documented read set: the fanins, every cone node with
+                // its fanins, and every nested cone node with its fanins.
+                let mut set = vec![false; n];
+                set[fa.node().index()] = true;
+                set[fb.node().index()] = true;
                 let mut buf = Vec::new();
                 let cone = arena.cone(k, &mut buf);
                 for (&x, &nested) in cone.inner.iter().zip(cone.nested_ok) {
@@ -2772,24 +2688,14 @@ mod tests {
                         }
                     }
                 }
-                set.sort_unstable();
-                set.dedup();
-                for r in set.into_iter().filter(|&r| r != 0) {
-                    expected[r as usize].push(k as u32);
+                for (x, &want) in set.iter().enumerate() {
+                    let got = est.reads_any(k as u32, |y| y as usize == x);
+                    assert_eq!(got, want, "{name}: AND {k} reading node {x}");
+                    pairs += usize::from(want);
                 }
+                assert!(!est.reads_any(k as u32, |_| false), "{name}: AND {k}");
             }
-            let readers = est.readers();
-            assert_eq!(readers.len(), n, "{name}");
-            for (x, want) in expected.iter().enumerate() {
-                assert_eq!(
-                    &readers.row(x).collect::<Vec<_>>(),
-                    want,
-                    "{name}: readers of {x}"
-                );
-                assert!(want.windows(2).all(|w| w[0] < w[1]), "{name}: {x}");
-            }
-            let edges: usize = expected.iter().map(Vec::len).sum();
-            assert!(edges > n, "{name}: a non-trivial map");
+            assert!(pairs > 2 * aig.num_ands(), "{name}: a non-trivial read set");
         }
     }
 
@@ -2798,21 +2704,25 @@ mod tests {
         for (name, aig) in paper_aigs() {
             let est = SignalProbEstimator::new(aig, &AnalyzerParams::default());
             let ranks = est.ranks();
+            // Each node's rank as the rows place it: 0 unless listed.
+            let mut of = vec![0; est.aig.len()];
             let mut seen = 0;
             for (r, members) in ranks.rows.iter().enumerate() {
                 assert!(members.windows(2).all(|w| w[0] < w[1]), "{name}: rank {r}");
                 for &k in members {
-                    let (fa, fb) = est
-                        .aig
-                        .and_fanins(AigNodeId::from_index(k as usize))
-                        .unwrap();
-                    let below = ranks.of[fa.node().index()].max(ranks.of[fb.node().index()]);
-                    assert_eq!(ranks.of[k as usize], below + 1, "{name}: node {k}");
-                    assert_eq!(ranks.of[k as usize] as usize, r);
+                    assert_eq!(of[k as usize], 0, "{name}: node {k} listed twice");
+                    of[k as usize] = r;
                 }
                 seen += members.len();
             }
             assert_eq!(seen, est.aig.num_ands(), "{name}");
+            assert!(ranks.rows.row(0).is_empty(), "{name}");
+            for (k, &r) in of.iter().enumerate() {
+                if let Some((fa, fb)) = est.aig.and_fanins(AigNodeId::from_index(k)) {
+                    let below = of[fa.node().index()].max(of[fb.node().index()]);
+                    assert_eq!(r, below + 1, "{name}: node {k}");
+                }
+            }
         }
     }
 

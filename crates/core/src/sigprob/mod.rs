@@ -20,7 +20,7 @@ mod monte_carlo;
 pub use bounds_impl::{signal_prob_bounds, ProbBounds};
 pub(crate) use estimate::Scratch2 as EvalScratch;
 pub(crate) use estimate::{lane_lit, lit_prob as lit_prob_of};
-pub use estimate::{LaneSweep, Ranks, ReaderMap, SignalProbEstimator, SweepShape};
+pub use estimate::{LaneSweep, Ranks, SignalProbEstimator, SweepShape};
 pub(crate) use estimate::{CANCEL_CHECK_NODES, MIN_PAR_COND, MIN_PAR_WIDE};
 pub use exact::{bdd_signal_probs, exhaustive_signal_probs, EXHAUSTIVE_INPUT_LIMIT};
 pub use monte_carlo::monte_carlo_signal_probs;

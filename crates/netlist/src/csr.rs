@@ -9,11 +9,11 @@
 //! Tables are built one of two ways:
 //!
 //! * [`push_row`](Csr::push_row) appends rows in row order (fanin lists,
-//!   cone rows, pin rows, read sets);
+//!   cone shapes, pin rows, reused scratch rows after
+//!   [`clear`](Csr::clear));
 //! * [`group`](Csr::group) is a stable counting sort for tables whose
 //!   entries arrive keyed by row in any order (fanout maps, rank and level
-//!   rows, fault classes, [`transpose`](Csr::transpose)). It calls an
-//!   emitter twice with the same sequence of `(row, value)` pairs: the
+//!   rows, fault classes). It calls an emitter twice with the same sequence of `(row, value)` pairs: the
 //!   first call counts each row, a prefix sum turns the counts into
 //!   offsets, and the second call places every value. Each row keeps
 //!   emission order, so a caller that emits in ascending source order gets
@@ -27,17 +27,16 @@
 //!
 //! # Gap-coded id rows
 //!
-//! [`IdRows`] is the same layout for the largest tables of all: rows of
+//! [`IdRows`] is the same layout for the largest table of all: rows of
 //! ascending `u32` ids that are read whole, one row at a time (the
-//! estimator's per-AND cone ids and its reader map). Neighbouring ids in
-//! such a row are close, so each row stores its ids as LEB128 gaps — a
-//! varint of 7 bits per byte: 1 byte for a gap below 128, 2 below 16,384 —
-//! and the offsets count bytes. On `multmesh:4x12x64` that stores the
-//! cone ids and the reader map in about a quarter of the bytes of `u32`
-//! values. The first id of a row is stored as its signed distance from
-//! the row index (zigzag-mapped), since a row's ids lie near its own node
-//! on either side: a cone reads below its AND, readers sit above their
-//! node.
+//! estimator's per-AND cone ids). Neighbouring ids in such a row are
+//! close, so each row stores its ids as LEB128 gaps — a varint of 7 bits
+//! per byte: 1 byte for a gap below 128, 2 below 16,384 — and the offsets
+//! count bytes. On `multmesh:4x12x64` that stores the cone ids in about a
+//! quarter of the bytes of `u32` values. The first id of a row is stored
+//! as its signed distance from the row index (zigzag-mapped), so a row
+//! whose ids lie near its own node on either side (a cone reads just
+//! below its AND) starts with a short code.
 //!
 //! The price is access: a row is an iterator that decodes front to back,
 //! with no indexing and no length short of decoding it. Use `IdRows` for a
@@ -138,6 +137,13 @@ impl<T> Csr<T> {
         self.values.extend(row);
         self.off.push(offset(self.values.len()));
     }
+
+    /// Removes every row, keeping both arrays' capacity (a reused
+    /// scratch table).
+    pub fn clear(&mut self) {
+        self.off.truncate(1);
+        self.values.clear();
+    }
 }
 
 impl<T: Clone> Csr<T> {
@@ -195,20 +201,6 @@ impl<T: Clone> Csr<T> {
             "emitted counts differ from the row counts"
         );
         Csr { off, values }
-    }
-}
-
-impl Csr<u32> {
-    /// The inverse table over `rows` rows: row `j` lists, ascending, every
-    /// row `i` of `self` that holds `j` (once per occurrence).
-    pub fn transpose(&self, rows: usize) -> Csr<u32> {
-        Csr::group(rows, |emit| {
-            for (i, row) in self.iter().enumerate() {
-                for &j in row {
-                    emit(j as usize, i as u32);
-                }
-            }
-        })
     }
 }
 
@@ -300,11 +292,6 @@ fn gap_code(row: usize, prev: Option<u32>, id: u32) -> u64 {
     }
 }
 
-/// Bytes of the LEB128 varint of `v`.
-fn varint_len(v: u64) -> usize {
-    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
-}
-
 /// Appends the LEB128 varint of `v`: 7 bits per byte, low bits first, the
 /// high bit set on every byte but the last.
 #[inline]
@@ -314,18 +301,6 @@ fn push_varint(bytes: &mut Vec<u8>, mut v: u64) {
         v >>= 7;
     }
     bytes.push(v as u8);
-}
-
-/// Writes the LEB128 varint of `v` at `bytes[at..]`; returns the position
-/// after it.
-fn put_varint(bytes: &mut [u8], mut at: usize, mut v: u64) -> usize {
-    while v >= 0x80 {
-        bytes[at] = v as u8 | 0x80;
-        v >>= 7;
-        at += 1;
-    }
-    bytes[at] = v as u8;
-    at + 1
 }
 
 impl IdRows {
@@ -394,50 +369,6 @@ impl IdRows {
     /// The rows in order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = IdRow<'_>> + '_ {
         (0..self.len()).map(|i| self.row(i))
-    }
-
-    /// The inverse table over `rows` rows: row `j` lists, ascending, every
-    /// row `i` of `self` that holds `j` (once per occurrence) — the coded
-    /// [`Csr::transpose`] of the decoded table. Two passes over `self`:
-    /// the first sums each target row's code bytes, tracking the row's
-    /// last id, and the second writes the codes in place. Neither table is
-    /// ever decoded whole, and no `(row, id)` pair list is built.
-    pub fn transpose(&self, rows: usize) -> IdRows {
-        const NONE: u32 = u32::MAX;
-        assert!(self.len() < NONE as usize, "IdRows ids exceed u32");
-        let prev = |last: u32| (last != NONE).then_some(last);
-        let mut last = vec![NONE; rows];
-        let mut off = vec![0u32; rows + 1];
-        let mut total = 0usize;
-        for (i, row) in self.iter().enumerate() {
-            for j in row {
-                let j = j as usize;
-                let len = varint_len(gap_code(j, prev(last[j]), i as u32));
-                // No row's length exceeds the total, so none of them wrapped
-                // once the total is known to fit.
-                off[j + 1] = off[j + 1].wrapping_add(len as u32);
-                total += len;
-                last[j] = i as u32;
-            }
-        }
-        let total = offset(total);
-        for j in 0..rows {
-            off[j + 1] += off[j];
-        }
-        let mut bytes = vec![0u8; total as usize];
-        let mut cursor = off[..rows].to_vec();
-        last.fill(NONE);
-        for (i, row) in self.iter().enumerate() {
-            for j in row {
-                let j = j as usize;
-                let at = cursor[j] as usize;
-                let code = gap_code(j, prev(last[j]), i as u32);
-                cursor[j] = put_varint(&mut bytes, at, code) as u32;
-                last[j] = i as u32;
-            }
-        }
-        debug_assert!(cursor[..] == off[1..], "transpose's two passes differ");
-        IdRows { off, bytes }
     }
 }
 
@@ -527,6 +458,19 @@ mod tests {
     }
 
     #[test]
+    fn clear_empties_the_table_and_keeps_its_capacity() {
+        let mut csr = Csr::default();
+        csr.push_row([1u32, 2, 3]);
+        csr.push_row([4]);
+        let cap = csr.values.capacity();
+        csr.clear();
+        assert_eq!(csr, Csr::default());
+        assert_eq!(csr.values.capacity(), cap);
+        csr.push_row([5]);
+        assert_eq!(rows_of(&csr), vec![vec![5]]);
+    }
+
+    #[test]
     fn group_keeps_emission_order_within_rows() {
         let pairs = [(2, 'a'), (0, 'b'), (2, 'c'), (1, 'd'), (0, 'e'), (2, 'f')];
         let csr = Csr::group(4, |emit| {
@@ -569,21 +513,6 @@ mod tests {
         assert_eq!(blank, pushed);
     }
 
-    #[test]
-    fn transpose_of_a_transpose_returns_the_rows() {
-        // Ascending rows with a repeated value and empty rows.
-        let mut csr = Csr::default();
-        for row in [&[1u32, 4][..], &[], &[0, 0, 2, 4], &[3], &[]] {
-            csr.push_row(row.iter().copied());
-        }
-        let t = csr.transpose(6);
-        assert_eq!(
-            rows_of(&t),
-            vec![vec![2, 2], vec![0], vec![2], vec![3], vec![0, 2], vec![]]
-        );
-        assert_eq!(t.transpose(csr.len()), csr);
-    }
-
     fn id_rows(rows: &[Vec<u32>]) -> IdRows {
         let mut t = IdRows::default();
         for row in rows {
@@ -622,16 +551,15 @@ mod tests {
     }
 
     #[test]
-    fn empty_id_rows_transpose_to_empty_rows() {
+    fn empty_id_rows_have_only_their_offset() {
         let none = IdRows::default();
         assert!(none.is_empty());
         assert_eq!(none.storage_bytes(), 4);
         assert_eq!(none.iter().count(), 0);
         assert_eq!(IdRows::with_capacity(4, 16), none);
-        let t = none.transpose(3);
-        assert_eq!(decoded(&t), vec![Vec::<u32>::new(); 3]);
-        assert_eq!(t, id_rows(&[vec![], vec![], vec![]]));
-        assert_eq!(id_rows(&[vec![], vec![]]).transpose(0), none);
+        let blank = id_rows(&[vec![], vec![], vec![]]);
+        assert_eq!(decoded(&blank), vec![Vec::<u32>::new(); 3]);
+        assert_eq!(blank.storage_bytes(), 4 * 4);
     }
 
     /// A gap that is small, on either side of a varint length step, or
@@ -675,29 +603,6 @@ mod tests {
                 proptest::prop_assert_eq!(&buf, row);
             }
             proptest::prop_assert_eq!(id_rows(&rows), t);
-        }
-
-        #[test]
-        fn id_rows_transpose_like_csr(
-            entries in proptest::collection::vec((0u32..40_000, 0u32..48), 0..80),
-            extra in 0usize..3,
-        ) {
-            // Sparse source rows spread over up to 40,000 rows, so the
-            // transposed rows' gaps cross every 1- and 2-byte boundary.
-            let mut entries = entries;
-            entries.sort_unstable();
-            let n = entries.last().map_or(0, |&(r, _)| r as usize + 1) + extra;
-            let mut csr = Csr::with_capacity(n, entries.len());
-            let mut t = IdRows::with_capacity(n, 0);
-            for r in 0..n as u32 {
-                let row = entries.iter().filter(|&&(er, _)| er == r).map(|&(_, id)| id);
-                csr.push_row(row.clone());
-                t.push_row(row);
-            }
-            let want = csr.transpose(48);
-            let got = t.transpose(48);
-            proptest::prop_assert_eq!(decoded(&got), rows_of(&want));
-            proptest::prop_assert_eq!(got.transpose(n), t);
         }
     }
 }

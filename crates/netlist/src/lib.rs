@@ -11,8 +11,7 @@
 //! * [`Csr`] — the compressed-sparse-row table every per-node adjacency
 //!   (fanins, fanouts, level rows, and the analysis crates' rank, pin and
 //!   fault-class tables) is stored in, and [`IdRows`], its gap-coded form
-//!   for the largest tables of ascending ids (the estimator's cone ids and
-//!   reader map).
+//!   for the largest table of ascending ids (the estimator's cone ids).
 //! * [`analyze`] — fanout maps, cone extraction and the *joining point* search
 //!   `V(a,b)` from Wunderlich's DAC'85 paper (the set of fanout stems with one
 //!   branch on a path to `a` and another on a path to `b`).

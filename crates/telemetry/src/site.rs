@@ -19,9 +19,6 @@ pub enum Site {
     EstimatorBuild,
     /// One full signal-probability estimation sweep over the AIG ranks.
     EstimatorSweep,
-    /// Building the estimator's read-dependency map, once per estimator,
-    /// on a session's first mutation.
-    EstimatorReaders,
     /// One dirty-worklist propagation drain inside a session.
     Propagate,
     /// A full observability sweep (all levels, from scratch).
@@ -82,11 +79,10 @@ pub enum Site {
 impl Site {
     /// Every registered site, in declaration order (aligned with the
     /// per-site aggregation arrays).
-    pub const ALL: [Site; 29] = [
+    pub const ALL: [Site; 28] = [
         Site::SessionBuild,
         Site::EstimatorBuild,
         Site::EstimatorSweep,
-        Site::EstimatorReaders,
         Site::Propagate,
         Site::ObsFull,
         Site::ObsRefresh,
@@ -120,7 +116,6 @@ impl Site {
             Site::SessionBuild => "session.build",
             Site::EstimatorBuild => "estimator.build",
             Site::EstimatorSweep => "estimator.sweep",
-            Site::EstimatorReaders => "estimator.readers",
             Site::Propagate => "session.propagate",
             Site::ObsFull => "observe.full",
             Site::ObsRefresh => "observe.refresh",

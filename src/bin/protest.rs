@@ -415,7 +415,7 @@ fn cmd_stats(circuit: &Arc<Circuit>, opts: &Options) -> Result<String, String> {
     let mut out = format!("{}\n", CircuitStats::of(circuit));
     let analyzer = analyzer_for(circuit, opts);
     // The probe runs first so that the footprint below includes the
-    // estimator ranks and reader map its session builds, and the lane
+    // estimator ranks its session builds, and the lane
     // sweep before the footprint so that the peak RSS covers all the work.
     let probe = if opts.probe {
         probe_report(circuit, &analyzer)?
@@ -447,13 +447,6 @@ fn cmd_stats(circuit: &Arc<Circuit>, opts: &Options) -> Result<String, String> {
         let _ = writeln!(
             out,
             "  estimator ranks:    {} B (fanin-depth ranks)",
-            counted(bytes)
-        );
-    }
-    if let Some(bytes) = analyzer.estimator_readers_bytes() {
-        let _ = writeln!(
-            out,
-            "  estimator readers:  {} B (gap-coded read-dependency map)",
             counted(bytes)
         );
     }
@@ -976,11 +969,10 @@ mod tests {
             out.contains("7 shapes shared by 72 conditioned ANDs)"),
             "{out}"
         );
-        // Ranks and the reader map are built by the probe's session only.
+        // Ranks are built by the probe's session only.
         assert!(!out.contains("estimator ranks:"), "{out}");
         let probed = run(&args(&["stats", "comp24", "--probe"])).unwrap();
         assert!(probed.contains("  estimator ranks:    "), "{probed}");
-        assert!(probed.contains("  estimator readers:  "), "{probed}");
         // The sum line adds up every byte counter printed above it.
         let counter = |line: &str| -> Option<usize> {
             let (label, rest) = line.split_once(':')?;
@@ -1000,7 +992,7 @@ mod tests {
         let summed: usize = block.iter().filter_map(|l| counter(l)).sum();
         assert_eq!(
             block.iter().filter_map(|l| counter(l)).count(),
-            6,
+            5,
             "{probed}"
         );
         let sum_line = format!("  footprint sum:      {summed} B (the counters above)");

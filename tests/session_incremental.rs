@@ -7,9 +7,10 @@
 
 use proptest::prelude::*;
 use protest::prelude::*;
-use protest_circuits::{alu_74181, comp24, random_circuit, RandomCircuitParams};
+use protest_circuits::{alu_74181, comp24, div_nonrestoring, random_circuit, RandomCircuitParams};
 use protest_core::observe::compute_observability;
-use protest_core::{AnalyzerParams, InputProbs};
+use protest_core::sigprob::SignalProbEstimator;
+use protest_core::{Aig, AnalyzerParams, InputProbs};
 
 const INPUTS: usize = 6;
 
@@ -221,6 +222,73 @@ fn queries_after_a_mutation_run_one_full_pass() {
             .session(&InputProbs::from_slice(session.input_probs()).unwrap())
             .unwrap();
         assert_sessions_bit_equal(&mut session, &mut fresh);
+    }
+}
+
+/// The forward layer's work rule: a mutation re-evaluates exactly the
+/// AND nodes whose documented read set
+/// ([`SignalProbEstimator::reads_any`]) meets the set Δ of nodes whose
+/// value changed, Δ taken by diffing two full passes bit by bit. Fewer
+/// would leave a stale value; more would re-read nothing new. Covers
+/// one-input moves and `set_all` at one and four threads.
+#[test]
+fn session_evaluates_exactly_the_readers_of_changed_nodes() {
+    for ckt in [comp24(), div_nonrestoring(8, 8)] {
+        let est = SignalProbEstimator::new(Aig::from_circuit(&ckt), &AnalyzerParams::default());
+        let nodes = est.aig().len() as u32;
+        // The ANDs whose read set meets Δ between the full passes at
+        // `from` and `to`.
+        let readers_of_changes = |from: &[f64], to: &[f64]| -> u64 {
+            let (a, b) = (est.full_estimate(from), est.full_estimate(to));
+            let delta: Vec<bool> = a
+                .iter()
+                .zip(&b)
+                .map(|(x, y)| x.to_bits() != y.to_bits())
+                .collect();
+            let readers = (0..nodes).filter(|&k| est.reads_any(k, |x| delta[x as usize]));
+            readers.count() as u64
+        };
+        let inputs = ckt.num_inputs();
+        for threads in [1, 4] {
+            let analyzer = analyzer_with_threads(&ckt, threads);
+            let mut probs = vec![0.5; inputs];
+            let mut session = analyzer.session(&InputProbs::uniform(inputs)).unwrap();
+            let mut total = 0;
+            // Moves to `next` by `set_input_prob(i, ..)`, or by `set_all`
+            // when `moved` is `None`.
+            let mut check = |session: &mut AnalysisSession,
+                             probs: &mut Vec<f64>,
+                             next: Vec<f64>,
+                             moved: Option<usize>| {
+                let want = readers_of_changes(probs, &next);
+                let before = session.stats().and_evals;
+                match moved {
+                    Some(i) => session.set_input_prob(i, next[i]).unwrap(),
+                    None => session.set_all(&next).unwrap(),
+                }
+                let got = session.stats().and_evals - before;
+                let what = format!("{moved:?} (None: set_all)");
+                assert_eq!(got, want, "{} at {threads} threads: {what}", ckt.name());
+                total += want;
+                *probs = next;
+            };
+            for step in 0..12 {
+                let i = (step * 7) % inputs;
+                let mut next = probs.clone();
+                next[i] = f64::from(step as u32 % 15 + 1) / 16.0;
+                check(&mut session, &mut probs, next, Some(i));
+            }
+            for seed in 0..4 {
+                let next = (0..inputs)
+                    .map(|i| match (i + seed) % 3 {
+                        0 => ((i * 5 + seed) % 15 + 1) as f64 / 16.0,
+                        _ => probs[i],
+                    })
+                    .collect();
+                check(&mut session, &mut probs, next, None);
+            }
+            assert!(total > 0, "{}: no AND re-evaluated", ckt.name());
+        }
     }
 }
 

@@ -158,28 +158,3 @@ fn chrome_trace_export_is_valid_and_balanced() {
     assert!(tree.starts_with("# phase breakdown"), "{tree}");
     assert!(tree.contains("partition.analyze"), "{tree}");
 }
-
-#[test]
-fn the_reader_map_is_built_once_under_its_own_span() {
-    let _serial = TELEMETRY_LOCK.lock().unwrap();
-    let _ = protest_telemetry::take();
-    let circuit = comp24();
-    let analyzer = Analyzer::with_params(&circuit, params(1));
-    let probs = skewed_probs(circuit.num_inputs());
-    let mut session = analyzer.session(&probs).unwrap();
-    let readers_spans = || {
-        protest_telemetry::take()
-            .spans
-            .iter()
-            .filter(|s| s.site == protest_telemetry::Site::EstimatorReaders)
-            .count()
-    };
-    protest_telemetry::arm();
-    session.set_input_prob(0, 0.25).unwrap();
-    let first = readers_spans();
-    session.set_input_prob(1, 0.75).unwrap();
-    let second = readers_spans();
-    protest_telemetry::disarm();
-    assert_eq!(first, 1, "the first mutation builds the reader map");
-    assert_eq!(second, 0, "later mutations reuse it");
-}
